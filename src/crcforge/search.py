@@ -24,6 +24,7 @@ worker count.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Optional
@@ -261,11 +262,14 @@ def _solve_subtree(args) -> tuple[int, list]:
         mask = np.frombuffer(bytes(1 if s == 1 else 0 for s in state), dtype=np.uint8)
         code = Code(sp, mask.astype(bool))
         cert = check_crc(code)
-        assert isinstance(cert, CrcCertificate), f"search emitted a non-CRC set: {cert}"
+        if not isinstance(cert, CrcCertificate):
+            raise RuntimeError(f"search emitted a non-CRC set: {cert}")
         gamma, beta = cert.gamma, cert.beta
-        assert gamma_t is None or gamma == gamma_t
+        if gamma_t is not None and gamma != gamma_t:
+            raise RuntimeError(f"search emitted gamma={gamma}, target was {gamma_t}")
         idx = cert.eigenvalue_index
-        assert index_t is None or idx == index_t
+        if index_t is not None and idx != index_t:
+            raise RuntimeError(f"search emitted eigenvalue index {idx}, target was {index_t}")
         results.append((gamma, beta, idx, tuple(int(j) for j in code.indices()) if collect else None))
 
     def dfs(scan_from: int) -> None:
@@ -326,7 +330,7 @@ def resolve_workers(workers: Optional[int] = None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            print(f"warning: ignoring {WORKERS_ENV}={env!r}, not an integer", file=sys.stderr)
     return min(4, os.cpu_count() or 1)
 
 

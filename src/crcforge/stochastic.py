@@ -118,7 +118,8 @@ def build(q: int, qp: int, gamma: int) -> GridSet:
     cells = (rows - a * cols) % q < a
     grid = GridSet(q, qp, cells)
     prof = profile(grid)
-    assert prof == StochasticProfile(a, b), f"builder produced non-stochastic set: {prof}"
+    if prof != StochasticProfile(a, b):
+        raise RuntimeError(f"builder produced non-stochastic set: {prof}")
     return grid
 
 

@@ -7,12 +7,19 @@ every non-codeword has gamma neighbors in C, every codeword has beta
 neighbors outside.  Counting is vectorized: the number of set members
 adjacent to each vertex equals the sum of line sums through it minus n
 times its own membership.
+
+``check_crc`` counts in-code neighbors once.  When every non-codeword has
+one, rho = 1 and that single pass decides everything: the first codeword
+fixes beta, the first non-codeword fixes gamma, and the first vertex whose
+count disagrees is the failure witness.  Only when some non-codeword has no
+neighbor in C does the layered path run, which builds the distance partition
+from the counts already taken and counts into every further layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -20,12 +27,17 @@ from .hamming import Clique, Code, Space
 
 
 def neighbor_counts(space: Space, indicator: np.ndarray) -> np.ndarray:
-    """For every vertex, the number of its neighbors inside the indicated set."""
-    g = np.asarray(indicator, dtype=np.int32).reshape(space.shape)
-    tot = np.zeros(space.shape, dtype=np.int32)
+    """For every vertex, the number of its neighbors inside the indicated set.
+
+    Returns a flat array of dtype uint16 when n*q < 2**16 (a vertex's n line
+    sums then total at most n*q) and int64 otherwise.
+    """
+    g = np.asarray(indicator, dtype=bool).reshape(space.shape)
+    dtype = np.uint16 if space.n * space.q < 2**16 else np.int64
+    tot = np.zeros(space.shape, dtype=dtype)
     for ax in range(space.n):
-        tot = tot + g.sum(axis=ax, keepdims=True)
-    tot -= space.n * g
+        tot += g.sum(axis=ax, keepdims=True, dtype=dtype)
+    tot -= dtype(space.n) * g
     return tot.reshape(space.size)
 
 
@@ -45,14 +57,22 @@ class DistancePartition:
         return tuple(int(c.sum()) for c in self.classes)
 
 
-def distance_partition(code: Code) -> DistancePartition:
+def distance_partition(code: Code, counts: Optional[np.ndarray] = None) -> DistancePartition:
+    """Layers of vertices by distance to the code.
+
+    ``counts``, when given, must be ``neighbor_counts`` of the code itself; it
+    stands in for the first layer's count.
+    """
     if code.size == 0:
         raise ValueError("empty code has no distance partition")
     sp = code.space
     layers = [code.mask.copy()]
     seen = code.mask.copy()
     while not seen.all():
-        frontier = (neighbor_counts(sp, layers[-1]) > 0) & ~seen
+        if counts is None:
+            counts = neighbor_counts(sp, layers[-1])
+        frontier = (counts > 0) & ~seen
+        counts = None
         layers.append(frontier)
         seen |= frontier
     for layer in layers:
@@ -151,10 +171,28 @@ CheckResult = Union[CrcCertificate, CrcFailure]
 def check_crc(code: Code) -> CheckResult:
     """Decide complete regularity; return a certificate or the first failure."""
     sp = code.space
-    if code.size == 0 or code.size == sp.size:
+    size = code.size
+    if size == 0 or size == sp.size:
         raise ValueError("code must be a proper nonempty vertex subset")
-    dp = distance_partition(code)
-    counts = [neighbor_counts(sp, layer) for layer in dp.classes]
+    mask = code.mask
+    c = neighbor_counts(sp, mask)
+    k = sp.valency
+    inner = int(c[np.argmax(mask)])   # in-code neighbors of the first codeword
+    gamma = int(c[np.argmin(mask)])   # ... and of the first non-codeword
+    if gamma > 0:
+        bad = np.where(mask, c != inner, c != gamma)
+        v = int(np.argmax(bad))
+        if not bad[v]:
+            return CrcCertificate(sp.n, sp.q, 1, size, (k - inner,), (gamma,))
+        # rho = 1 unless some non-codeword has no neighbor in C
+        if not ((c == 0) & ~mask).any():
+            if mask[v]:
+                return CrcFailure(sp.vertex(v), 0, 1, k - int(c[v]), k - inner)
+            return CrcFailure(sp.vertex(v), 1, 0, int(c[v]), gamma)
+
+    # covering radius >= 2: check layer by layer
+    dp = distance_partition(code, c)
+    counts = [c] + [neighbor_counts(sp, layer) for layer in dp.classes[1:]]
 
     best = None  # (vertex index, direction priority, failure record)
     gammas: list[int] = []
@@ -180,7 +218,7 @@ def check_crc(code: Code) -> CheckResult:
                                             int(vals[bad[0]]), expected))
     if best is not None:
         return best[1]
-    return CrcCertificate(sp.n, sp.q, dp.rho, code.size, tuple(betas), tuple(gammas))
+    return CrcCertificate(sp.n, sp.q, dp.rho, size, tuple(betas), tuple(gammas))
 
 
 @dataclass(frozen=True)

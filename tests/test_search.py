@@ -7,7 +7,7 @@ from crcforge.search import (SearchConstraints, SearchSummary, enumerate_crcs,
                              resolve_workers)
 from crcforge.verifier import CrcCertificate, check_crc
 
-from helpers import all_vertex_subsets, brute_crc1_params, code_of
+from helpers import all_vertex_subsets, brute_crc1_params, code_of, run_optimized
 
 
 def brute_census(sp):
@@ -154,7 +154,7 @@ def test_constraint_validation():
         SearchConstraints(3, 2, gamma=3, eigenvalue_index=2)  # gamma > beta
 
 
-def test_resolve_workers(monkeypatch):
+def test_resolve_workers(monkeypatch, capsys):
     monkeypatch.delenv("CRC_FORGE_THREADS", raising=False)
     assert resolve_workers(3) == 3
     assert resolve_workers(0) == 1
@@ -162,8 +162,11 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("CRC_FORGE_THREADS", "2")
     assert resolve_workers(None) == 2
     assert resolve_workers(5) == 5  # explicit argument wins
+    assert capsys.readouterr().err == ""
     monkeypatch.setenv("CRC_FORGE_THREADS", "junk")
     assert 1 <= resolve_workers(None) <= 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "CRC_FORGE_THREADS='junk'" in err
 
 
 def test_gamma_only_constraint():
@@ -173,3 +176,22 @@ def test_gamma_only_constraint():
     summary = enumerate_crcs(SearchConstraints(2, 3, gamma=2), workers=1)
     assert summary.codes_found == len(brute)
     assert all(p[0] == 2 for p in summary.parameter_sets)
+
+
+def test_leaf_reverification_survives_python_O():
+    # a leaf that fails re-verification must still raise with asserts stripped
+    proc = run_optimized("""
+        from crcforge import search
+        from crcforge.search import SearchConstraints, enumerate_crcs
+        from crcforge.verifier import CrcFailure
+
+        search.check_crc = lambda code: CrcFailure((0, 0), 0, 1, 2, 1)
+        try:
+            enumerate_crcs(SearchConstraints(2, 2), workers=1)
+        except RuntimeError as e:
+            print(e)
+        else:
+            raise SystemExit("non-CRC leaf was accepted")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("search emitted a non-CRC set: CrcFailure(")

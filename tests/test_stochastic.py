@@ -9,7 +9,7 @@ from crcforge import stochastic
 from crcforge.stochastic import GridSet, StochasticProfile, build, exists, profile
 from crcforge.verifier import CrcCertificate, check_crc
 
-from helpers import brute_crc1_params
+from helpers import brute_crc1_params, run_optimized
 
 
 def test_profile_detects_stochastic_sets():
@@ -122,3 +122,21 @@ def test_build_always_stochastic_when_degrees_exist(q, qp, gamma):
     # column/row counts straight from the matrix
     assert (g.cells.sum(axis=0) == prof.a).all()
     assert (g.cells.sum(axis=1) == prof.b).all()
+
+
+def test_build_self_check_survives_python_O():
+    # a builder result with the wrong profile must still raise with asserts stripped
+    proc = run_optimized("""
+        from crcforge import stochastic
+        from crcforge.stochastic import StochasticProfile
+
+        stochastic.profile = lambda grid: StochasticProfile(0, 0)
+        try:
+            stochastic.build(4, 4, 4)
+        except RuntimeError as e:
+            print(e)
+        else:
+            raise SystemExit("non-stochastic build was accepted")
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("builder produced non-stochastic set: StochasticProfile(")

@@ -1,18 +1,22 @@
 """Distance partitions, regularity certificates, profiles, reduce/extend."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crcforge.constructions import build_feasible
 from crcforge.hamming import Code, Hyperface, Space, all_cliques, neighbors
+from crcforge.parameters import feasible_h3q
 from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                clique_profile, distance_partition, essential_positions,
                                extend_code, hyperface_profile, neighbor_counts,
                                reduce_code)
 
 from helpers import (brute_count_in, brute_crc1_params, brute_layer_sizes,
-                     code_of)
+                     code_of, reference_check_crc)
 
 
 def test_neighbor_counts_matches_brute_force():
@@ -243,3 +247,78 @@ def test_neighbor_counts_random(n, q, nwords, data):
     counts = neighbor_counts(sp, mask)
     probe = data.draw(st.integers(0, sp.size - 1))
     assert counts[probe] == brute_count_in(sp, members, sp.vertex(probe))
+
+
+@pytest.mark.parametrize("q", [65535, 65536])
+def test_neighbor_counts_dtype_boundary(q):
+    # H(1,q) is the complete graph K_q: a vertex sees every member but itself.
+    # n*q = 65535 is the largest space counted in uint16; full and near-full
+    # sets drive the line sums to their maximum q on either side of the switch.
+    sp = Space(1, q)
+    assert neighbor_counts(sp, np.zeros(q, dtype=bool)).dtype == (
+        np.uint16 if q < 2**16 else np.int64)
+    for missing in ((), (0,), (q - 1,)):
+        mask = np.ones(q, dtype=bool)
+        mask[list(missing)] = False
+        members = int(mask.sum())
+        counts = neighbor_counts(sp, mask)
+        assert counts.shape == (q,)
+        assert (counts[mask] == members - 1).all()
+        assert (counts[~mask] == members).all()
+
+
+def assert_same_check(code):
+    """check_crc equals the three-pass reference field by field, types included."""
+    got, want = check_crc(code), reference_check_crc(code)
+    assert type(got) is type(want), (got, want)
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a == b and type(a) is type(b), (f.name, got, want)
+    return got
+
+
+# every H(n,q) with q^n <= 256, drawn with n uniform
+SMALL_SPACES = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from([q for q in range(2, 257) if q ** n <= 256])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMALL_SPACES, st.integers(0, 2**32 - 1), st.floats(0.02, 0.98))
+def test_check_crc_matches_reference_on_random_codes(nq, seed, density):
+    sp = Space(*nq)
+    mask = np.random.default_rng(seed).random(sp.size) < density
+    mask[0], mask[-1] = True, False   # proper and nonempty
+    assert_same_check(Code(sp, mask))
+
+
+def test_check_crc_matches_reference_on_feasible_codes_and_flips():
+    # every build_feasible code of H(3,q<=8), and its one-vertex flips at 16
+    # evenly spread vertices (all of them for q <= 2)
+    codes = [build_feasible(q, gamma, index)[0]
+             for q in range(2, 9) for index in (1, 2, 3)
+             for gamma in range(1, q * index // 2 + 1)
+             if feasible_h3q(q, gamma, index).feasible]
+    kinds = set()
+    for code in codes:
+        cert = assert_same_check(code)
+        assert isinstance(cert, CrcCertificate) and cert.rho == 1
+        size = code.space.size
+        for v in np.unique(np.linspace(0, size - 1, 16).astype(int)):
+            mask = code.mask.copy()
+            mask[v] = not mask[v]
+            if mask.any() and not mask.all():
+                res = assert_same_check(Code(code.space, mask))
+                kinds.add((type(res).__name__, getattr(res, "class_index", None)))
+    # failures at codewords and at non-codewords, plus the H(3,2) singleton (rho 3)
+    assert {("CrcFailure", 0), ("CrcFailure", 1), ("CrcCertificate", None)} <= kinds
+
+
+def test_check_crc_matches_reference_for_covering_radius_above_one():
+    rep = code_of(Space(5, 2), [(0,) * 5, (1,) * 5])
+    cert = assert_same_check(rep)
+    assert (cert.rho, cert.betas, cert.gammas) == (2, (5, 4), (1, 2))
+    single = assert_same_check(code_of(Space(3, 3), [(0, 0, 0)]))
+    assert (single.rho, single.betas, single.gammas) == (3, (6, 4, 2), (1, 2, 3))
+    # a rho=2 code whose first failure points away from the code, from layer 1
+    res = assert_same_check(code_of(Space(3, 3), [(0, 0, 0), (1, 1, 1)]))
+    assert (res.witness_vertex, res.class_index, res.target_class) == ((0, 0, 2), 1, 2)
