@@ -16,11 +16,8 @@ import sys
 import numpy as np
 
 from crcforge.codefile import read_code
+from crcforge.stochastic import GridSet
 from crcforge.verifier import CrcCertificate, check_crc
-
-
-def render_slice(plane: np.ndarray) -> str:
-    return "\n".join("".join("*" if c else "." for c in row) for row in plane)
 
 
 def main() -> None:
@@ -50,7 +47,7 @@ def main() -> None:
     for s in range(sp.q):
         print(f"\nposition {args.direction} = {s}   "
               f"(rows: position {others[0]}, cols: position {others[1]})")
-        print(render_slice(g[s]))
+        print(GridSet(sp.q, sp.q, g[s]).render())
 
 
 if __name__ == "__main__":

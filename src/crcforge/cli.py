@@ -83,41 +83,23 @@ def _parse_witness(text: str) -> ConditionOneWitness:
     return ConditionOneWitness(*vals)
 
 
-def cmd_construct(args) -> int:
-    q = args.q
-    kind = args.kind
-    if kind == "a":
-        if args.gamma is None:
-            raise ValueError("construct a needs --gamma")
-        code = constructions.build_a(q, args.gamma)
-        spec = constructions.ConstructionSpec("a", (("q", q), ("gamma", args.gamma)))
-    elif kind == "b":
-        if args.variant is None:
-            raise ValueError("construct b needs --variant {1,2}")
-        code = constructions.build_b(q, args.variant)
-        spec = constructions.ConstructionSpec("b", (("q", q), ("variant", args.variant)))
-    elif kind == "c":
-        if args.t is None:
-            raise ValueError("construct c needs --t")
-        code = constructions.build_c(q, args.t)
-        spec = constructions.ConstructionSpec("c", (("q", q), ("t", args.t)))
-    elif kind == "d":
-        if args.witness is None:
-            raise ValueError("construct d needs --witness r,s,t,a,b,c")
-        w = _parse_witness(args.witness)
-        code = constructions.build_d(q, w)
-        spec = constructions.spec_for_witness(q, w)
-    elif kind == "index1":
-        if args.m is None:
-            raise ValueError("construct index1 needs --m (interval size)")
-        code = constructions.build_index1(q, args.m)
-        spec = constructions.ConstructionSpec("index1", (("q", q), ("m", args.m)))
-    else:  # index3
-        if args.m is None:
-            raise ValueError("construct index3 needs --m (number of diagonal classes)")
-        code = constructions.build_index3(q, args.m)
-        spec = constructions.ConstructionSpec("index3", (("q", q), ("m", args.m)))
+# Each construction kind's flag, named after the ConstructionSpec parameter
+# it sets.
+CONSTRUCT_FLAGS = {"a": "gamma", "b": "variant", "c": "t", "d": "witness",
+                   "index1": "m", "index3": "m"}
 
+
+def cmd_construct(args) -> int:
+    q, kind = args.q, args.kind
+    flag = CONSTRUCT_FLAGS[kind]
+    value = getattr(args, flag)
+    if value is None:
+        raise ValueError(f"construct {kind} needs --{flag}")
+    if kind == "d":
+        spec = constructions.spec_for_witness(q, _parse_witness(value))
+    else:
+        spec = constructions.ConstructionSpec(kind, (("q", q), (flag, value)))
+    code = constructions.build_from_spec(spec)
     cert = verifier.check_crc(code)
     if not isinstance(cert, CrcCertificate):
         print("construction self-check failed:", file=sys.stderr)
@@ -322,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("construct", help="build a code and write it as JSON")
-    c.add_argument("kind", choices=["a", "b", "c", "d", "index1", "index3"])
+    c.add_argument("kind", choices=list(CONSTRUCT_FLAGS))
     c.add_argument("--q", type=int, required=True, help="alphabet size")
     c.add_argument("--gamma", type=int, help="total degree (kind a)")
     c.add_argument("--variant", type=int, choices=[1, 2], help="seed variant (kind b)")

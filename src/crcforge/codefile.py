@@ -55,7 +55,9 @@ def read_code(source: Union[str, TextIO]) -> tuple[Code, dict]:
     if obj.get("format") != FORMAT:
         raise CodeFileError(f'missing or wrong "format" tag (expected {FORMAT!r})')
     n, q = obj.get("n"), obj.get("q")
-    if not (isinstance(n, int) and isinstance(q, int)):
+    # JSON true/false load as bool, a subclass of int: exact type checks
+    # keep them out of n, q and the symbols.
+    if not (type(n) is int and type(q) is int):
         raise CodeFileError('"n" and "q" must be integers')
     try:
         space = Space(n, q)
@@ -67,7 +69,7 @@ def read_code(source: Union[str, TextIO]) -> tuple[Code, dict]:
     seen = set()
     for w in words:
         if not (isinstance(w, list) and len(w) == n
-                and all(isinstance(c, int) and 0 <= c < q for c in w)):
+                and all(type(c) is int and 0 <= c < q for c in w)):
             raise CodeFileError(f"bad codeword {w!r} for H({n},{q})")
         tw = tuple(w)
         if tw in seen:

@@ -133,6 +133,9 @@ def build_d(q: int, w: ConditionOneWitness) -> Code:
 
 
 def build_from_spec(spec: ConstructionSpec) -> Code:
+    """Build the code a spec names; the one map from construction kind to
+    builder.  Builders are looked up as module globals at call time, so a
+    wrapper installed on this module sees every build."""
     p = spec.as_dict()
     kind = spec.kind
     if kind == "index1":
@@ -146,8 +149,7 @@ def build_from_spec(spec: ConstructionSpec) -> Code:
     if kind == "c":
         return build_c(p["q"], p["t"])
     if kind == "d":
-        w = ConditionOneWitness(p["r"], p["s"], p["t"], p["a"], p["b"], p["c"])
-        return build_d(p["q"], w)
+        return build_d(p["q"], ConditionOneWitness(*(p[k] for k in "rstabc")))
     raise ValueError(f"unknown construction kind {kind!r}")
 
 
@@ -161,13 +163,15 @@ def build_feasible(q: int, gamma: int, index: int) -> tuple[Code, ConstructionSp
     if not verdict.feasible:
         raise ValueError(f"no code with gamma={gamma}, index={index} in H(3,{q}): {verdict.rule}")
     if index == 1:
-        return build_index1(q, gamma), ConstructionSpec("index1", (("q", q), ("m", gamma)))
-    if index == 3:
-        return build_index3(q, gamma // 3), ConstructionSpec("index3", (("q", q), ("m", gamma // 3)))
-    if gamma % 2 == 0:
-        return build_a(q, gamma), ConstructionSpec("a", (("q", q), ("gamma", gamma)))
-    if 2 * gamma == q:
-        return build_b(q, 1), ConstructionSpec("b", (("q", q), ("variant", 1)))
-    if 2 * gamma > q:
-        return build_c(q, gamma), ConstructionSpec("c", (("q", q), ("t", gamma)))
-    return build_d(q, verdict.witness), spec_for_witness(q, verdict.witness)
+        spec = ConstructionSpec("index1", (("q", q), ("m", gamma)))
+    elif index == 3:
+        spec = ConstructionSpec("index3", (("q", q), ("m", gamma // 3)))
+    elif gamma % 2 == 0:
+        spec = ConstructionSpec("a", (("q", q), ("gamma", gamma)))
+    elif 2 * gamma == q:
+        spec = ConstructionSpec("b", (("q", q), ("variant", 1)))
+    elif 2 * gamma > q:
+        spec = ConstructionSpec("c", (("q", q), ("t", gamma)))
+    else:
+        spec = spec_for_witness(q, verdict.witness)
+    return build_from_spec(spec), spec

@@ -76,27 +76,6 @@ class Space:
         return itertools.product(range(self.q), repeat=self.n)
 
 
-def make_space(n: int, q: int) -> Space:
-    return Space(n, q)
-
-
-def neighbors(space: Space, v: Sequence[int]) -> list[Vertex]:
-    """All n(q-1) neighbors, position-major then symbol-ascending."""
-    v = space.check_vertex(v)
-    out = []
-    for j in range(space.n):
-        for s in range(space.q):
-            if s != v[j]:
-                out.append(v[:j] + (s,) + v[j + 1:])
-    return out
-
-
-def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
-    if len(u) != len(v):
-        raise ValueError("length mismatch")
-    return sum(a != b for a, b in zip(u, v))
-
-
 @dataclass(frozen=True)
 class Clique:
     """A maximal clique of H(n,q): all vertices agreeing outside one position.
@@ -107,58 +86,6 @@ class Clique:
 
     codirection: int
     fixed: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Hyperface:
-    """All q^(n-1) vertices with a given symbol in a given position."""
-
-    direction: int
-    symbol: int
-
-
-def check_clique(space: Space, c: Clique) -> None:
-    if not 1 <= c.codirection <= space.n:
-        raise ValueError(f"clique codirection {c.codirection} out of 1..{space.n}")
-    if len(c.fixed) != space.n - 1 or not all(0 <= s < space.q for s in c.fixed):
-        raise ValueError(f"clique fixed symbols {c.fixed} invalid for H({space.n},{space.q})")
-
-
-def check_hyperface(space: Space, h: Hyperface) -> None:
-    if not 1 <= h.direction <= space.n:
-        raise ValueError(f"hyperface direction {h.direction} out of 1..{space.n}")
-    if not 0 <= h.symbol < space.q:
-        raise ValueError(f"hyperface symbol {h.symbol} out of 0..{space.q - 1}")
-
-
-def clique_vertices(space: Space, c: Clique) -> list[Vertex]:
-    """The q vertices of a maximal clique, symbol-ascending in the free position."""
-    check_clique(space, c)
-    j = c.codirection - 1
-    return [c.fixed[:j] + (s,) + c.fixed[j:] for s in range(space.q)]
-
-
-def hyperface_vertices(space: Space, h: Hyperface) -> list[Vertex]:
-    """The q^(n-1) vertices of a hyperface, in lexicographic order."""
-    check_hyperface(space, h)
-    j = h.direction - 1
-    out = []
-    for rest in itertools.product(range(space.q), repeat=space.n - 1):
-        out.append(rest[:j] + (h.symbol,) + rest[j:])
-    return out
-
-
-def all_cliques(space: Space) -> Iterator[Clique]:
-    """All n * q^(n-1) maximal cliques, codirection-major then fixed-lex."""
-    for j in range(1, space.n + 1):
-        for fixed in itertools.product(range(space.q), repeat=space.n - 1):
-            yield Clique(j, fixed)
-
-
-def all_hyperfaces(space: Space) -> Iterator[Hyperface]:
-    for j in range(1, space.n + 1):
-        for s in range(space.q):
-            yield Hyperface(j, s)
 
 
 class Code:

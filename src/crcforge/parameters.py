@@ -131,7 +131,8 @@ def _check_normalized(q: int, gamma: int, index: int) -> None:
 
 def feasible_h3q(q: int, gamma: int, index: int) -> FeasibilityVerdict:
     """Existence of a completely regular code in H(3,q) with rho = 1, the given
-    gamma, and second eigenvalue lambda_index, under the convention gamma <= beta."""
+    gamma, and second eigenvalue lambda_index, under the convention gamma <= beta.
+    Index 2 follows the H(n,q) rules of feasible_hnq at n = 3."""
     if index not in (1, 2, 3):
         raise ValueError(f"eigenvalue index {index} out of range 1..3 for rho=1 codes in H(3,q)")
     _check_normalized(q, gamma, index)
@@ -140,18 +141,7 @@ def feasible_h3q(q: int, gamma: int, index: int) -> FeasibilityVerdict:
         return FeasibilityVerdict(True, "index 1: every gamma with 2*gamma <= q is realizable")
 
     if index == 2:
-        if gamma % 2 == 0:
-            return FeasibilityVerdict(True, "even gamma: stochastic grid set extended by a free position")
-        if q % 2 == 1:
-            return FeasibilityVerdict(False, "odd q admits only even gamma at eigenvalue index 2")
-        if 2 * gamma >= q:
-            return FeasibilityVerdict(True, "q even, q/2 <= gamma <= q: alphabet-split construction range")
-        ws = solve_condition1(q, gamma)
-        if ws:
-            return FeasibilityVerdict(True, "q even, odd gamma < q/2: three-block system solvable", ws[0])
-        return FeasibilityVerdict(False, "q even, odd gamma < q/2: three-block system has no solution")
-
-    # index == 3
+        return feasible_hnq(3, q, gamma)
     if gamma % 3 == 0:
         return FeasibilityVerdict(
             True, "gamma divisible by 3: union of gamma/3 diagonal classes; "

@@ -213,7 +213,8 @@ def clique_cover(code: Code) -> CoverResult:
 
 def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[list[Clique], None]:
     """Deterministic backtracking: cover the first uncovered codeword by the
-    least clique (codirection order) disjoint from the cover so far."""
+    least clique (codirection order) disjoint from the cover so far.  The
+    search keeps its own stack, since a cover can hold thousands of cliques."""
     sp = code.space
     q = sp.q
     cliques: list[tuple[Clique, np.ndarray]] = []
@@ -230,31 +231,28 @@ def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[list[Clique], None]:
     member_idx = [int(i) for i in code.indices()]
     covered = np.zeros(sp.size, dtype=bool)
     chosen: list[int] = []
-
-    def first_uncovered() -> Union[int, None]:
-        for v in member_idx:
-            if not covered[v]:
-                return v
-        return None
-
-    def dfs() -> bool:
-        v = first_uncovered()
-        if v is None:
-            return True
-        for cid in at.get(v, ()):
-            flat = cliques[cid][1]
-            if not covered[flat].any():
-                covered[flat] = True
-                chosen.append(cid)
-                if dfs():
-                    return True
-                chosen.pop()
-                covered[flat] = False
-        return False
-
-    if not dfs():
-        return None
-    return [cliques[cid][0] for cid in sorted(chosen)]
+    # One frame per chosen clique: the cursor position of the codeword it
+    # covers and the next candidate to try there on backtracking.
+    stack: list[tuple[int, int]] = []
+    pos, k = 0, 0
+    while True:
+        while pos < len(member_idx) and covered[member_idx[pos]]:
+            pos += 1
+        if pos == len(member_idx):
+            return [cliques[cid][0] for cid in sorted(chosen)]
+        cands = at.get(member_idx[pos], ())
+        while k < len(cands) and covered[cliques[cands[k]][1]].any():
+            k += 1
+        if k < len(cands):
+            covered[cliques[cands[k]][1]] = True
+            chosen.append(cands[k])
+            stack.append((pos, k + 1))
+            k = 0
+            continue
+        if not stack:
+            return None
+        pos, k = stack.pop()
+        covered[cliques[chosen.pop()][1]] = False
 
 
 def _decompose(code: Code, chosen: list[Clique]) -> CoverResult:

@@ -2,7 +2,8 @@
 
 Everything here recomputes properties straight from definitions (explicit
 loops over vertices and neighbor enumeration), independently of the
-vectorized library code it is used to check.  The exceptions are the
+vectorized library code it is used to check.  That includes the explicit
+neighbor, clique and hyperface enumerators of H(n,q).  The exceptions are the
 three-pass reference verifier at the end, which the one-pass ``check_crc``
 must reproduce exactly, and a runner for snippets under ``python -O``.
 """
@@ -14,12 +15,87 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from crcforge.hamming import Code, Space, hamming_distance, neighbors
+from crcforge.hamming import Clique, Code, Space, Vertex
 from crcforge.verifier import CheckResult, CrcCertificate, CrcFailure, DistancePartition
 
+
+# ------------------------------------------------ vertices, cliques, hyperfaces
+
+def neighbors(space: Space, v: Sequence[int]) -> list[Vertex]:
+    """All n(q-1) neighbors, position-major then symbol-ascending."""
+    v = space.check_vertex(v)
+    out = []
+    for j in range(space.n):
+        for s in range(space.q):
+            if s != v[j]:
+                out.append(v[:j] + (s,) + v[j + 1:])
+    return out
+
+
+def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
+    if len(u) != len(v):
+        raise ValueError("length mismatch")
+    return sum(a != b for a, b in zip(u, v))
+
+
+@dataclass(frozen=True)
+class Hyperface:
+    """All q^(n-1) vertices with a given symbol in a given position."""
+
+    direction: int
+    symbol: int
+
+
+def check_clique(space: Space, c: Clique) -> None:
+    if not 1 <= c.codirection <= space.n:
+        raise ValueError(f"clique codirection {c.codirection} out of 1..{space.n}")
+    if len(c.fixed) != space.n - 1 or not all(0 <= s < space.q for s in c.fixed):
+        raise ValueError(f"clique fixed symbols {c.fixed} invalid for H({space.n},{space.q})")
+
+
+def check_hyperface(space: Space, h: Hyperface) -> None:
+    if not 1 <= h.direction <= space.n:
+        raise ValueError(f"hyperface direction {h.direction} out of 1..{space.n}")
+    if not 0 <= h.symbol < space.q:
+        raise ValueError(f"hyperface symbol {h.symbol} out of 0..{space.q - 1}")
+
+
+def clique_vertices(space: Space, c: Clique) -> list[Vertex]:
+    """The q vertices of a maximal clique, symbol-ascending in the free position."""
+    check_clique(space, c)
+    j = c.codirection - 1
+    return [c.fixed[:j] + (s,) + c.fixed[j:] for s in range(space.q)]
+
+
+def hyperface_vertices(space: Space, h: Hyperface) -> list[Vertex]:
+    """The q^(n-1) vertices of a hyperface, in lexicographic order."""
+    check_hyperface(space, h)
+    j = h.direction - 1
+    out = []
+    for rest in itertools.product(range(space.q), repeat=space.n - 1):
+        out.append(rest[:j] + (h.symbol,) + rest[j:])
+    return out
+
+
+def all_cliques(space: Space) -> Iterator[Clique]:
+    """All n * q^(n-1) maximal cliques, codirection-major then fixed-lex."""
+    for j in range(1, space.n + 1):
+        for fixed in itertools.product(range(space.q), repeat=space.n - 1):
+            yield Clique(j, fixed)
+
+
+def all_hyperfaces(space: Space) -> Iterator[Hyperface]:
+    for j in range(1, space.n + 1):
+        for s in range(space.q):
+            yield Hyperface(j, s)
+
+
+# ------------------------------------------------------------ brute force
 
 def brute_distances(sp: Space, codewords) -> dict:
     """Vertex -> min Hamming distance to the codeword set, by definition."""

@@ -14,7 +14,7 @@ from crcforge.cli import run
 from crcforge.codefile import read_code
 from crcforge.constructions import (build_a, build_b, build_c, build_d,
                                     build_feasible)
-from crcforge.hamming import Code, Space, hamming_distance, neighbors
+from crcforge.hamming import Code, Space
 from crcforge.parameters import (ConditionOneWitness, check_condition1,
                                  feasible_h3q, product_identity,
                                  solve_condition1)
@@ -27,7 +27,7 @@ from crcforge.structure import (CliqueDecomposition, classify_all, clique_cover,
 from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                extend_code, hyperface_profile, reduce_code)
 
-from helpers import all_vertex_subsets, brute_crc1_params
+from helpers import all_vertex_subsets, brute_crc1_params, hamming_distance, neighbors
 
 
 @contextmanager

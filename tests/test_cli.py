@@ -5,10 +5,13 @@ import json
 
 import pytest
 
-from crcforge.cli import run
+from crcforge.cli import certificate_dict, run
 from crcforge.codefile import CodeFileError, dumps_code, read_code, write_code
-from crcforge.constructions import build_a, build_c
+from crcforge.constructions import (ConstructionSpec, build_a, build_c, build_from_spec,
+                                    spec_for_witness)
 from crcforge.hamming import Code, Space
+from crcforge.parameters import ConditionOneWitness
+from crcforge.verifier import check_crc
 
 
 # ---------------------------------------------------------------- code files
@@ -61,6 +64,14 @@ def test_read_code_rejects_malformed():
         read_code(io.StringIO(dup))
     with pytest.raises(CodeFileError):
         read_code("/nonexistent/path.json")
+    # JSON booleans are ints to Python; without a type check these would read
+    # as H(1,3) and as the codeword (1, 0, 0)
+    one = dumps_code(Code.from_vertices(Space(1, 3), [(2,)]))
+    word = dumps_code(Code.from_vertices(Space(3, 2), [(0, 0, 1)]))
+    for text in (one.replace('"n": 1', '"n": true'),
+                 word.replace("[0, 0, 1]", "[true, false, 0]")):
+        with pytest.raises(CodeFileError):
+            read_code(io.StringIO(text))
 
 
 # ---------------------------------------------------------------- construct
@@ -98,11 +109,33 @@ def test_construct_d_and_index_kinds(tmp_path):
 
 def test_construct_errors(capsys):
     assert run(["construct", "a", "--q", "5"]) == 2  # missing --gamma
+    for kind, flag in (("b", "variant"), ("c", "t"), ("d", "witness"),
+                       ("index1", "m"), ("index3", "m")):
+        assert run(["construct", kind, "--q", "6"]) == 2
+        assert f"construct {kind} needs --{flag}" in capsys.readouterr().err
     assert run(["construct", "a", "--q", "5", "--gamma", "3"]) == 2  # odd gamma
     assert run(["construct", "d", "--q", "8", "--witness", "1,2,3"]) == 2
     assert run(["construct", "d", "--q", "8", "--witness", "a,b,c,d,e,f"]) == 2
     assert run(["construct", "d", "--q", "8", "--witness", "1,1,1,1,1,1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["a", "--gamma", "4"], ConstructionSpec("a", (("q", 6), ("gamma", 4)))),
+    (["b", "--variant", "2"], ConstructionSpec("b", (("q", 6), ("variant", 2)))),
+    (["c", "--t", "5"], ConstructionSpec("c", (("q", 6), ("t", 5)))),
+    (["d", "--witness", "2,4,6,2,3,2"],
+     spec_for_witness(8, ConditionOneWitness(2, 4, 6, 2, 3, 2))),
+    (["index1", "--m", "2"], ConstructionSpec("index1", (("q", 6), ("m", 2)))),
+    (["index3", "--m", "2"], ConstructionSpec("index3", (("q", 6), ("m", 2)))),
+], ids=["a", "b", "c", "d", "index1", "index3"])
+def test_construct_file_matches_library(tmp_path, argv, spec):
+    q = spec.as_dict()["q"]
+    out = tmp_path / "code.json"
+    assert run(["construct", *argv, "--q", str(q), "-o", str(out)]) == 0
+    code = build_from_spec(spec)
+    meta = {"construction": spec.as_dict(), "certificate": certificate_dict(check_crc(code))}
+    assert out.read_bytes() == dumps_code(code, meta).encode()
 
 
 # ---------------------------------------------------------------- verify

@@ -7,28 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crcforge.hamming import (Clique, Code, Hyperface, Space, all_cliques,
-                              all_hyperfaces, clique_vertices, hamming_distance,
-                              hyperface_vertices, make_space, neighbors)
+from crcforge.hamming import Clique, Code, Space
+
+from helpers import (Hyperface, all_cliques, all_hyperfaces, clique_vertices,
+                     hamming_distance, hyperface_vertices, neighbors)
 
 SMALL_SPACES = [Space(3, 2), Space(2, 3), Space(3, 3), Space(4, 2), Space(2, 5)]
 
 
 def test_space_basics():
-    sp = make_space(3, 6)
+    sp = Space(3, 6)
     assert sp.size == 216
     assert sp.valency == 15
-    assert make_space(3, 45).size == 91125
-    assert make_space(1, 2).valency == 1
+    assert Space(3, 45).size == 91125
+    assert Space(1, 2).valency == 1
 
 
 def test_space_rejects_bad_dimensions():
     with pytest.raises(ValueError):
-        make_space(0, 5)
+        Space(0, 5)
     with pytest.raises(ValueError):
-        make_space(2, 1)
+        Space(2, 1)
     with pytest.raises(ValueError):
-        make_space(64, 64)  # beyond the vertex cap
+        Space(64, 64)  # beyond the vertex cap
 
 
 def test_index_vertex_bijection_is_lexicographic():

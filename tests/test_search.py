@@ -2,12 +2,13 @@
 
 import pytest
 
-from crcforge.hamming import Hyperface, Space, hyperface_vertices
+from crcforge.hamming import Space
 from crcforge.search import (SearchConstraints, SearchSummary, enumerate_crcs,
                              resolve_workers)
 from crcforge.verifier import CrcCertificate, check_crc
 
-from helpers import all_vertex_subsets, brute_crc1_params, code_of, run_optimized
+from helpers import (Hyperface, all_vertex_subsets, brute_crc1_params, code_of,
+                     hyperface_vertices, run_optimized)
 
 
 def brute_census(sp):

@@ -5,7 +5,7 @@ import pytest
 
 from crcforge.constructions import (build_a, build_b, build_c, build_d,
                                     build_index1)
-from crcforge.hamming import Clique, Code, Space, clique_vertices
+from crcforge.hamming import Clique, Code, Space
 from crcforge.parameters import ConditionOneWitness, solve_condition1
 from crcforge.structure import (CliqueCoverFailure, CliqueDecomposition,
                                 DerivativeFunction, classify, classify_all,
@@ -13,7 +13,7 @@ from crcforge.structure import (CliqueCoverFailure, CliqueDecomposition,
                                 extract_construction_d, full_cliques)
 from crcforge.verifier import check_crc
 
-from helpers import code_of
+from helpers import clique_vertices, code_of
 
 
 def test_derivative_matches_definition():
@@ -197,6 +197,18 @@ def test_clique_cover_non_strong():
     assert res.witness is None
     assert {c.codirection for c in res.cliques} <= {2, 3}
     assert len(res.cliques) * 4 == code.size
+
+
+def test_clique_cover_deep_exact_cover():
+    # every codeword lies in two full cliques, and the cover needs 1,152 of
+    # them: deeper than Python's default recursion limit
+    code = build_index1(48, 24)
+    res = clique_cover(code)
+    assert isinstance(res, CliqueDecomposition)
+    assert len(res.cliques) == 1152
+    covered = [v for cl in res.cliques for v in clique_vertices(code.space, cl)]
+    assert len(covered) == len(set(covered)) == code.size
+    assert set(covered) == set(code.vertices())
 
 
 def test_clique_cover_lemma_violations():

@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crcforge.constructions import build_feasible
-from crcforge.hamming import Code, Hyperface, Space, all_cliques, neighbors
+from crcforge.hamming import Code, Space
 from crcforge.parameters import feasible_h3q
 from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                clique_profile, distance_partition, essential_positions,
                                extend_code, hyperface_profile, neighbor_counts,
                                reduce_code)
 
-from helpers import (brute_count_in, brute_crc1_params, brute_layer_sizes,
+from helpers import (all_cliques, brute_count_in, brute_crc1_params, brute_layer_sizes,
                      code_of, reference_check_crc)
 
 
@@ -155,7 +155,7 @@ def test_hyperface_profile_matches_direct_count():
 
 
 def test_clique_profile_matches_direct_count():
-    from crcforge.hamming import clique_vertices
+    from helpers import clique_vertices
 
     sp = Space(3, 3)
     rng = np.random.default_rng(11)
