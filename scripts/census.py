@@ -3,31 +3,33 @@
 
 Enumerates every code exhaustively, tallies codes per (gamma, beta, index),
 and checks the realized normalized parameters against the feasibility
-classification for three-position spaces.
+classification: every eigenvalue index in H(3,q), and index 2 in H(n,q) for
+the other n >= 2, where the classification covers index 2 only.
 
 Usage:
     python3 scripts/census.py                  # default space list
     python3 scripts/census.py --spaces 3,3 --workers 4
+    python3 scripts/census.py --spaces '4,2;5,2'
 """
 
 import argparse
 import sys
 import time
 
-from crcforge.parameters import feasible_h3q
+from crcforge.parameters import feasible_h3q, feasible_hnq
 from crcforge.search import SearchConstraints, enumerate_crcs
 
 DEFAULT_SPACES = [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3)]
 
 
-def predicted_normalized(q: int) -> set:
-    """Normalized (gamma, index) pairs the classification declares feasible in H(3,q)."""
-    out = set()
-    for index in (1, 2, 3):
-        for gamma in range(1, q * index // 2 + 1):
-            if feasible_h3q(q, gamma, index).feasible:
-                out.add((gamma, index))
-    return out
+def predicted_normalized(n: int, q: int) -> set:
+    """Normalized (gamma, index) pairs the classification declares feasible:
+    every index in H(3,q), index 2 in H(n,q) for n != 3."""
+    if n == 3:
+        return {(gamma, index) for index in (1, 2, 3)
+                for gamma in range(1, q * index // 2 + 1)
+                if feasible_h3q(q, gamma, index).feasible}
+    return {(gamma, 2) for gamma in range(1, q + 1) if feasible_hnq(n, q, gamma).feasible}
 
 
 def census(n: int, q: int, workers) -> None:
@@ -38,14 +40,34 @@ def census(n: int, q: int, workers) -> None:
           f"{elapsed:.2f}s")
     for g, b, i in sorted(summary.parameter_sets):
         print(f"    gamma={g} beta={b} index={i}")
-    if n == 3:
-        realized = {(min(g, b), i) for g, b, i in summary.parameter_sets}
-        predicted = predicted_normalized(q)
-        status = "MATCH" if realized == predicted else "MISMATCH"
-        print(f"    classification check: {status} "
-              f"(realized {sorted(realized)}, predicted {sorted(predicted)})")
-        if realized != predicted:
-            sys.exit(1)
+    if n < 2:
+        return
+    realized = {(min(g, b), i) for g, b, i in summary.parameter_sets
+                if n == 3 or i == 2}
+    predicted = predicted_normalized(n, q)
+    status = "MATCH" if realized == predicted else "MISMATCH"
+    scope = "" if n == 3 else " at index 2"
+    print(f"    classification check{scope}: {status} "
+          f"(realized {sorted(realized)}, predicted {sorted(predicted)})")
+    if realized != predicted:
+        sys.exit(1)
+
+
+def parse_spaces(text: str) -> list:
+    """'n,q;n,q' -> [(n, q), ...]; ValueError names the first bad entry."""
+    spaces = []
+    for part in text.split(";"):
+        fields = part.split(",")
+        try:
+            n, q = (int(x) for x in fields)
+        except ValueError:
+            raise ValueError(f"{part!r} is not of the form n,q") from None
+        try:
+            SearchConstraints(n, q)
+        except ValueError as e:
+            raise ValueError(f"{part!r}: {e}") from None
+        spaces.append((n, q))
+    return spaces
 
 
 def main() -> None:
@@ -55,13 +77,13 @@ def main() -> None:
     ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
 
-    if args.spaces:
-        spaces = []
-        for part in args.spaces.split(";"):
-            n, q = (int(x) for x in part.split(","))
-            spaces.append((n, q))
-    else:
-        spaces = DEFAULT_SPACES
+    spaces = DEFAULT_SPACES
+    if args.spaces is not None:
+        try:
+            spaces = parse_spaces(args.spaces)
+        except ValueError as e:
+            print(f"census: bad --spaces: {e}", file=sys.stderr)
+            sys.exit(2)
 
     for n, q in spaces:
         census(n, q, args.workers)

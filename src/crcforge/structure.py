@@ -67,47 +67,98 @@ class DerivativeClass:
 
 def classify(f: DerivativeFunction) -> DerivativeClass:
     """Try zero, then strings along each axis, then cross, else unclassified."""
-    vals = f.values
-    q = f.q
-    if not vals.any():
-        return DerivativeClass("zero")
-
-    for axis in (1, 2):
-        # axis 1: value depends only on the first remaining coordinate (rows
-        # constant); axis 2: only on the second (columns constant)
-        constant = (vals == vals[:, :1]).all() if axis == 1 else (vals == vals[:1, :]).all()
-        if constant:
-            line = vals[:, 0] if axis == 1 else vals[0, :]
-            x = frozenset(np.flatnonzero(line == 1).tolist())
-            y = frozenset(np.flatnonzero(line == -1).tolist())
-            if x and y and len(x) == len(y):
-                return DerivativeClass("string", axis=axis, x=x, y=y)
-
-    x = frozenset(np.flatnonzero((vals == 1).any(axis=1)).tolist())
-    y = frozenset(np.flatnonzero((vals == -1).any(axis=0)).tolist())
-    if x and y and len(x) < q and len(y) < q and len(x) == len(y):
-        expected = np.zeros((q, q), dtype=np.int8)
-        xi = np.fromiter(sorted(x), dtype=int)
-        yi = np.fromiter(sorted(y), dtype=int)
-        not_y = np.setdiff1d(np.arange(q), yi)
-        not_x = np.setdiff1d(np.arange(q), xi)
-        expected[np.ix_(xi, not_y)] = 1
-        expected[np.ix_(not_x, yi)] = -1
-        if np.array_equal(vals, expected):
-            return DerivativeClass("cross", x=x, y=y)
-    return DerivativeClass("unclassified")
+    return _classify_stack(f.values[None])[0]
 
 
 def classify_all(code: Code) -> dict[tuple[int, int, int], DerivativeClass]:
     """Classification of every derivative (i, u, v) with u != v."""
+    if code.space.n != 3:
+        raise ValueError(f"derivatives are defined for n=3, got n={code.space.n}")
     out = {}
     q = code.space.q
+    symbols = frozenset(range(q))
     for i in (1, 2, 3):
-        for u in range(q):
-            for v in range(q):
-                if u != v:
-                    out[(i, u, v)] = classify(derivative(code, i, u, v))
+        # s[u] is the restriction to symbol u in position i, so s[u] - s[u+1:]
+        # stacks the derivatives (i, u, v) for v > u; (i, v, u) is its negation
+        s = np.ascontiguousarray(np.moveaxis(code.grid, i - 1, 0), dtype=np.int8)
+        table = [[None] * q for _ in range(q)]
+        for u in range(q - 1):
+            for v, c in enumerate(_classify_stack(s[u] - s[u + 1:]), start=u + 1):
+                table[u][v] = c
+                table[v][u] = _negated(c, symbols)
+        for u, row in enumerate(table):
+            for v, c in enumerate(row):
+                if v != u:
+                    out[(i, u, v)] = c
     return out
+
+
+def _negated(c: DerivativeClass, symbols: frozenset) -> DerivativeClass:
+    """The class of -f given the class of f: the tests are symmetric under
+    negation except that a string swaps its +1 and -1 sets and a cross on
+    X x (A-Y), (A-X) x Y becomes the cross of A-X and A-Y."""
+    if c.kind == "string":
+        return DerivativeClass("string", axis=c.axis, x=c.y, y=c.x)
+    if c.kind == "cross":
+        return DerivativeClass("cross", x=symbols - c.x, y=symbols - c.y)
+    return c
+
+
+_ZERO = DerivativeClass("zero")
+_UNCLASSIFIED = DerivativeClass("unclassified")
+
+
+def _classify_stack(d: np.ndarray) -> list[DerivativeClass]:
+    """``classify`` of each (q, q) table in a (k, q, q) int8 stack: the same
+    tests in the same order, decided for the whole stack at once."""
+    q = d.shape[1]
+    nonzero = d.any(axis=(1, 2))
+    # axis 1: every row constant, so the value is a function of the row
+    # (first remaining coordinate) given by column 0; axis 2 likewise
+    line1, line2 = d[:, :, 0], d[:, 0, :]
+    string1 = (d == line1[:, :, None]).all(axis=(1, 2)) & _balanced(line1)
+    string2 = ~string1 & (d == line2[:, None, :]).all(axis=(1, 2)) & _balanced(line2)
+    # cross: +1 exactly on X x (A-Y) and -1 on (A-X) x Y, i.e. d[r, c] = X[r] - Y[c]
+    # with X the rows holding a +1 and Y the columns holding a -1
+    rows_x, cols_y = (d == 1).any(axis=2), (d == -1).any(axis=1)
+    nx, ny = rows_x.sum(axis=1), cols_y.sum(axis=1)
+    cross = ~string1 & ~string2 & (nx > 0) & (nx == ny) & (nx < q)
+    if cross.any():
+        expected = rows_x[:, :, None].view(np.int8) - cols_y[:, None, :].view(np.int8)
+        cross &= (d == expected).all(axis=(1, 2))
+    # the +1 and -1 sets of each string or cross, as index lists
+    plus = np.where(string1[:, None], line1 == 1,
+                    np.where(string2[:, None], line2 == 1, rows_x))
+    minus = np.where(string1[:, None], line1 == -1,
+                     np.where(string2[:, None], line2 == -1, cols_y))
+    xs, ys = _index_lists(plus), _index_lists(minus)
+    out = []
+    for k, (nz, s1, s2, c) in enumerate(zip(nonzero.tolist(), string1.tolist(),
+                                             string2.tolist(), cross.tolist())):
+        if not nz:
+            out.append(_ZERO)
+        elif s1 or s2:
+            out.append(DerivativeClass("string", axis=1 if s1 else 2,
+                                       x=frozenset(xs[k]), y=frozenset(ys[k])))
+        elif c:
+            out.append(DerivativeClass("cross", x=frozenset(xs[k]), y=frozenset(ys[k])))
+        else:
+            out.append(_UNCLASSIFIED)
+    return out
+
+
+def _balanced(line: np.ndarray) -> np.ndarray:
+    """Per row of a (k, q) stack: some +1, some -1, and as many of each."""
+    plus, minus = (line == 1).sum(axis=1), (line == -1).sum(axis=1)
+    return (plus > 0) & (plus == minus)
+
+
+def _index_lists(sel: np.ndarray) -> list[list[int]]:
+    """Row-wise ``flatnonzero`` of a (k, q) boolean array, from one pass."""
+    rows, cols = np.nonzero(sel)
+    cols = cols.tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=sel.shape[0])).tolist()
+    return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def full_cliques(code: Code) -> list[Clique]:

@@ -4,23 +4,29 @@ Everything here recomputes properties straight from definitions (explicit
 loops over vertices and neighbor enumeration), independently of the
 vectorized library code it is used to check.  That includes the explicit
 neighbor, clique and hyperface enumerators of H(n,q).  The exceptions are the
-three-pass reference verifier at the end, which the one-pass ``check_crc``
-must reproduce exactly, and a runner for snippets under ``python -O``.
+reference implementations at the end, which the vectorized library code must
+reproduce exactly (the three-pass verifier, the per-codeword code-file
+writer and reader, and the per-derivative classifier), and a runner for
+snippets under ``python -O``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
+from hypothesis import strategies as st
 
+from crcforge.codefile import FORMAT, CodeFileError
 from crcforge.hamming import Clique, Code, Space, Vertex
+from crcforge.structure import DerivativeClass, DerivativeFunction, derivative
 from crcforge.verifier import CheckResult, CrcCertificate, CrcFailure, DistancePartition
 
 
@@ -93,6 +99,11 @@ def all_hyperfaces(space: Space) -> Iterator[Hyperface]:
     for j in range(1, space.n + 1):
         for s in range(space.q):
             yield Hyperface(j, s)
+
+
+# every H(n,q) with q^n <= 256, drawn with n uniform
+SMALL_SPACES = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from([q for q in range(2, 257) if q ** n <= 256])))
 
 
 # ------------------------------------------------------------ brute force
@@ -221,3 +232,107 @@ def reference_check_crc(code: Code) -> CheckResult:
     if best is not None:
         return best[1]
     return CrcCertificate(sp.n, sp.q, dp.rho, code.size, tuple(betas), tuple(gammas))
+
+
+# The code-file writer and reader one codeword at a time: the reference that
+# the whole-array ``dumps_code`` and ``read_code`` must match byte for byte
+# and error message for error message.
+
+def reference_dumps_code(code: Code, meta: Optional[dict] = None) -> str:
+    rows = ",\n".join("    " + json.dumps(list(v)) for v in code.vertices())
+    meta_json = json.dumps(meta or {}, sort_keys=True, separators=(", ", ": "))
+    return (
+        "{\n"
+        f'  "format": {json.dumps(FORMAT)},\n'
+        f'  "n": {code.space.n},\n'
+        f'  "q": {code.space.q},\n'
+        f'  "codewords": [\n{rows}\n  ],\n'
+        f'  "meta": {meta_json}\n'
+        "}\n"
+    )
+
+
+def reference_read_code(source: Union[str, TextIO]) -> tuple[Code, dict]:
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        try:
+            with open(source, "r", encoding="utf-8") as fp:
+                text = fp.read()
+        except OSError as e:
+            raise CodeFileError(f"cannot read {source}: {e}") from e
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CodeFileError(f"not valid JSON: {e}") from e
+    if not isinstance(obj, dict):
+        raise CodeFileError("top level must be a JSON object")
+    if obj.get("format") != FORMAT:
+        raise CodeFileError(f'missing or wrong "format" tag (expected {FORMAT!r})')
+    n, q = obj.get("n"), obj.get("q")
+    if not (type(n) is int and type(q) is int):
+        raise CodeFileError('"n" and "q" must be integers')
+    try:
+        space = Space(n, q)
+    except ValueError as e:
+        raise CodeFileError(str(e)) from e
+    words = obj.get("codewords")
+    if not isinstance(words, list):
+        raise CodeFileError('"codewords" must be a list')
+    seen = set()
+    for w in words:
+        if not (isinstance(w, list) and len(w) == n
+                and all(type(c) is int and 0 <= c < q for c in w)):
+            raise CodeFileError(f"bad codeword {w!r} for H({n},{q})")
+        tw = tuple(w)
+        if tw in seen:
+            raise CodeFileError(f"duplicate codeword {w!r}")
+        seen.add(tw)
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CodeFileError('"meta" must be an object')
+    return Code.from_vertices(space, seen), meta
+
+
+# One derivative table at a time: the reference that the stacked
+# ``classify`` / ``classify_all`` kernel must match class for class.
+
+def reference_classify(f: DerivativeFunction) -> DerivativeClass:
+    vals = f.values
+    q = f.q
+    if not vals.any():
+        return DerivativeClass("zero")
+
+    for axis in (1, 2):
+        constant = (vals == vals[:, :1]).all() if axis == 1 else (vals == vals[:1, :]).all()
+        if constant:
+            line = vals[:, 0] if axis == 1 else vals[0, :]
+            x = frozenset(np.flatnonzero(line == 1).tolist())
+            y = frozenset(np.flatnonzero(line == -1).tolist())
+            if x and y and len(x) == len(y):
+                return DerivativeClass("string", axis=axis, x=x, y=y)
+
+    x = frozenset(np.flatnonzero((vals == 1).any(axis=1)).tolist())
+    y = frozenset(np.flatnonzero((vals == -1).any(axis=0)).tolist())
+    if x and y and len(x) < q and len(y) < q and len(x) == len(y):
+        expected = np.zeros((q, q), dtype=np.int8)
+        xi = np.fromiter(sorted(x), dtype=int)
+        yi = np.fromiter(sorted(y), dtype=int)
+        not_y = np.setdiff1d(np.arange(q), yi)
+        not_x = np.setdiff1d(np.arange(q), xi)
+        expected[np.ix_(xi, not_y)] = 1
+        expected[np.ix_(not_x, yi)] = -1
+        if np.array_equal(vals, expected):
+            return DerivativeClass("cross", x=x, y=y)
+    return DerivativeClass("unclassified")
+
+
+def reference_classify_all(code: Code) -> dict[tuple[int, int, int], DerivativeClass]:
+    out = {}
+    q = code.space.q
+    for i in (1, 2, 3):
+        for u in range(q):
+            for v in range(q):
+                if u != v:
+                    out[(i, u, v)] = reference_classify(derivative(code, i, u, v))
+    return out

@@ -3,7 +3,10 @@
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crcforge.cli import certificate_dict, run
 from crcforge.codefile import CodeFileError, dumps_code, read_code, write_code
@@ -12,6 +15,8 @@ from crcforge.constructions import (ConstructionSpec, build_a, build_c, build_fr
 from crcforge.hamming import Code, Space
 from crcforge.parameters import ConditionOneWitness
 from crcforge.verifier import check_crc
+
+from helpers import SMALL_SPACES, reference_dumps_code, reference_read_code
 
 
 # ---------------------------------------------------------------- code files
@@ -45,8 +50,32 @@ def test_write_read_file(tmp_path):
     assert back == code and meta == {"k": 1}
 
 
+@settings(max_examples=300, deadline=None)
+@given(SMALL_SPACES, st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example((3, 4), 0, 0.0)      # empty code
+@example((2, 16), 0, 1.0)     # full space, two-digit symbols
+@example((1, 256), 1, 0.5)    # n = 1
+@example((2, 11), 2, 0.5)
+def test_codec_matches_reference_on_random_codes(nq, seed, density):
+    sp = Space(*nq)
+    code = Code(sp, np.random.default_rng(seed).random(sp.size) < density)
+    meta = {"seed": seed, "n": sp.n}
+    text = dumps_code(code, meta)
+    assert text == reference_dumps_code(code, meta)
+    assert read_code(io.StringIO(text)) == reference_read_code(io.StringIO(text)) == (code, meta)
+
+
+def assert_rejected_like_reference(text):
+    with pytest.raises(CodeFileError) as want:
+        reference_read_code(io.StringIO(text))
+    with pytest.raises(CodeFileError) as got:
+        read_code(io.StringIO(text))
+    assert str(got.value) == str(want.value)
+
+
 def test_read_code_rejects_malformed():
     good = dumps_code(build_a(4, 2))
+    assert good.count("[0, 0, 0]") == 1 and good.index("[0, 0, 0]") < good.index("[0, 1, 1]")
     cases = [
         "not json at all",
         json.dumps([1, 2, 3]),
@@ -55,13 +84,30 @@ def test_read_code_rejects_malformed():
         good.replace('"q": 4', '"q": 1'),
         good.replace("[0, 0, 0]", "[0, 0, 9]", 1),
         good.replace("[0, 0, 0]", "[0, 0]", 1),
+        # what a whole-array check could let through: a float, a length-3
+        # string, a nested list, a length-3 dict, a bare number, a negative
+        # symbol, a symbol beyond int64
+        good.replace("[0, 0, 0]", "[0, 0, 0.0]", 1),
+        good.replace("[0, 0, 0]", '"abc"', 1),
+        good.replace("[0, 0, 0]", "[[0], [0], [0]]", 1),
+        good.replace("[0, 0, 0]", '{"a": 0, "b": 0, "c": 0}', 1),
+        good.replace("[0, 0, 0]", "7", 1),
+        good.replace("[0, 0, 0]", "[0, -1, 0]", 1),
+        good.replace("[0, 0, 0]", f"[0, {2**70}, 0]", 1),
+        good.replace("[0, 0, 0]", f"[0, {-2**70}, 0]", 1),
+        json.dumps({**json.loads(good), "codewords": 5}),
+        good.replace('"meta": {}', '"meta": []'),
     ]
     for text in cases:
-        with pytest.raises(CodeFileError):
-            read_code(io.StringIO(text))
+        assert_rejected_like_reference(text)
+    # duplicates, adjacent or not, and a bad word after or before the first
+    # repeat: the error names whichever comes first
     dup = good.replace("[0, 1, 1]", "[0, 0, 0]", 1)  # [0,0,0] appears twice now
-    with pytest.raises(CodeFileError):
-        read_code(io.StringIO(dup))
+    last = good.rindex("    [")
+    far_dup = good[:last] + "    [0, 0, 0]" + good[good.index("]", last) + 1:]
+    for text in (dup, far_dup, far_dup.replace("[0, 0, 0]", "[0, 0, 0.5]", 1),
+                 dup.replace("[3, 3, 3]", "[3, 3, 4]", 1)):
+        assert_rejected_like_reference(text)
     with pytest.raises(CodeFileError):
         read_code("/nonexistent/path.json")
     # JSON booleans are ints to Python; without a type check these would read
@@ -70,8 +116,7 @@ def test_read_code_rejects_malformed():
     word = dumps_code(Code.from_vertices(Space(3, 2), [(0, 0, 1)]))
     for text in (one.replace('"n": 1', '"n": true'),
                  word.replace("[0, 0, 1]", "[true, false, 0]")):
-        with pytest.raises(CodeFileError):
-            read_code(io.StringIO(text))
+        assert_rejected_like_reference(text)
 
 
 # ---------------------------------------------------------------- construct

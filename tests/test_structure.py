@@ -2,18 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crcforge.constructions import (build_a, build_b, build_c, build_d,
+from crcforge.constructions import (build_a, build_b, build_c, build_d, build_feasible,
                                     build_index1)
 from crcforge.hamming import Clique, Code, Space
-from crcforge.parameters import ConditionOneWitness, solve_condition1
+from crcforge.parameters import ConditionOneWitness, feasible_h3q, solve_condition1
 from crcforge.structure import (CliqueCoverFailure, CliqueDecomposition,
                                 DerivativeFunction, classify, classify_all,
                                 clique_cover, derivative,
                                 extract_construction_d, full_cliques)
 from crcforge.verifier import check_crc
 
-from helpers import clique_vertices, code_of
+from helpers import clique_vertices, code_of, reference_classify, reference_classify_all
 
 
 def test_derivative_matches_definition():
@@ -118,6 +120,41 @@ def test_index2_codes_classify_completely():
         for res in classify_all(code).values():
             tally[res.kind] += 1
         assert tally["unclassified"] == 0, tally
+
+
+def assert_classes_match_reference(code):
+    got, want = classify_all(code), reference_classify_all(code)
+    assert got == want
+    assert list(got) == list(want)
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_classify_all_matches_reference_on_random_codes(q, seed, density):
+    code = Code(Space(3, q), np.random.default_rng(seed).random(q ** 3) < density)
+    assert_classes_match_reference(code)
+    for i in (1, 2, 3):
+        f = derivative(code, i, 0, q - 1)
+        assert classify(f) == reference_classify(f)
+
+
+def test_classify_all_matches_reference_on_feasible_codes_and_flips():
+    # every build_feasible code of H(3,q<=8), and its one-vertex flips at 4
+    # evenly spread vertices
+    codes = [build_feasible(q, gamma, index)[0]
+             for q in range(2, 9) for index in (1, 2, 3)
+             for gamma in range(1, q * index // 2 + 1)
+             if feasible_h3q(q, gamma, index).feasible]
+    kinds = set()
+    for code in codes:
+        kinds |= {c.kind for c in assert_classes_match_reference(code).values()}
+        for v in np.unique(np.linspace(0, code.space.size - 1, 4).astype(int)):
+            mask = code.mask.copy()
+            mask[v] = not mask[v]
+            kinds |= {c.kind for c in assert_classes_match_reference(
+                Code(code.space, mask)).values()}
+    assert kinds == {"zero", "string", "cross", "unclassified"}
 
 
 def test_index1_derivatives_do_not_classify():

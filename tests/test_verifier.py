@@ -15,8 +15,8 @@ from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                extend_code, hyperface_profile, neighbor_counts,
                                reduce_code)
 
-from helpers import (all_cliques, brute_count_in, brute_crc1_params, brute_layer_sizes,
-                     code_of, reference_check_crc)
+from helpers import (SMALL_SPACES, all_cliques, brute_count_in, brute_crc1_params,
+                     brute_layer_sizes, code_of, reference_check_crc)
 
 
 def test_neighbor_counts_matches_brute_force():
@@ -275,11 +275,6 @@ def assert_same_check(code):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert a == b and type(a) is type(b), (f.name, got, want)
     return got
-
-
-# every H(n,q) with q^n <= 256, drawn with n uniform
-SMALL_SPACES = st.integers(1, 8).flatmap(lambda n: st.tuples(
-    st.just(n), st.sampled_from([q for q in range(2, 257) if q ** n <= 256])))
 
 
 @settings(max_examples=300, deadline=None)
