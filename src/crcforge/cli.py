@@ -7,6 +7,7 @@ parameters infeasible; 2 = usage or file-format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -296,7 +297,9 @@ def cmd_table(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser every ``run`` call shares; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="crcforge",
         description="Completely regular codes with covering radius 1 in Hamming graphs: "
@@ -381,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

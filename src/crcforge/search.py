@@ -1,16 +1,24 @@
 """Exhaustive enumeration of covering-radius-1 completely regular codes.
 
 The search assigns vertices in/out in lexicographic order, maintaining for
-every vertex its decided-neighbor and in-neighbor counts, plus global
-intervals for the pair (gamma, beta).  Sound pruning rules:
+every vertex its decided-neighbor and in-neighbor counts.  In an equitable
+partition {C, complement} every decided vertex ends with a fixed number of
+neighbors in C: gamma for a non-codeword, k - beta for a codeword.  So the
+search keeps one global interval per vertex state for that number, and
+applies one rule to every decided vertex, whatever its state:
 
-- a decided vertex whose possible in-neighbor range leaves the required
-  interval kills the branch; at the boundary it forces all undecided
-  neighbors (unit propagation);
-- a fully decided vertex pins gamma or beta exactly; partially decided
-  vertices narrow the global intervals;
+- its possible in-neighbor range [cmin, cmax] narrows the interval of its
+  state; an empty interval kills the branch (with cmin == cmax this pins
+  gamma or beta);
+- when the narrowed interval's low end is cmax, all undecided neighbors are
+  forced in; when its high end is cmin, they are forced out (unit
+  propagation).
+
+Global rules on the two intervals, reading beta as k minus the codeword count:
+
 - gamma + beta must be a multiple of q (the second code eigenvalue
-  n(q-1) - (gamma+beta) must lie in the spectrum of H(n,q));
+  n(q-1) - (gamma+beta) must lie in the spectrum of H(n,q)); with the
+  eigenvalue index i fixed it is q*i, which ties the two intervals by a shift;
 - the code size q^n * gamma/(gamma+beta) must be an achievable integer;
 - with gamma and the eigenvalue index both fixed (index >= 2), every
   hyperface must end up with exactly |C|/q codewords.
@@ -26,6 +34,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from itertools import product
 from multiprocessing import Pool
 from typing import Callable, Optional
 
@@ -122,9 +131,10 @@ def _solve_subtree(args) -> tuple[int, list]:
     face_in = [0] * (n * q)
     face_und = [q ** (n - 1)] * (n * q)
 
-    g_lo, g_hi = (gamma_t, gamma_t) if gamma_t is not None else (1, k)
-    b_lo, b_hi = 1, k
-    box = [g_lo, g_hi, b_lo, b_hi]
+    # box[2s], box[2s+1]: the range the final in-code neighbor count of a
+    # decided vertex in state s must land in -- gamma for s = 0, k - beta
+    # for s = 1.
+    box = [1, k, 0, k - 1] if gamma_t is None else [gamma_t, gamma_t, 0, k - 1]
 
     nodes = 0
     results: list = []
@@ -175,20 +185,19 @@ def _solve_subtree(args) -> tuple[int, list]:
                     face_in[f] -= val
 
     def propagate() -> bool:
-        g_lo, g_hi, b_lo, b_hi = box
         while True:
-            changed = False
+            before = box[:], len(trail)
             if index_t is not None:
-                qi = q * index_t
-                ng_lo, ng_hi = max(g_lo, qi - b_hi), min(g_hi, qi - b_lo)
-                nb_lo, nb_hi = max(b_lo, qi - g_hi), min(b_hi, qi - g_lo)
-                if (ng_lo, ng_hi, nb_lo, nb_hi) != (g_lo, g_hi, b_lo, b_hi):
-                    g_lo, g_hi, b_lo, b_hi = ng_lo, ng_hi, nb_lo, nb_hi
-                    changed = True
-            elif (g_lo + b_lo + q - 1) // q * q > g_hi + b_hi:
+                # gamma + beta = q*i, i.e. k - beta = gamma + shift
+                shift = k - q * index_t
+                box[0] = max(box[0], box[2] - shift)
+                box[1] = min(box[1], box[3] - shift)
+                box[2], box[3] = box[0] + shift, box[1] + shift
+                # an emptied box fails at the first vertex of the scan below
+            g_lo, g_hi, a_lo, a_hi = box
+            b_lo, b_hi = k - a_hi, k - a_lo
+            if index_t is None and (g_lo + b_lo + q - 1) // q * q > g_hi + b_hi:
                 return False  # no multiple of q reachable for gamma+beta
-            if g_lo > g_hi or b_lo > b_hi:
-                return False
             smin = -(-V * g_lo // (g_lo + b_hi))
             smax = V * g_hi // (g_hi + b_lo)
             if in_cnt > smax or in_cnt + (V - len(trail)) < smin:
@@ -198,69 +207,28 @@ def _solve_subtree(args) -> tuple[int, list]:
             while i < len(trail):
                 v = trail[i]
                 i += 1
-                cu = k - cdec[v]
+                at = 2 * state[v]  # v's interval in box
                 cmin = cin[v]
-                cmax = cmin + cu
-                if state[v] == 1:
-                    lo_req, hi_req = k - b_hi, k - b_lo
-                else:
-                    lo_req, hi_req = g_lo, g_hi
-                if cmax < lo_req or cmin > hi_req:
+                cmax = cmin + k - cdec[v]
+                lo, hi = box[at], box[at + 1]
+                if cmin > lo:
+                    lo = box[at] = cmin
+                if cmax < hi:
+                    hi = box[at + 1] = cmax
+                if lo > hi:
                     return False
-                if cu == 0:
-                    if state[v] == 1:
-                        pin = k - cmin
-                        if b_lo != pin or b_hi != pin:
-                            b_lo = max(b_lo, pin)
-                            b_hi = min(b_hi, pin)
-                            if b_lo > b_hi:
-                                return False
-                            changed = True
-                    else:
-                        if g_lo != cmin or g_hi != cmin:
-                            g_lo = max(g_lo, cmin)
-                            g_hi = min(g_hi, cmin)
-                            if g_lo > g_hi:
-                                return False
-                            changed = True
-                else:
-                    if state[v] == 1:
-                        nlo, nhi = max(b_lo, k - cmax), min(b_hi, k - cmin)
-                        if (nlo, nhi) != (b_lo, b_hi):
-                            b_lo, b_hi = nlo, nhi
-                            if b_lo > b_hi:
-                                return False
-                            changed = True
-                        lo_req, hi_req = k - b_hi, k - b_lo
-                    else:
-                        nlo, nhi = max(g_lo, cmin), min(g_hi, cmax)
-                        if (nlo, nhi) != (g_lo, g_hi):
-                            g_lo, g_hi = nlo, nhi
-                            if g_lo > g_hi:
-                                return False
-                            changed = True
-                        lo_req, hi_req = g_lo, g_hi
-                    if cmax == lo_req:
-                        for u in nbrs[v]:
-                            if state[u] == -1:
-                                if not assign(u, 1):
-                                    return False
-                        changed = True
-                    elif cmin == hi_req:
-                        for u in nbrs[v]:
-                            if state[u] == -1:
-                                if not assign(u, 0):
-                                    return False
-                        changed = True
-            if not changed:
-                box[0], box[1], box[2], box[3] = g_lo, g_hi, b_lo, b_hi
+                if cmin < cmax and (cmax == lo or cmin == hi):
+                    val = int(cmax == lo)
+                    for u in nbrs[v]:
+                        if state[u] == -1 and not assign(u, val):
+                            return False
+            if (box, len(trail)) == before:
                 return True
 
     def leaf() -> None:
         if in_cnt == 0 or in_cnt == V:
             return
-        mask = np.frombuffer(bytes(1 if s == 1 else 0 for s in state), dtype=np.uint8)
-        code = Code(sp, mask.astype(bool))
+        code = Code(sp, np.array(state) == 1)
         cert = check_crc(code)
         if not isinstance(cert, CrcCertificate):
             raise RuntimeError(f"search emitted a non-CRC set: {cert}")
@@ -285,11 +253,11 @@ def _solve_subtree(args) -> tuple[int, list]:
         for val in (0, 1):
             nodes += 1
             mark = len(trail)
-            saved = tuple(box)
+            saved = box[:]
             if assign(v, val) and propagate():
                 dfs(v + 1)
             unassign_to(mark)
-            box[0], box[1], box[2], box[3] = saved
+            box[:] = saved
 
     ok = True
     if fix_zero:
@@ -315,11 +283,7 @@ def _tasks(constraints: SearchConstraints) -> list:
     V = constraints.space.size
     first = 1 if constraints.fix_first_codeword else 0
     pv = [v for v in (first, first + 1) if v < V]
-    if not pv:
-        return [()]
-    if len(pv) == 1:
-        return [((pv[0], a),) for a in (0, 1)]
-    return [((pv[0], a), (pv[1], b)) for a in (0, 1) for b in (0, 1)]
+    return [tuple(zip(pv, vals)) for vals in product((0, 1), repeat=len(pv))]
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -362,6 +326,6 @@ def enumerate_crcs(constraints: SearchConstraints,
         for gamma, beta, idx, members in results:
             found += 1
             params.add((gamma, beta, idx))
-            if collect and sink is not None:
+            if collect:
                 sink(Code.from_indices(sp, members))
     return SearchSummary(c.n, c.q, found, frozenset(params), nodes)

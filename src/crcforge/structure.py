@@ -265,37 +265,31 @@ def clique_cover(code: Code) -> CoverResult:
 def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[list[Clique], None]:
     """Deterministic backtracking: cover the first uncovered codeword by the
     least clique (codirection order) disjoint from the cover so far.  The
-    search keeps its own stack, since a cover can hold thousands of cliques."""
-    sp = code.space
-    q = sp.q
-    cliques: list[tuple[Clique, np.ndarray]] = []
-    for j in range(3):
-        stride = q ** (sp.n - 1 - j)
-        for idx in np.argwhere(fc[j]):
-            cl = Clique(j + 1, tuple(int(c) for c in idx))
-            base = sp.index(cl.fixed[:j] + (0,) + cl.fixed[j:])
-            cliques.append((cl, base + stride * np.arange(q)))
-    at: dict[int, list[int]] = {}
-    for cid, (_, flat) in enumerate(cliques):
-        for v in flat:
-            at.setdefault(int(v), []).append(cid)
-    member_idx = [int(i) for i in code.indices()]
-    covered = np.zeros(sp.size, dtype=bool)
-    chosen: list[int] = []
+    search keeps its own stack, since a cover can hold thousands of cliques.
+    The cliques come back in the order chosen; ``_decompose`` sorts them."""
+    q = code.space.q
+    members = [tuple(x) for x in np.argwhere(code.grid).tolist()]
+    covered = np.zeros((q, q, q), dtype=bool)
+    chosen: list[tuple[int, tuple]] = []  # (codirection axis j, fixed)
+
+    def line(j: int, fixed: tuple) -> tuple:
+        return fixed[:j] + (slice(None),) + fixed[j:]
+
     # One frame per chosen clique: the cursor position of the codeword it
     # covers and the next candidate to try there on backtracking.
     stack: list[tuple[int, int]] = []
     pos, k = 0, 0
     while True:
-        while pos < len(member_idx) and covered[member_idx[pos]]:
+        while pos < len(members) and covered[members[pos]]:
             pos += 1
-        if pos == len(member_idx):
-            return [cliques[cid][0] for cid in sorted(chosen)]
-        cands = at.get(member_idx[pos], ())
-        while k < len(cands) and covered[cliques[cands[k]][1]].any():
+        if pos == len(members):
+            return [Clique(j + 1, fixed) for j, fixed in chosen]
+        x = members[pos]
+        cands = [(j, x[:j] + x[j + 1:]) for j in range(3) if fc[j][x[:j] + x[j + 1:]]]
+        while k < len(cands) and covered[line(*cands[k])].any():
             k += 1
         if k < len(cands):
-            covered[cliques[cands[k]][1]] = True
+            covered[line(*cands[k])] = True
             chosen.append(cands[k])
             stack.append((pos, k + 1))
             k = 0
@@ -303,7 +297,7 @@ def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[list[Clique], None]:
         if not stack:
             return None
         pos, k = stack.pop()
-        covered[cliques[chosen.pop()][1]] = False
+        covered[line(*chosen.pop())] = False
 
 
 def _decompose(code: Code, chosen: list[Clique]) -> CoverResult:

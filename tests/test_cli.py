@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crcforge.cli import certificate_dict, run
+from crcforge.cli import build_parser, certificate_dict, run
 from crcforge.codefile import CodeFileError, dumps_code, read_code, write_code
 from crcforge.constructions import (ConstructionSpec, build_a, build_c, build_from_spec,
                                     spec_for_witness)
@@ -375,3 +375,29 @@ def test_usage_errors():
     assert run(["no-such-command"]) == 2
     assert run(["--help"]) == 0
     assert run(["construct", "--help"]) == 0
+
+
+def test_repeated_runs_match_fresh_parser(tmp_path, capsys):
+    # run() shares one parser; a call must not leave state that the next sees
+    path = str(tmp_path / "c.json")
+    write_code(build_c(6, 5), path)
+    argvs = [
+        ["verify", "--expect-gamma", "5"],  # usage error: no file
+        ["verify", path, "--expect-gamma", "4"],
+        ["verify", path],
+        ["params", "feasible", "--q", "16", "--gamma", "7"],
+        ["params", "feasible", "--n", "4", "--q", "8", "--gamma", "7", "--index", "3"],
+        ["no-such-command"],
+    ]
+
+    def outcome(argv, fresh):
+        if fresh:
+            build_parser.cache_clear()
+        rc = run(argv)
+        text = capsys.readouterr()
+        return rc, text.out, text.err
+
+    shared = [outcome(argv, False) for argv in argvs]
+    assert shared == [outcome(argv, True) for argv in argvs]
+    assert [rc for rc, _, _ in shared] == [2, 1, 0, 0, 2, 2]
+    assert "the following arguments are required: file" in shared[0][2]

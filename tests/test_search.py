@@ -63,6 +63,42 @@ def test_summary_independent_of_worker_count():
     assert base.nodes == 56  # node count is part of the deterministic contract
 
 
+# (n, q, gamma, index, fix_first_codeword) -> (codes_found, nodes), one worker.
+# The node counts pin the pruning itself: the faces path, the multiple-of-q
+# path, the gamma-only path and the fixed-zero path.
+PINNED_NODES = [
+    ((2, 3, None, None, False), (24, 112)),
+    ((2, 4, None, None, False), (166, 1080)),
+    ((3, 3, None, None, False), (222, 2820)),
+    ((4, 2, None, None, False), (86, 356)),
+    ((5, 2, None, None, False), (382, 4064)),
+    ((2, 4, 2, None, False), (36, 130)),
+    ((2, 5, 3, None, False), (20, 734)),
+    ((3, 3, 2, 2, False), (90, 280)),
+    ((3, 4, 2, 2, False), (180, 1104)),
+    ((3, 4, 1, 1, False), (12, 92)),
+    ((6, 2, 1, 2, False), (80, 274)),
+    ((3, 3, None, None, True), (111, 1410)),
+    ((4, 2, None, 2, False), (68, 148)),
+    ((3, 4, 3, 3, False), (576, 1590)),
+]
+
+
+def _case_id(case):
+    n, q, gamma, index, fix_zero = case
+    return (f"H({n},{q})" + (f"-gamma{gamma}" if gamma else "")
+            + (f"-index{index}" if index else "") + ("-fix" if fix_zero else ""))
+
+
+@pytest.mark.parametrize("case,expected", PINNED_NODES,
+                         ids=[_case_id(c) for c, _ in PINNED_NODES])
+def test_pinned_codes_and_nodes(case, expected):
+    n, q, gamma, index, fix_zero = case
+    s = enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index,
+                                         fix_first_codeword=fix_zero), workers=1)
+    assert (s.codes_found, s.nodes) == expected
+
+
 def test_collected_codes_independent_of_worker_count():
     runs = []
     for w in (1, 2, 4):
