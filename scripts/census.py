@@ -16,20 +16,10 @@ import argparse
 import sys
 import time
 
-from crcforge.parameters import feasible_h3q, feasible_hnq
+from crcforge.parameters import feasible_table
 from crcforge.search import SearchConstraints, enumerate_crcs
 
 DEFAULT_SPACES = [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3)]
-
-
-def predicted_normalized(n: int, q: int) -> set:
-    """Normalized (gamma, index) pairs the classification declares feasible:
-    every index in H(3,q), index 2 in H(n,q) for n != 3."""
-    if n == 3:
-        return {(gamma, index) for index in (1, 2, 3)
-                for gamma in range(1, q * index // 2 + 1)
-                if feasible_h3q(q, gamma, index).feasible}
-    return {(gamma, 2) for gamma in range(1, q + 1) if feasible_hnq(n, q, gamma).feasible}
 
 
 def census(n: int, q: int, workers) -> None:
@@ -42,9 +32,9 @@ def census(n: int, q: int, workers) -> None:
         print(f"    gamma={g} beta={b} index={i}")
     if n < 2:
         return
-    realized = {(min(g, b), i) for g, b, i in summary.parameter_sets
-                if n == 3 or i == 2}
-    predicted = predicted_normalized(n, q)
+    table = feasible_table(n, q)  # keyed by the classified indices
+    realized = {(min(g, b), i) for g, b, i in summary.parameter_sets if i in table}
+    predicted = {(gamma, i) for i, entries in table.items() for gamma, _ in entries}
     status = "MATCH" if realized == predicted else "MISMATCH"
     scope = "" if n == 3 else " at index 2"
     print(f"    classification check{scope}: {status} "

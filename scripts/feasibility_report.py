@@ -15,7 +15,7 @@ import sys
 import time
 
 from crcforge.constructions import build_feasible
-from crcforge.parameters import feasible_h3q
+from crcforge.parameters import feasible_table
 from crcforge.verifier import CrcCertificate, check_crc
 
 
@@ -30,12 +30,9 @@ def main() -> None:
     built = 0
     failures = 0
     for q in range(2, args.q_max + 1):
-        for index in (1, 2, 3):
+        for index, row in feasible_table(3, q).items():
             entries = []
-            for gamma in range(1, q * index // 2 + 1):
-                verdict = feasible_h3q(q, gamma, index)
-                if not verdict.feasible:
-                    continue
+            for gamma, _ in row:
                 if not args.build:
                     entries.append(str(gamma))
                     continue

@@ -2,8 +2,8 @@
 
 from .hamming import Clique, Code, Space
 from .parameters import (ConditionOneWitness, FeasibilityVerdict, check_condition1,
-                         eigenvalue, feasible_h3q, feasible_hnq, multiplicity,
-                         solve_condition1)
+                         eigenvalue, feasible, feasible_h3q, feasible_hnq, feasible_table,
+                         multiplicity, solve_condition1)
 from .verifier import (CrcCertificate, CrcFailure, check_crc, clique_profile,
                        distance_partition, essential_positions, extend_code,
                        hyperface_profile, reduce_code)
@@ -22,6 +22,7 @@ __all__ = [
     "reduce_code", "extend_code",
     "ConditionOneWitness", "FeasibilityVerdict", "eigenvalue", "multiplicity",
     "check_condition1", "solve_condition1", "feasible_h3q", "feasible_hnq",
+    "feasible", "feasible_table",
     "build_a", "build_b", "build_c", "build_d", "build_index1", "build_index3",
     "build_feasible",
     "SearchConstraints", "SearchSummary", "enumerate_crcs",

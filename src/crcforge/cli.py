@@ -162,12 +162,7 @@ def cmd_complement(args) -> int:
 
 def cmd_params(args) -> int:
     if args.params_cmd == "feasible":
-        if args.n == 3:
-            verdict = parameters.feasible_h3q(args.q, args.gamma, args.index)
-        else:
-            if args.index != 2:
-                raise ValueError(f"for n={args.n} only eigenvalue index 2 is classified")
-            verdict = parameters.feasible_hnq(args.n, args.q, args.gamma)
+        verdict = parameters.feasible(args.n, args.q, args.gamma, args.index)
         word = "feasible" if verdict.feasible else "infeasible"
         print(f"gamma={args.gamma} index={args.index} in H({args.n},{args.q}): {word}")
         print(f"rule: {verdict.rule}")
@@ -284,14 +279,9 @@ def cmd_search(args) -> int:
 def cmd_table(args) -> int:
     for q in range(2, args.q_max + 1):
         cells = []
-        for index in (1, 2, 3):
-            feas = []
-            for gamma in range(1, q * index // 2 + 1):
-                v = parameters.feasible_h3q(q, gamma, index)
-                if v.feasible:
-                    star = "*" if v.witness is not None else ""
-                    feas.append(f"{gamma}{star}")
-            cells.append(f"i={index}: " + (",".join(feas) if feas else "-"))
+        for index, entries in parameters.feasible_table(3, q).items():
+            feas = ",".join(f"{gamma}{'' if v.witness is None else '*'}" for gamma, v in entries)
+            cells.append(f"i={index}: {feas or '-'}")
         print(f"q={q:<3d} " + "   ".join(cells))
     print("(* = realized through the three-block system)")
     return 0

@@ -166,3 +166,22 @@ def feasible_hnq(n: int, q: int, gamma: int) -> FeasibilityVerdict:
     if ws:
         return FeasibilityVerdict(True, "q even, odd gamma < q/2: three-block system solvable", ws[0])
     return FeasibilityVerdict(False, "q even, odd gamma < q/2: three-block system has no solution")
+
+
+def feasible(n: int, q: int, gamma: int, index: int) -> FeasibilityVerdict:
+    """Existence of a rho = 1 code in H(n,q) with the given gamma <= beta and
+    eigenvalue index: every index for n = 3, index 2 for the other n."""
+    if n == 3:
+        return feasible_h3q(q, gamma, index)
+    if index != 2:
+        raise ValueError(f"for n={n} only eigenvalue index 2 is classified")
+    return feasible_hnq(n, q, gamma)
+
+
+def feasible_table(n: int, q: int) -> dict[int, list[tuple[int, FeasibilityVerdict]]]:
+    """Each classified index of H(n,q), in increasing order, mapped to the
+    (gamma, verdict) pairs with 1 <= gamma <= q*index/2 and a feasible verdict,
+    in increasing gamma ([] when there are none)."""
+    return {index: [(gamma, v) for gamma in range(1, q * index // 2 + 1)
+                    if (v := feasible(n, q, gamma, index)).feasible]
+            for index in ((1, 2, 3) if n == 3 else (2,))}

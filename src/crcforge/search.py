@@ -19,9 +19,9 @@ Global rules on the two intervals, reading beta as k minus the codeword count:
 - gamma + beta must be a multiple of q (the second code eigenvalue
   n(q-1) - (gamma+beta) must lie in the spectrum of H(n,q)); with the
   eigenvalue index i fixed it is q*i, which ties the two intervals by a shift;
-- the code size q^n * gamma/(gamma+beta) must be an achievable integer;
-- with gamma and the eigenvalue index both fixed (index >= 2), every
-  hyperface must end up with exactly |C|/q codewords.
+- with gamma and i both fixed, the code size q^n * gamma/(q*i) must be an
+  integer (checked once, up front) and, for i >= 2, every hyperface must end
+  up with exactly |C|/q codewords.
 
 Every completed assignment is independently re-verified before being
 reported.  Work splits across processes at the top two decision levels;
@@ -127,7 +127,6 @@ def _solve_subtree(args) -> tuple[int, list]:
     cin = [0] * V     # decided in-neighbors
     cdec = [0] * V    # decided neighbors
     trail: list[int] = []
-    in_cnt = 0
     face_in = [0] * (n * q)
     face_und = [q ** (n - 1)] * (n * q)
 
@@ -140,10 +139,8 @@ def _solve_subtree(args) -> tuple[int, list]:
     results: list = []
 
     def assign(v: int, val: int) -> bool:
-        nonlocal in_cnt
         state[v] = val
         trail.append(v)
-        in_cnt += val
         if val:
             for u in nbrs[v]:
                 cdec[u] += 1
@@ -164,12 +161,10 @@ def _solve_subtree(args) -> tuple[int, list]:
         return True
 
     def unassign_to(mark: int) -> None:
-        nonlocal in_cnt
         while len(trail) > mark:
             v = trail.pop()
             val = state[v]
             state[v] = -1
-            in_cnt -= val
             if val:
                 for u in nbrs[v]:
                     cdec[u] -= 1
@@ -194,14 +189,11 @@ def _solve_subtree(args) -> tuple[int, list]:
                 box[1] = min(box[1], box[3] - shift)
                 box[2], box[3] = box[0] + shift, box[1] + shift
                 # an emptied box fails at the first vertex of the scan below
-            g_lo, g_hi, a_lo, a_hi = box
-            b_lo, b_hi = k - a_hi, k - a_lo
-            if index_t is None and (g_lo + b_lo + q - 1) // q * q > g_hi + b_hi:
-                return False  # no multiple of q reachable for gamma+beta
-            smin = -(-V * g_lo // (g_lo + b_hi))
-            smax = V * g_hi // (g_hi + b_lo)
-            if in_cnt > smax or in_cnt + (V - len(trail)) < smin:
-                return False
+            else:
+                g_lo, g_hi, a_lo, a_hi = box
+                b_lo, b_hi = k - a_hi, k - a_lo
+                if (g_lo + b_lo + q - 1) // q * q > g_hi + b_hi:
+                    return False  # no multiple of q reachable for gamma+beta
 
             i = 0
             while i < len(trail):
@@ -226,8 +218,8 @@ def _solve_subtree(args) -> tuple[int, list]:
                 return True
 
     def leaf() -> None:
-        if in_cnt == 0 or in_cnt == V:
-            return
+        if 0 not in state or 1 not in state:
+            return  # the whole space or the empty set
         code = Code(sp, np.array(state) == 1)
         cert = check_crc(code)
         if not isinstance(cert, CrcCertificate):

@@ -12,14 +12,14 @@ times its own membership.
 one, rho = 1 and that single pass decides everything: the first codeword
 fixes beta, the first non-codeword fixes gamma, and the first vertex whose
 count disagrees is the failure witness.  Only when some non-codeword has no
-neighbor in C does the layered path run, which builds the distance partition
-from the counts already taken and counts into every further layer.
+neighbor in C does the layered path run, which grows each distance layer from
+the previous layer's count and so counts into every layer once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -57,27 +57,27 @@ class DistancePartition:
         return tuple(int(c.sum()) for c in self.classes)
 
 
-def distance_partition(code: Code, counts: Optional[np.ndarray] = None) -> DistancePartition:
-    """Layers of vertices by distance to the code.
+def _grow_layers(code: Code, counts: list[np.ndarray]) -> list[np.ndarray]:
+    """Layers C_0..C_rho by distance to the code, each the unseen part of the
+    previous layer's neighborhood.  ``counts[i]`` is the neighbor count of
+    C_i; the counts missing up to C_{rho-1} are taken once and appended."""
+    layers, seen = [code.mask.copy()], code.mask.copy()
+    while not seen.all():
+        if len(counts) < len(layers):
+            counts.append(neighbor_counts(code.space, layers[-1]))
+        layers.append((counts[-1] > 0) & ~seen)
+        seen |= layers[-1]
+    return layers
 
-    ``counts``, when given, must be ``neighbor_counts`` of the code itself; it
-    stands in for the first layer's count.
-    """
+
+def distance_partition(code: Code) -> DistancePartition:
+    """Layers of vertices by distance to the code."""
     if code.size == 0:
         raise ValueError("empty code has no distance partition")
-    sp = code.space
-    layers = [code.mask.copy()]
-    seen = code.mask.copy()
-    while not seen.all():
-        if counts is None:
-            counts = neighbor_counts(sp, layers[-1])
-        frontier = (counts > 0) & ~seen
-        counts = None
-        layers.append(frontier)
-        seen |= frontier
+    layers = _grow_layers(code, [])
     for layer in layers:
         layer.setflags(write=False)
-    return DistancePartition(sp, tuple(layers))
+    return DistancePartition(code.space, tuple(layers))
 
 
 @dataclass(frozen=True)
@@ -190,18 +190,20 @@ def check_crc(code: Code) -> CheckResult:
                 return CrcFailure(sp.vertex(v), 0, 1, k - int(c[v]), k - inner)
             return CrcFailure(sp.vertex(v), 1, 0, int(c[v]), gamma)
 
-    # covering radius >= 2: check layer by layer
-    dp = distance_partition(code, c)
-    counts = [c] + [neighbor_counts(sp, layer) for layer in dp.classes[1:]]
+    # covering radius >= 2: check layer by layer, counting into each layer once
+    counts = [c]
+    layers = _grow_layers(code, counts)
+    counts.append(neighbor_counts(sp, layers[-1]))
+    rho = len(layers) - 1
 
     best = None  # (vertex index, direction priority, failure record)
     gammas: list[int] = []
     betas: list[int] = []
-    for i, layer in enumerate(dp.classes):
+    for i, layer in enumerate(layers):
         members = np.flatnonzero(layer)
         # direction 0 = toward the code, direction 1 = away from it
         for direction, target in ((0, i - 1), (1, i + 1)):
-            if not 0 <= target <= dp.rho:
+            if not 0 <= target <= rho:
                 continue
             vals = counts[target][members]
             expected = int(vals[0])
@@ -218,7 +220,7 @@ def check_crc(code: Code) -> CheckResult:
                                             int(vals[bad[0]]), expected))
     if best is not None:
         return best[1]
-    return CrcCertificate(sp.n, sp.q, dp.rho, size, tuple(betas), tuple(gammas))
+    return CrcCertificate(sp.n, sp.q, rho, size, tuple(betas), tuple(gammas))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from crcforge.codefile import FORMAT, CodeFileError
 from crcforge.hamming import Clique, Code, Space, Vertex
+from crcforge.parameters import feasible_table
 from crcforge.structure import DerivativeClass, DerivativeFunction, derivative
 from crcforge.verifier import CheckResult, CrcCertificate, CrcFailure, DistancePartition
 
@@ -151,6 +152,12 @@ def normalized_params(triples) -> set:
     return {(min(g, b), i) for (g, b, i) in triples}
 
 
+def h3q_table_entries(q_max: int) -> list[tuple[int, int, int]]:
+    """(q, gamma, index) of every entry of feasible_table(3, q), 2 <= q <= q_max."""
+    return [(q, gamma, index) for q in range(2, q_max + 1)
+            for index, row in feasible_table(3, q).items() for gamma, _ in row]
+
+
 def code_of(sp: Space, codewords) -> Code:
     return Code.from_vertices(sp, codewords)
 
@@ -162,14 +169,21 @@ def all_vertex_subsets(sp: Space):
         yield [verts[i] for i in range(sp.size) if bits >> i & 1]
 
 
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with the given arguments in the repository root, against ./src."""
+    path = [os.path.join(REPO, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def run_optimized(script: str) -> subprocess.CompletedProcess:
     """Run a Python snippet under ``python -O`` (asserts stripped) against ./src."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     prelude = "assert False, 'asserts are live'\n"   # stripped by -O, else fails loudly
-    return subprocess.run([sys.executable, "-O", "-c", prelude + textwrap.dedent(script)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return run_python("-O", "-c", prelude + textwrap.dedent(script))
 
 
 # A three-pass verifier (int32 counts, the full distance partition, one count

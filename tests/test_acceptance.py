@@ -16,7 +16,7 @@ from crcforge.constructions import (build_a, build_b, build_c, build_d,
                                     build_feasible)
 from crcforge.hamming import Code, Space
 from crcforge.parameters import (ConditionOneWitness, check_condition1,
-                                 feasible_h3q, product_identity,
+                                 feasible_table, product_identity,
                                  solve_condition1)
 from crcforge.search import SearchConstraints, enumerate_crcs
 from crcforge.stochastic import build as build_grid
@@ -27,7 +27,8 @@ from crcforge.structure import (CliqueDecomposition, classify_all, clique_cover,
 from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                extend_code, hyperface_profile, reduce_code)
 
-from helpers import all_vertex_subsets, brute_crc1_params, hamming_distance, neighbors
+from helpers import (all_vertex_subsets, brute_crc1_params, h3q_table_entries,
+                     hamming_distance, neighbors)
 
 
 @contextmanager
@@ -109,16 +110,12 @@ def test_criterion_3_parity_lifting():
 def test_criterion_4_constructive_soundness_sweep():
     with criterion(4, "every feasible (gamma,index) with q<=12 builds and verifies"):
         built = 0
-        for q in range(2, 13):
-            for index in (1, 2, 3):
-                for gamma in range(1, q * index // 2 + 1):
-                    if not feasible_h3q(q, gamma, index).feasible:
-                        continue
-                    code, spec = build_feasible(q, gamma, index)
-                    cert = certified(code)
-                    assert cert.gamma == gamma, (q, gamma, index, spec.as_dict())
-                    assert cert.eigenvalue_index == index, (q, gamma, index, spec.as_dict())
-                    built += 1
+        for q, gamma, index in h3q_table_entries(12):
+            code, spec = build_feasible(q, gamma, index)
+            cert = certified(code)
+            assert cert.gamma == gamma, (q, gamma, index, spec.as_dict())
+            assert cert.eigenvalue_index == index, (q, gamma, index, spec.as_dict())
+            built += 1
         assert built >= 100
 
 
@@ -154,12 +151,7 @@ def test_criterion_5_oracle_equivalence():
 
 
 def predicted_normalized(q: int) -> set:
-    out = set()
-    for index in (1, 2, 3):
-        for gamma in range(1, q * index // 2 + 1):
-            if feasible_h3q(q, gamma, index).feasible:
-                out.add((gamma, index))
-    return out
+    return {(gamma, index) for index, row in feasible_table(3, q).items() for gamma, _ in row}
 
 
 def test_criterion_6_condition1_solver():
@@ -244,12 +236,7 @@ def test_criterion_9_property_suites():
             cases += 1
 
         # extend/reduce round trip preserves (rho, gamma, beta, index)
-        pool = []
-        for q in range(2, 8):
-            for index in (1, 2, 3):
-                for gamma in range(1, q * index // 2 + 1):
-                    if feasible_h3q(q, gamma, index).feasible:
-                        pool.append(build_feasible(q, gamma, index)[0])
+        pool = [build_feasible(q, gamma, index)[0] for q, gamma, index in h3q_table_entries(7)]
         cases = 0
         while cases < 1000:
             code = pool[int(rng.integers(len(pool)))]

@@ -16,7 +16,7 @@ from crcforge.hamming import Code, Space
 from crcforge.parameters import ConditionOneWitness
 from crcforge.verifier import check_crc
 
-from helpers import SMALL_SPACES, reference_dumps_code, reference_read_code
+from helpers import SMALL_SPACES, reference_dumps_code, reference_read_code, run_python
 
 
 # ---------------------------------------------------------------- code files
@@ -258,11 +258,18 @@ def test_params_feasible_exit_codes(capsys):
     assert run(["params", "feasible", "--q", "8", "--gamma", "1"]) == 1
     capsys.readouterr()
     assert run(["params", "feasible", "--n", "4", "--q", "8", "--gamma", "7"]) == 0
-    assert run(["params", "feasible", "--n", "4", "--q", "8", "--gamma", "7",
-                "--index", "3"]) == 2  # only index 2 classified beyond n=3
-    assert run(["params", "feasible", "--q", "6", "--gamma", "5",
-                "--index", "1"]) == 2  # normalization violation
     capsys.readouterr()
+    for flags, err in [
+            ("--n 1 --gamma 3", "need n >= 2, got n=1"),
+            ("--n 1 --gamma 3 --index 1", "for n=1 only eigenvalue index 2 is classified"),
+            ("--n 4 --gamma 3 --index 1", "for n=4 only eigenvalue index 2 is classified"),
+            ("--n 4 --gamma 7 --index 3", "for n=4 only eigenvalue index 2 is classified"),
+            ("--gamma 3 --index 4",
+             "eigenvalue index 4 out of range 1..3 for rho=1 codes in H(3,q)"),
+            ("--gamma 5 --index 1", "gamma=5 violates the normalization gamma <= beta "
+             "(needs 2*gamma <= q*index = 8); analyze the complement instead")]:
+        assert run(["params", "feasible", "--q", "8", *flags.split()]) == 2, flags
+        assert capsys.readouterr() == ("", f"error: {err}\n"), flags
 
 
 def test_params_solve_c1(capsys):
@@ -359,15 +366,30 @@ def test_search_cli_validation(capsys):
 
 # ---------------------------------------------------------------- table, misc
 
+# q=8, gamma=3 is the first entry realized through the three-block system
+TABLE_Q8 = """\
+q=2   i=1: 1   i=2: 1,2   i=3: 3
+q=3   i=1: 1   i=2: 2   i=3: 3
+q=4   i=1: 1,2   i=2: 2,3,4   i=3: 3,6
+q=5   i=1: 1,2   i=2: 2,4   i=3: 3,6
+q=6   i=1: 1,2,3   i=2: 2,3,4,5,6   i=3: 3,6,9
+q=7   i=1: 1,2,3   i=2: 2,4,6   i=3: 3,6,9
+q=8   i=1: 1,2,3,4   i=2: 2,3*,4,5,6,7,8   i=3: 3,6,9,12
+(* = realized through the three-block system)
+"""
+
+
 def test_table_output(capsys):
     assert run(["table", "--q-max", "8"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    qlines = [ln for ln in lines if ln.startswith("q=")]
-    assert len(qlines) == 7  # q = 2..8
-    # q=8, gamma=3 is the first entry realized through the three-block system
-    assert "3*" in qlines[-1]
-    assert not any("*" in ln for ln in qlines[:-1])
-    assert lines[-1].startswith("(*")
+    assert capsys.readouterr() == (TABLE_Q8, "")
+
+
+def test_feasibility_report_output():
+    # the report prints the table's cells one to a line, without the stars
+    proc = run_python("scripts/feasibility_report.py", "--q-max", "8")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "".join(f"{line[:6]}{cell}\n" for line in TABLE_Q8.splitlines()[:-1]
+                                  for cell in line[6:].replace("*", "").split("   "))
 
 
 def test_usage_errors():

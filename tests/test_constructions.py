@@ -8,12 +8,12 @@ from crcforge.constructions import (ConstructionSpec, build_a, build_b, build_c,
                                     build_index1, build_index3,
                                     construction_d_blocks, spec_for_witness)
 from crcforge.hamming import Space
-from crcforge.parameters import ConditionOneWitness, feasible_h3q, solve_condition1
+from crcforge.parameters import ConditionOneWitness, solve_condition1
 from crcforge.stochastic import from_code, profile
 from crcforge.verifier import (CrcCertificate, check_crc, essential_positions,
                                hyperface_profile, neighbor_counts, reduce_code)
 
-from helpers import brute_crc1_params
+from helpers import brute_crc1_params, h3q_table_entries
 
 
 def cert_of(code):
@@ -268,16 +268,11 @@ def test_build_feasible_dispatch_kinds():
 
 def test_build_feasible_sweep_small_q():
     checked = 0
-    for q in range(2, 11):
-        for index in (1, 2, 3):
-            for gamma in range(1, q * index // 2 + 1):
-                verdict = feasible_h3q(q, gamma, index)
-                if not verdict.feasible:
-                    continue
-                code, spec = build_feasible(q, gamma, index)
-                cert = cert_of(code)
-                assert cert.gamma == gamma, (q, gamma, index, spec)
-                assert cert.eigenvalue_index == index, (q, gamma, index, spec)
-                assert build_from_spec(spec) == code
-                checked += 1
+    for q, gamma, index in h3q_table_entries(10):
+        code, spec = build_feasible(q, gamma, index)
+        cert = cert_of(code)
+        assert cert.gamma == gamma, (q, gamma, index, spec)
+        assert cert.eigenvalue_index == index, (q, gamma, index, spec)
+        assert build_from_spec(spec) == code
+        checked += 1
     assert checked > 50

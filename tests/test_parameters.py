@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crcforge.parameters import (ConditionOneWitness, check_condition1,
-                                 eigenvalue, feasible_h3q, feasible_hnq,
-                                 multiplicity, product_identity,
+                                 eigenvalue, feasible, feasible_h3q, feasible_hnq,
+                                 feasible_table, multiplicity, product_identity,
                                  solve_condition1)
 
 
@@ -151,6 +151,15 @@ def test_feasible_hnq():
         feasible_hnq(1, 8, 3)
     with pytest.raises(ValueError):
         feasible_hnq(3, 8, 9)  # normalization
+
+
+def test_feasible_table_lists_every_feasible_pair_in_order():
+    for n, q in itertools.product((2, 3, 4, 5), range(2, 17)):
+        table = feasible_table(n, q)
+        assert tuple(table) == ((1, 2, 3) if n == 3 else (2,))
+        expected = [(index, g, v) for index in table for g in range(1, q * index // 2 + 1)
+                    if (v := feasible(n, q, g, index)).feasible]
+        assert [(index, g, v) for index, row in table.items() for g, v in row] == expected
 
 
 def test_h3q_brute_force_agreement_on_solver_regime():

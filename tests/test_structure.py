@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from crcforge.constructions import (build_a, build_b, build_c, build_d, build_feasible,
                                     build_index1)
 from crcforge.hamming import Clique, Code, Space
-from crcforge.parameters import ConditionOneWitness, feasible_h3q, solve_condition1
+from crcforge.parameters import ConditionOneWitness, solve_condition1
 from crcforge.structure import (CliqueCoverFailure, CliqueDecomposition,
                                 DerivativeFunction, classify, classify_all,
                                 clique_cover, derivative,
                                 extract_construction_d, full_cliques)
 from crcforge.verifier import check_crc
 
-from helpers import clique_vertices, code_of, reference_classify, reference_classify_all
+from helpers import (clique_vertices, code_of, h3q_table_entries, reference_classify,
+                     reference_classify_all)
 
 
 def test_derivative_matches_definition():
@@ -142,10 +143,7 @@ def test_classify_all_matches_reference_on_random_codes(q, seed, density):
 def test_classify_all_matches_reference_on_feasible_codes_and_flips():
     # every build_feasible code of H(3,q<=8), and its one-vertex flips at 4
     # evenly spread vertices
-    codes = [build_feasible(q, gamma, index)[0]
-             for q in range(2, 9) for index in (1, 2, 3)
-             for gamma in range(1, q * index // 2 + 1)
-             if feasible_h3q(q, gamma, index).feasible]
+    codes = [build_feasible(q, gamma, index)[0] for q, gamma, index in h3q_table_entries(8)]
     kinds = set()
     for code in codes:
         kinds |= {c.kind for c in assert_classes_match_reference(code).values()}

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crcforge import verifier
 from crcforge.constructions import build_feasible
 from crcforge.hamming import Code, Space
-from crcforge.parameters import feasible_h3q
 from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                clique_profile, distance_partition, essential_positions,
                                extend_code, hyperface_profile, neighbor_counts,
                                reduce_code)
 
 from helpers import (SMALL_SPACES, all_cliques, brute_count_in, brute_crc1_params,
-                     brute_layer_sizes, code_of, reference_check_crc)
+                     brute_layer_sizes, code_of, h3q_table_entries, reference_check_crc)
 
 
 def test_neighbor_counts_matches_brute_force():
@@ -289,10 +289,7 @@ def test_check_crc_matches_reference_on_random_codes(nq, seed, density):
 def test_check_crc_matches_reference_on_feasible_codes_and_flips():
     # every build_feasible code of H(3,q<=8), and its one-vertex flips at 16
     # evenly spread vertices (all of them for q <= 2)
-    codes = [build_feasible(q, gamma, index)[0]
-             for q in range(2, 9) for index in (1, 2, 3)
-             for gamma in range(1, q * index // 2 + 1)
-             if feasible_h3q(q, gamma, index).feasible]
+    codes = [build_feasible(q, gamma, index)[0] for q, gamma, index in h3q_table_entries(8)]
     kinds = set()
     for code in codes:
         cert = assert_same_check(code)
@@ -308,12 +305,19 @@ def test_check_crc_matches_reference_on_feasible_codes_and_flips():
     assert {("CrcFailure", 0), ("CrcFailure", 1), ("CrcCertificate", None)} <= kinds
 
 
-def test_check_crc_matches_reference_for_covering_radius_above_one():
+def test_check_crc_matches_reference_for_covering_radius_above_one(monkeypatch):
+    # the layered path takes one neighbor_counts pass per layer C_0..C_rho
+    passes = []
+    count = verifier.neighbor_counts
+    monkeypatch.setattr(verifier, "neighbor_counts", lambda *a: passes.append(a) or count(*a))
     rep = code_of(Space(5, 2), [(0,) * 5, (1,) * 5])
     cert = assert_same_check(rep)
-    assert (cert.rho, cert.betas, cert.gammas) == (2, (5, 4), (1, 2))
+    assert (cert.rho, cert.betas, cert.gammas, len(passes)) == (2, (5, 4), (1, 2), 3)
+    passes.clear()
     single = assert_same_check(code_of(Space(3, 3), [(0, 0, 0)]))
-    assert (single.rho, single.betas, single.gammas) == (3, (6, 4, 2), (1, 2, 3))
-    # a rho=2 code whose first failure points away from the code, from layer 1
+    assert (single.rho, single.betas, single.gammas, len(passes)) == (3, (6, 4, 2), (1, 2, 3), 4)
+    passes.clear()
+    # a set at covering radius 3 whose first failure points away from it, from layer 1
     res = assert_same_check(code_of(Space(3, 3), [(0, 0, 0), (1, 1, 1)]))
     assert (res.witness_vertex, res.class_index, res.target_class) == ((0, 0, 2), 1, 2)
+    assert len(passes) == 4
