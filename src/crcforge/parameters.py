@@ -76,6 +76,28 @@ def check_condition1(q: int, w: ConditionOneWitness) -> bool:
     return c * r == a * (q - t) and b * (q - s) == c * (q - r) and a * t == b * s
 
 
+# Cells per slab of the product-identity mask: q <= 128 is one slab, and the
+# slab's int64 temporaries peak near 35 MiB for any q.
+_IDENTITY_SLAB_CELLS = 1 << 21
+
+
+def _identity_triples(q: int) -> list[tuple[int, int, int]]:
+    """(r, s, t) in 1..q-1, lexicographically, where the product identity
+    holds; the mask is built a slab of r values at a time."""
+    rng = np.arange(1, q, dtype=np.int64)
+    s_ = rng[:, None]
+    t_ = rng[None, :]
+    lhs = (q - s_) * t_
+    rhs = s_ * (q - t_)
+    step = max(1, _IDENTITY_SLAB_CELLS // rng.size ** 2)
+    out: list[tuple[int, int, int]] = []
+    for r0 in range(0, rng.size, step):
+        r_ = rng[r0:r0 + step, None, None]
+        ri, si, ti = np.nonzero(lhs * r_ == rhs * (q - r_))
+        out.extend(zip((ri + r0 + 1).tolist(), (si + 1).tolist(), (ti + 1).tolist()))
+    return out
+
+
 def solve_condition1(q: int, gamma: Union[int, None] = None) -> list[ConditionOneWitness]:
     """All witnesses for alphabet size q, ordered lexicographically by
     (r,s,t,a,b,c); optionally restricted to a+b+c = gamma.
@@ -86,16 +108,8 @@ def solve_condition1(q: int, gamma: Union[int, None] = None) -> list[ConditionOn
     """
     if q < 2:
         raise ValueError(f"invalid alphabet size q={q}")
-    rng = np.arange(1, q, dtype=np.int64)
-    if rng.size == 0:
-        return []
-    r_ = rng[:, None, None]
-    s_ = rng[None, :, None]
-    t_ = rng[None, None, :]
-    ok = (q - s_) * t_ * r_ == s_ * (q - t_) * (q - r_)
     out: list[ConditionOneWitness] = []
-    for ri, si, ti in zip(*np.nonzero(ok)):
-        r, s, t = int(ri) + 1, int(si) + 1, int(ti) + 1
+    for r, s, t in _identity_triples(q):
         a0, b0, c0 = r * s, r * t, s * (q - t)
         g = math.gcd(a0, math.gcd(b0, c0))
         a0, b0, c0 = a0 // g, b0 // g, c0 // g

@@ -1,15 +1,17 @@
 """Exhaustive enumeration of covering-radius-1 completely regular codes.
 
-The search assigns vertices in/out in lexicographic order, maintaining for
-every vertex its decided-neighbor and in-neighbor counts.  In an equitable
-partition {C, complement} every decided vertex ends with a fixed number of
-neighbors in C: gamma for a non-codeword, k - beta for a codeword.  So the
-search keeps one global interval per vertex state for that number, and
-applies one rule to every decided vertex, whatever its state:
+The search decides vertices in/out in lexicographic order.  Its state is two
+bitmasks, IN and OUT (the decided codewords and non-codewords), and the box
+of intervals below; all three are passed down the recursion by value, so
+backtracking undoes nothing.  A vertex's possible in-neighbor count is
+[cmin, cmax] = [|N(v) & IN|, k - |N(v) & OUT|].  In an equitable partition
+{C, complement} every decided vertex ends with a fixed number of neighbors in
+C: gamma for a non-codeword, k - beta for a codeword.  So the search keeps one
+global interval per vertex state for that number, and applies one rule to
+every decided vertex, whatever its state:
 
-- its possible in-neighbor range [cmin, cmax] narrows the interval of its
-  state; an empty interval kills the branch (with cmin == cmax this pins
-  gamma or beta);
+- [cmin, cmax] narrows the interval of its state; an empty interval kills the
+  branch (with cmin == cmax this pins gamma or beta);
 - when the narrowed interval's low end is cmax, all undecided neighbors are
   forced in; when its high end is cmin, they are forced out (unit
   propagation).
@@ -22,6 +24,12 @@ Global rules on the two intervals, reading beta as k minus the codeword count:
 - with gamma and i both fixed, the code size q^n * gamma/(q*i) must be an
   integer (checked once, up front) and, for i >= 2, every hyperface must end
   up with exactly |C|/q codewords.
+
+Every rule only narrows, so the closed state of a branch and whether it dies
+do not depend on the order of the checks.  Propagation therefore rechecks
+only what a decision can have changed: the newly decided vertices, their
+decided neighbors and the hyperfaces through them, or every decided vertex
+once an interval narrows.
 
 Every completed assignment is independently re-verified before being
 reported.  Work splits across processes at the top two decision levels;
@@ -43,7 +51,7 @@ import numpy as np
 from .hamming import Code, Space
 from .verifier import CrcCertificate, check_crc
 
-# Search state is dense per vertex; beyond this the tree is hopeless anyway.
+# The search state is one bit per vertex; beyond this the tree is hopeless anyway.
 VERTEX_LIMIT = 64
 
 WORKERS_ENV = "CRC_FORGE_THREADS"
@@ -97,20 +105,20 @@ def _solve_subtree(args) -> tuple[int, list]:
     n, q, gamma_t, index_t, fix_zero, prefix, collect = args
     sp = Space(n, q)
     V, k = sp.size, sp.valency
+    full = (1 << V) - 1
+    strides = [q ** (n - 1 - j) for j in range(n)]
 
-    nbrs: list[tuple[int, ...]] = []
-    coords: list[tuple[int, ...]] = []
+    nbr: list[int] = []  # bit u of nbr[v] is set iff u is adjacent to v
     for vi in range(V):
-        v = sp.vertex(vi)
-        coords.append(v)
-        row = []
-        for j in range(n):
-            stride = q ** (n - 1 - j)
-            base = vi - v[j] * stride
-            row.extend(base + s * stride for s in range(q) if s != v[j])
-        nbrs.append(tuple(row))
+        m = 0
+        for x, stride in zip(sp.vertex(vi), strides):
+            base = vi - x * stride
+            for s in range(q):
+                if s != x:
+                    m |= 1 << (base + s * stride)
+        nbr.append(m)
 
-    use_faces = False
+    faces: list[int] = []  # hyperface masks, filled only when they must balance
     if gamma_t is not None and index_t is not None:
         qi = q * index_t
         num = V * gamma_t
@@ -120,107 +128,88 @@ def _solve_subtree(args) -> tuple[int, list]:
         if index_t >= 2:
             if size_t % q:
                 return 0, []  # balanced hyperfaces impossible
-            use_faces = True
             face_t = size_t // q
-
-    state = [-1] * V  # -1 undecided, 0 out, 1 in
-    cin = [0] * V     # decided in-neighbors
-    cdec = [0] * V    # decided neighbors
-    trail: list[int] = []
-    face_in = [0] * (n * q)
-    face_und = [q ** (n - 1)] * (n * q)
-
-    # box[2s], box[2s+1]: the range the final in-code neighbor count of a
-    # decided vertex in state s must land in -- gamma for s = 0, k - beta
-    # for s = 1.
-    box = [1, k, 0, k - 1] if gamma_t is None else [gamma_t, gamma_t, 0, k - 1]
+            faces = [sum(1 << vi for vi in range(V) if vi // stride % q == s)
+                     for stride in strides for s in range(q)]
+    shift = None if index_t is None else k - q * index_t
 
     nodes = 0
     results: list = []
 
-    def assign(v: int, val: int) -> bool:
-        state[v] = val
-        trail.append(v)
-        if val:
-            for u in nbrs[v]:
-                cdec[u] += 1
-                cin[u] += 1
-        else:
-            for u in nbrs[v]:
-                cdec[u] += 1
-        if use_faces:
-            cv = coords[v]
-            ok = True
-            for j in range(n):
-                f = j * q + cv[j]
-                face_und[f] -= 1
-                face_in[f] += val
-                if face_in[f] > face_t or face_in[f] + face_und[f] < face_t:
-                    ok = False
-            return ok
-        return True
-
-    def unassign_to(mark: int) -> None:
-        while len(trail) > mark:
-            v = trail.pop()
-            val = state[v]
-            state[v] = -1
-            if val:
-                for u in nbrs[v]:
-                    cdec[u] -= 1
-                    cin[u] -= 1
-            else:
-                for u in nbrs[v]:
-                    cdec[u] -= 1
-            if use_faces:
-                cv = coords[v]
-                for j in range(n):
-                    f = j * q + cv[j]
-                    face_und[f] += 1
-                    face_in[f] -= val
-
-    def propagate() -> bool:
+    def propagate(IN: int, OUT: int, box: list, new: int):
+        """Close (IN, OUT, box) under every rule after the vertices in ``new``
+        were decided, the state without them being closed already.  Returns
+        the closed state, or None when the branch dies."""
+        box = box[:]
+        recheck_all = False
         while True:
-            before = box[:], len(trail)
-            if index_t is not None:
+            not_out = ~OUT
+            for f in faces:
+                if f & new and ((IN & f).bit_count() > face_t
+                                or (f & not_out).bit_count() < face_t):
+                    return None
+            if shift is not None:
                 # gamma + beta = q*i, i.e. k - beta = gamma + shift
-                shift = k - q * index_t
-                box[0] = max(box[0], box[2] - shift)
-                box[1] = min(box[1], box[3] - shift)
-                box[2], box[3] = box[0] + shift, box[1] + shift
-                # an emptied box fails at the first vertex of the scan below
+                g_lo = max(box[0], box[2] - shift)
+                g_hi = min(box[1], box[3] - shift)
+                if g_lo > g_hi:
+                    return None
+                # This moves the box only at the root, where every decided
+                # vertex is new, or after a narrowing set recheck_all.
+                box = [g_lo, g_hi, g_lo + shift, g_hi + shift]
             else:
                 g_lo, g_hi, a_lo, a_hi = box
-                b_lo, b_hi = k - a_hi, k - a_lo
-                if (g_lo + b_lo + q - 1) // q * q > g_hi + b_hi:
-                    return False  # no multiple of q reachable for gamma+beta
+                if (g_lo + k - a_hi + q - 1) // q * q > g_hi + k - a_lo:
+                    return None  # no multiple of q reachable for gamma+beta
 
-            i = 0
-            while i < len(trail):
-                v = trail[i]
-                i += 1
-                at = 2 * state[v]  # v's interval in box
-                cmin = cin[v]
-                cmax = cmin + k - cdec[v]
+            # Only the new vertices and their decided neighbors saw their
+            # counts move; a narrowed box concerns every decided vertex.
+            if recheck_all:
+                todo = IN | OUT
+            else:
+                todo = dirty = new
+                while dirty:
+                    low = dirty & -dirty
+                    dirty ^= low
+                    todo |= nbr[low.bit_length() - 1]
+                todo &= IN | OUT
+            new = 0
+            recheck_all = False
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                m = nbr[low.bit_length() - 1]
+                cmin = (m & IN).bit_count()
+                cmax = k - (m & OUT).bit_count()
+                at = 2 if IN & low else 0  # the vertex's interval in box
                 lo, hi = box[at], box[at + 1]
                 if cmin > lo:
                     lo = box[at] = cmin
+                    recheck_all = True
                 if cmax < hi:
                     hi = box[at + 1] = cmax
+                    recheck_all = True
                 if lo > hi:
-                    return False
+                    return None
                 if cmin < cmax and (cmax == lo or cmin == hi):
-                    val = int(cmax == lo)
-                    for u in nbrs[v]:
-                        if state[u] == -1 and not assign(u, val):
-                            return False
-            if (box, len(trail)) == before:
-                return True
+                    free = m & ~(IN | OUT)
+                    if cmax == lo:
+                        IN |= free
+                    else:
+                        OUT |= free
+                    new |= free
+            if not (new or recheck_all):
+                return IN, OUT, box
 
-    def leaf() -> None:
-        if 0 not in state or 1 not in state:
-            return  # the whole space or the empty set
-        code = Code(sp, np.array(state) == 1)
+    def decide(IN: int, OUT: int, box: list, bit: int, val: int):
+        return propagate(IN | bit, OUT, box, bit) if val else propagate(IN, OUT | bit, box, bit)
+
+    def leaf(IN: int) -> None:
+        if IN in (0, full):
+            return  # the empty set or the whole space
+        bits = np.unpackbits(np.frombuffer(IN.to_bytes((V + 7) // 8, "little"), np.uint8),
+                             bitorder="little")
+        code = Code(sp, bits[:V])
         cert = check_crc(code)
         if not isinstance(cert, CrcCertificate):
             raise RuntimeError(f"search emitted a non-CRC set: {cert}")
@@ -232,41 +221,37 @@ def _solve_subtree(args) -> tuple[int, list]:
             raise RuntimeError(f"search emitted eigenvalue index {idx}, target was {index_t}")
         results.append((gamma, beta, idx, tuple(int(j) for j in code.indices()) if collect else None))
 
-    def dfs(scan_from: int) -> None:
+    def dfs(IN: int, OUT: int, box: list) -> None:
         nonlocal nodes
-        v = -1
-        for u in range(scan_from, V):
-            if state[u] == -1:
-                v = u
-                break
-        if v == -1:
-            leaf()
+        free = full & ~(IN | OUT)
+        if not free:
+            leaf(IN)
             return
+        low = free & -free  # lowest undecided vertex, 0 first: lexicographic emission
         for val in (0, 1):
             nodes += 1
-            mark = len(trail)
-            saved = box[:]
-            if assign(v, val) and propagate():
-                dfs(v + 1)
-            unassign_to(mark)
-            box[:] = saved
+            state = decide(IN, OUT, box, low, val)
+            if state:
+                dfs(*state)
 
-    ok = True
-    if fix_zero:
-        ok = assign(0, 1) and propagate()
-    if ok:
-        for v, val in prefix:
-            nodes += 1
-            if state[v] != -1:
-                if state[v] != val:
-                    ok = False
-                    break
-                continue
-            if not (assign(v, val) and propagate()):
-                ok = False
-                break
-    if ok:
-        dfs(0)
+    # box[2s], box[2s+1]: the range the final in-code neighbor count of a
+    # decided vertex in state s must land in -- gamma for s = 0, k - beta
+    # for s = 1.
+    box = [1, k, 0, k - 1] if gamma_t is None else [gamma_t, gamma_t, 0, k - 1]
+    state = propagate(1, 0, box, 1) if fix_zero else (0, 0, box)
+    for v, val in prefix:
+        if state is None:
+            break
+        nodes += 1
+        IN, OUT, box = state
+        bit = 1 << v
+        if (IN | OUT) & bit:
+            if bool(IN & bit) != bool(val):
+                state = None
+            continue
+        state = decide(IN, OUT, box, bit, val)
+    if state:
+        dfs(*state)
     return nodes, results
 
 

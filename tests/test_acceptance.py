@@ -28,7 +28,7 @@ from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                extend_code, hyperface_profile, reduce_code)
 
 from helpers import (all_vertex_subsets, brute_crc1_params, h3q_table_entries,
-                     hamming_distance, neighbors)
+                     hamming_distance, neighbors, normalized_params)
 
 
 @contextmanager
@@ -135,7 +135,7 @@ def test_criterion_5_oracle_equivalence():
                 brute.add((min(g, b), (g + b) // 2))
         summary32 = enumerate_crcs(SearchConstraints(3, 2), workers=1)
         assert summary32.codes_found == count == 22
-        assert {(min(g, b), i) for g, b, i in summary32.parameter_sets} == brute
+        assert normalized_params(summary32.parameter_sets) == brute
         predicted32 = predicted_normalized(2)
         assert brute == predicted32
         assert time.monotonic() - t0 < 1.0
@@ -143,7 +143,7 @@ def test_criterion_5_oracle_equivalence():
         # H(3,3): pruned complete search over all 2^27 indicator functions
         t0 = time.monotonic()
         summary33 = enumerate_crcs(SearchConstraints(3, 3))
-        norm33 = {(min(g, b), i) for g, b, i in summary33.parameter_sets}
+        norm33 = normalized_params(summary33.parameter_sets)
         assert norm33 == predicted_normalized(3)
         # at eigenvalue index 2 only gamma = 2 occurs
         assert {min(g, b) for g, b, i in summary33.parameter_sets if i == 2} == {2}

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -34,21 +35,52 @@ def test_multiplicities_sum_to_space_size():
 
 def brute_solve(q, gamma=None):
     """Definition-level search over all (r,s,t,a,b,c)."""
+    return [w for r, s, t in itertools.product(range(1, q), repeat=3)
+            for w in brute_solve_rst(q, r, s, t) if gamma is None or w.gamma == gamma]
+
+
+def brute_solve_rst(q, r, s, t):
+    """Every (a, b, c) within the degree bounds that solves the system at (r, s, t)."""
     out = []
-    for r, s, t in itertools.product(range(1, q), repeat=3):
-        amax, bmax, cmax = min(r, s), min(t, q - r), min(q - s, q - t)
-        for a in range(1, amax + 1):
-            for b in range(1, bmax + 1):
-                for c in range(1, cmax + 1):
-                    w = ConditionOneWitness(r, s, t, a, b, c)
-                    if check_condition1(q, w) and (gamma is None or w.gamma == gamma):
-                        out.append(w)
+    for a in range(1, min(r, s) + 1):
+        for b in range(1, min(t, q - r) + 1):
+            for c in range(1, min(q - s, q - t) + 1):
+                w = ConditionOneWitness(r, s, t, a, b, c)
+                if check_condition1(q, w):
+                    out.append(w)
     return out
 
 
 def test_solver_matches_brute_force_small_q():
     for q in range(2, 13):
         assert solve_condition1(q) == brute_solve(q)
+
+
+def identity_loop_solve(q):
+    """Witnesses of the (r, s, t) that pass a plain product_identity loop."""
+    out = []
+    for r, s, t in itertools.product(range(1, q), repeat=3):
+        if product_identity(q, r, s, t):
+            out.extend(brute_solve_rst(q, r, s, t))
+    return out
+
+
+def test_solver_matches_product_identity_loop():
+    for q in range(2, 25):
+        full = solve_condition1(q)
+        assert full == identity_loop_solve(q)
+        for gamma in range(1, 3 * q):
+            assert solve_condition1(q, gamma) == [w for w in full if w.gamma == gamma]
+
+
+def test_solver_memory_is_bounded_in_slabs():
+    tracemalloc.start()
+    try:
+        assert solve_condition1(256, 1) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_solver_gamma_filter_matches_brute_force():

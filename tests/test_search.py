@@ -65,7 +65,8 @@ def test_summary_independent_of_worker_count():
 
 # (n, q, gamma, index, fix_first_codeword) -> (codes_found, nodes), one worker.
 # The node counts pin the pruning itself: the faces path, the multiple-of-q
-# path, the gamma-only path and the fixed-zero path.
+# path, the gamma-only path and the fixed-zero path.  H(3,4) has 64 vertices,
+# so its rows also use the top bit of the search's vertex masks.
 PINNED_NODES = [
     ((2, 3, None, None, False), (24, 112)),
     ((2, 4, None, None, False), (166, 1080)),
@@ -81,6 +82,8 @@ PINNED_NODES = [
     ((3, 3, None, None, True), (111, 1410)),
     ((4, 2, None, 2, False), (68, 148)),
     ((3, 4, 3, 3, False), (576, 1590)),
+    ((2, 5, None, None, False), (4380, 23308)),
+    ((3, 4, 2, None, False), (198, 7036)),
 ]
 
 
@@ -106,6 +109,18 @@ def test_collected_codes_independent_of_worker_count():
         enumerate_crcs(SearchConstraints(2, 3), sink=collected.append, workers=w)
         runs.append([tuple(int(i) for i in c.indices()) for c in collected])
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n,q,fix_zero", [(3, 3, False), (2, 4, False), (4, 2, False),
+                                          (3, 3, True)])
+def test_emission_is_lexicographic_on_indicator(n, q, fix_zero, workers):
+    collected = []
+    s = enumerate_crcs(SearchConstraints(n, q, fix_first_codeword=fix_zero),
+                       sink=collected.append, workers=workers)
+    keys = [tuple(c.mask.astype(int)) for c in collected]
+    assert len(keys) == s.codes_found > 0
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_repeat_runs_identical():
