@@ -9,6 +9,7 @@ gamma < q/2, governed by an integer system for a three-block construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -81,9 +82,12 @@ def check_condition1(q: int, w: ConditionOneWitness) -> bool:
 _IDENTITY_SLAB_CELLS = 1 << 21
 
 
-def _identity_triples(q: int) -> list[tuple[int, int, int]]:
+@functools.lru_cache(maxsize=16)
+def _identity_triples(q: int) -> tuple[tuple[int, int, int], ...]:
     """(r, s, t) in 1..q-1, lexicographically, where the product identity
-    holds; the mask is built a slab of r values at a time."""
+    holds; the mask is built a slab of r values at a time.  Cached, because
+    ``feasible_table`` asks once per odd gamma and the triples do not depend
+    on gamma."""
     rng = np.arange(1, q, dtype=np.int64)
     s_ = rng[:, None]
     t_ = rng[None, :]
@@ -95,7 +99,7 @@ def _identity_triples(q: int) -> list[tuple[int, int, int]]:
         r_ = rng[r0:r0 + step, None, None]
         ri, si, ti = np.nonzero(lhs * r_ == rhs * (q - r_))
         out.extend(zip((ri + r0 + 1).tolist(), (si + 1).tolist(), (ti + 1).tolist()))
-    return out
+    return tuple(out)
 
 
 def solve_condition1(q: int, gamma: Union[int, None] = None) -> list[ConditionOneWitness]:

@@ -28,13 +28,16 @@ Global rules on the two intervals, reading beta as k minus the codeword count:
 Every rule only narrows, so the closed state of a branch and whether it dies
 do not depend on the order of the checks.  Propagation therefore rechecks
 only what a decision can have changed: the newly decided vertices, their
-decided neighbors and the hyperfaces through them, or every decided vertex
-once an interval narrows.
+decided neighbors and the hyperfaces through them, and, once an interval
+narrows, every decided vertex in its state (in both states when the index
+shift ties the intervals).
 
-Every completed assignment is independently re-verified before being
-reported.  Work splits across processes at the top two decision levels;
-the summary (codes, parameter sets, node count) does not depend on the
-worker count.
+Every completed assignment is independently re-verified, by line-sum
+counting, before being reported.  Leaves are re-verified in batches of
+LEAF_BATCH, in emission order: one stacked neighbor count certifies a whole
+batch, and the first bad leaf raises with check_crc's witness.  Work splits
+across processes at the top two decision levels; the summary (codes,
+parameter sets, node count) does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -49,10 +52,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hamming import Code, Space
-from .verifier import CrcCertificate, check_crc
+from .verifier import certify_rho1, check_crc, rho1_eigenvalue_index
 
 # The search state is one bit per vertex; beyond this the tree is hopeless anyway.
 VERTEX_LIMIT = 64
+
+# Leaves re-verified per batch: bounds the (batch, V) arrays at any census size.
+LEAF_BATCH = 1024
 
 WORKERS_ENV = "CRC_FORGE_THREADS"
 
@@ -96,13 +102,21 @@ class SearchSummary:
     nodes: int
 
 
+def _unpack(sp: Space, masks: list[int]) -> np.ndarray:
+    """The (len(masks), V) bool indicators of vertex bitmasks, bit v = vertex v."""
+    nb = (sp.size + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(nb, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), nb), axis=1, bitorder="little")
+    return bits[:, :sp.size].view(bool)
+
+
 def _solve_subtree(args) -> tuple[int, list]:
     """Run the DFS below one prefix of forced assignments.
 
     Returns (nodes visited, results), each result being
-    (gamma, beta, index, member-tuple-or-None).
+    (gamma, beta, index, IN bitmask) in emission order.
     """
-    n, q, gamma_t, index_t, fix_zero, prefix, collect = args
+    n, q, gamma_t, index_t, fix_zero, prefix = args
     sp = Space(n, q)
     V, k = sp.size, sp.valency
     full = (1 << V) - 1
@@ -135,13 +149,14 @@ def _solve_subtree(args) -> tuple[int, list]:
 
     nodes = 0
     results: list = []
+    pending: list[int] = []  # leaves not yet re-verified, in emission order
 
     def propagate(IN: int, OUT: int, box: list, new: int):
         """Close (IN, OUT, box) under every rule after the vertices in ``new``
         were decided, the state without them being closed already.  Returns
         the closed state, or None when the branch dies."""
         box = box[:]
-        recheck_all = False
+        narrowed = 0  # bit 0 / bit 1: the non-codeword / codeword interval narrowed
         while True:
             not_out = ~OUT
             for f in faces:
@@ -155,26 +170,30 @@ def _solve_subtree(args) -> tuple[int, list]:
                 if g_lo > g_hi:
                     return None
                 # This moves the box only at the root, where every decided
-                # vertex is new, or after a narrowing set recheck_all.
+                # vertex is new, or after a narrowing, which the shift makes
+                # a recheck of both states.
                 box = [g_lo, g_hi, g_lo + shift, g_hi + shift]
+                if narrowed:
+                    narrowed = 3
             else:
                 g_lo, g_hi, a_lo, a_hi = box
                 if (g_lo + k - a_hi + q - 1) // q * q > g_hi + k - a_lo:
                     return None  # no multiple of q reachable for gamma+beta
 
             # Only the new vertices and their decided neighbors saw their
-            # counts move; a narrowed box concerns every decided vertex.
-            if recheck_all:
-                todo = IN | OUT
-            else:
-                todo = dirty = new
-                while dirty:
-                    low = dirty & -dirty
-                    dirty ^= low
-                    todo |= nbr[low.bit_length() - 1]
-                todo &= IN | OUT
-            new = 0
-            recheck_all = False
+            # counts move; a narrowed interval concerns every decided vertex
+            # in its state.
+            todo = dirty = new
+            while dirty:
+                low = dirty & -dirty
+                dirty ^= low
+                todo |= nbr[low.bit_length() - 1]
+            todo &= IN | OUT
+            if narrowed & 1:
+                todo |= OUT
+            if narrowed & 2:
+                todo |= IN
+            new = narrowed = 0
             while todo:
                 low = todo & -todo
                 todo ^= low
@@ -185,10 +204,10 @@ def _solve_subtree(args) -> tuple[int, list]:
                 lo, hi = box[at], box[at + 1]
                 if cmin > lo:
                     lo = box[at] = cmin
-                    recheck_all = True
+                    narrowed |= 2 if at else 1
                 if cmax < hi:
                     hi = box[at + 1] = cmax
-                    recheck_all = True
+                    narrowed |= 2 if at else 1
                 if lo > hi:
                     return None
                 if cmin < cmax and (cmax == lo or cmin == hi):
@@ -198,7 +217,7 @@ def _solve_subtree(args) -> tuple[int, list]:
                     else:
                         OUT |= free
                     new |= free
-            if not (new or recheck_all):
+            if not (new or narrowed):
                 return IN, OUT, box
 
     def decide(IN: int, OUT: int, box: list, bit: int, val: int):
@@ -207,19 +226,25 @@ def _solve_subtree(args) -> tuple[int, list]:
     def leaf(IN: int) -> None:
         if IN in (0, full):
             return  # the empty set or the whole space
-        bits = np.unpackbits(np.frombuffer(IN.to_bytes((V + 7) // 8, "little"), np.uint8),
-                             bitorder="little")
-        code = Code(sp, bits[:V])
-        cert = check_crc(code)
-        if not isinstance(cert, CrcCertificate):
-            raise RuntimeError(f"search emitted a non-CRC set: {cert}")
-        gamma, beta = cert.gamma, cert.beta
-        if gamma_t is not None and gamma != gamma_t:
-            raise RuntimeError(f"search emitted gamma={gamma}, target was {gamma_t}")
-        idx = cert.eigenvalue_index
-        if index_t is not None and idx != index_t:
-            raise RuntimeError(f"search emitted eigenvalue index {idx}, target was {index_t}")
-        results.append((gamma, beta, idx, tuple(int(j) for j in code.indices()) if collect else None))
+        pending.append(IN)
+        if len(pending) == LEAF_BATCH:
+            verify_pending()
+
+    def verify_pending() -> None:
+        """Re-verify the pending leaves by line-sum counting, in emission
+        order, and move them to results; raise on the first bad one."""
+        masks = _unpack(sp, pending)
+        gam, bet, ok = certify_rho1(sp, masks)
+        for j, (gamma, beta, good) in enumerate(zip(gam.tolist(), bet.tolist(), ok.tolist())):
+            if not good:
+                raise RuntimeError(f"search emitted a non-CRC set: {check_crc(Code(sp, masks[j]))}")
+            if gamma_t is not None and gamma != gamma_t:
+                raise RuntimeError(f"search emitted gamma={gamma}, target was {gamma_t}")
+            idx = rho1_eigenvalue_index(n, q, gamma, beta)
+            if index_t is not None and idx != index_t:
+                raise RuntimeError(f"search emitted eigenvalue index {idx}, target was {index_t}")
+            results.append((gamma, beta, idx, pending[j]))
+        pending.clear()
 
     def dfs(IN: int, OUT: int, box: list) -> None:
         nonlocal nodes
@@ -252,6 +277,8 @@ def _solve_subtree(args) -> tuple[int, list]:
         state = decide(IN, OUT, box, bit, val)
     if state:
         dfs(*state)
+    if pending:
+        verify_pending()
     return nodes, results
 
 
@@ -284,9 +311,8 @@ def enumerate_crcs(constraints: SearchConstraints,
     summary is identical for any worker count."""
     c = constraints
     collect = sink is not None and not count_only
-    prefixes = _tasks(c)
-    args = [(c.n, c.q, c.gamma, c.eigenvalue_index, c.fix_first_codeword, p, collect)
-            for p in prefixes]
+    args = [(c.n, c.q, c.gamma, c.eigenvalue_index, c.fix_first_codeword, p)
+            for p in _tasks(c)]
     w = min(resolve_workers(workers), len(args))
     if w <= 1:
         outs = [_solve_subtree(a) for a in args]
@@ -300,9 +326,9 @@ def enumerate_crcs(constraints: SearchConstraints,
     sp = c.space
     for task_nodes, results in outs:
         nodes += task_nodes
-        for gamma, beta, idx, members in results:
-            found += 1
-            params.add((gamma, beta, idx))
-            if collect:
-                sink(Code.from_indices(sp, members))
+        found += len(results)
+        params.update(r[:3] for r in results)
+        if collect:
+            for mask in _unpack(sp, [r[3] for r in results]):
+                sink(Code(sp, mask))
     return SearchSummary(c.n, c.q, found, frozenset(params), nodes)

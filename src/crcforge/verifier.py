@@ -14,6 +14,8 @@ fixes beta, the first non-codeword fixes gamma, and the first vertex whose
 count disagrees is the failure witness.  Only when some non-codeword has no
 neighbor in C does the layered path run, which grows each distance layer from
 the previous layer's count and so counts into every layer once.
+``certify_rho1`` applies the same single-pass rule to a stack of sets at once
+and answers only whether each one is a rho = 1 code, with its gamma and beta.
 """
 
 from __future__ import annotations
@@ -29,16 +31,20 @@ from .hamming import Clique, Code, Space
 def neighbor_counts(space: Space, indicator: np.ndarray) -> np.ndarray:
     """For every vertex, the number of its neighbors inside the indicated set.
 
-    Returns a flat array of dtype uint16 when n*q < 2**16 (a vertex's n line
-    sums then total at most n*q) and int64 otherwise.
+    ``indicator`` is one set, flat or in grid shape, or a stack of sets along
+    a leading axis.  Returns flat counts, shape (V,) or (L, V), of dtype
+    uint16 when n*q < 2**16 (a vertex's n line sums then total at most n*q)
+    and int64 otherwise.
     """
-    g = np.asarray(indicator, dtype=bool).reshape(space.shape)
+    g = np.asarray(indicator, dtype=bool)
+    lead = () if g.shape in ((space.size,), space.shape) else g.shape[:1]
+    g = g.reshape(lead + space.shape)
     dtype = np.uint16 if space.n * space.q < 2**16 else np.int64
-    tot = np.zeros(space.shape, dtype=dtype)
-    for ax in range(space.n):
+    tot = np.zeros(g.shape, dtype=dtype)
+    for ax in range(len(lead), g.ndim):
         tot += g.sum(axis=ax, keepdims=True, dtype=dtype)
     tot -= dtype(space.n) * g
-    return tot.reshape(space.size)
+    return tot.reshape(lead + (space.size,))
 
 
 @dataclass(frozen=True)
@@ -142,11 +148,15 @@ class CrcCertificate:
 
     @property
     def eigenvalue_index(self) -> Union[int, None]:
-        self._require_rho1()
-        s = self.gamma + self.beta
-        if s % self.q == 0 and 1 <= s // self.q <= self.n:
-            return s // self.q
-        return None
+        return rho1_eigenvalue_index(self.n, self.q, self.gamma, self.beta)
+
+
+def rho1_eigenvalue_index(n: int, q: int, gamma: int, beta: int) -> Union[int, None]:
+    """The integer i in 1..n with gamma + beta = q*i, or None."""
+    s = gamma + beta
+    if s % q == 0 and 1 <= s // q <= n:
+        return s // q
+    return None
 
 
 @dataclass(frozen=True)
@@ -166,6 +176,25 @@ class CrcFailure:
 
 
 CheckResult = Union[CrcCertificate, CrcFailure]
+
+
+def certify_rho1(space: Space, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched rho = 1 certifier for the rows of an (L, V) bool array.
+
+    Returns (gamma, beta, ok), one entry per row.  ``ok`` holds exactly when
+    ``check_crc`` of the row would certify covering radius 1, and then gamma
+    and beta are the certificate's; on other rows (including the empty and
+    the full set) they mean nothing.  One stacked ``neighbor_counts`` pass.
+    """
+    c = neighbor_counts(space, masks)
+    rows = np.arange(len(masks))
+    first_in = masks.argmax(axis=1)
+    first_out = masks.argmin(axis=1)
+    inner = c[rows, first_in]   # in-code neighbors of each row's first codeword
+    gamma = c[rows, first_out]  # ... and of its first non-codeword
+    ok = ((c == np.where(masks, inner[:, None], gamma[:, None])).all(axis=1)
+          & (gamma > 0) & masks[rows, first_in] & ~masks[rows, first_out])
+    return gamma, space.valency - inner, ok
 
 
 def check_crc(code: Code) -> CheckResult:

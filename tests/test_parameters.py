@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crcforge import parameters
 from crcforge.parameters import (ConditionOneWitness, check_condition1,
                                  eigenvalue, feasible, feasible_h3q, feasible_hnq,
                                  feasible_table, multiplicity, product_identity,
@@ -74,6 +75,7 @@ def test_solver_matches_product_identity_loop():
 
 
 def test_solver_memory_is_bounded_in_slabs():
+    parameters._identity_triples.cache_clear()  # measure the build, not a cache hit
     tracemalloc.start()
     try:
         assert solve_condition1(256, 1) == []
@@ -192,6 +194,14 @@ def test_feasible_table_lists_every_feasible_pair_in_order():
         expected = [(index, g, v) for index in table for g in range(1, q * index // 2 + 1)
                     if (v := feasible(n, q, g, index)).feasible]
         assert [(index, g, v) for index, row in table.items() for g, v in row] == expected
+
+
+def test_feasible_table_builds_the_identity_triples_once_per_q():
+    parameters._identity_triples.cache_clear()
+    for q in (30, 32):
+        feasible_table(3, q)
+        feasible_hnq(4, q, 1)
+    assert parameters._identity_triples.cache_info().misses == 2
 
 
 def test_h3q_brute_force_agreement_on_solver_regime():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from crcforge import search
 from crcforge.hamming import Space
 from crcforge.search import (SearchConstraints, SearchSummary, enumerate_crcs,
                              resolve_workers)
@@ -123,6 +124,30 @@ def test_emission_is_lexicographic_on_indicator(n, q, fix_zero, workers):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 4)])
+def test_small_leaf_batches_change_nothing(n, q, workers, monkeypatch):
+    # 7 leaves a batch puts chunk boundaries inside every task (forked workers
+    # inherit the patched constant)
+    def run():
+        collected = []
+        s = enumerate_crcs(SearchConstraints(n, q), sink=collected.append, workers=workers)
+        return s, [tuple(c.mask.astype(int)) for c in collected]
+
+    default = run()
+    monkeypatch.setattr(search, "LEAF_BATCH", 7)
+    sizes = []  # rows per certifier call, seen only in this process
+    certify = search.certify_rho1
+    monkeypatch.setattr(search, "certify_rho1",
+                        lambda sp, masks: sizes.append(len(masks)) or certify(sp, masks))
+    summary, keys = run()
+    assert (summary, keys) == default
+    assert len(keys) == summary.codes_found > 7 * 4
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    if workers == 1:
+        assert max(sizes) == 7 and sum(sizes) == summary.codes_found
+
+
 def test_repeat_runs_identical():
     a = enumerate_crcs(SearchConstraints(2, 3, gamma=2), workers=2)
     b = enumerate_crcs(SearchConstraints(2, 3, gamma=2), workers=2)
@@ -233,10 +258,14 @@ def test_gamma_only_constraint():
 def test_leaf_reverification_survives_python_O():
     # a leaf that fails re-verification must still raise with asserts stripped
     proc = run_optimized("""
+        import numpy as np
         from crcforge import search
         from crcforge.search import SearchConstraints, enumerate_crcs
         from crcforge.verifier import CrcFailure
 
+        zeros = lambda masks: np.zeros(len(masks), dtype=int)
+        search.certify_rho1 = lambda sp, masks: (zeros(masks), zeros(masks),
+                                                 zeros(masks).astype(bool))
         search.check_crc = lambda code: CrcFailure((0, 0), 0, 1, 2, 1)
         try:
             enumerate_crcs(SearchConstraints(2, 2), workers=1)

@@ -267,6 +267,87 @@ def test_neighbor_counts_dtype_boundary(q):
         assert (counts[~mask] == members).all()
 
 
+def test_stacked_neighbor_counts_equal_row_by_row():
+    for n, q in [(1, 5), (2, 2), (2, 4), (3, 4)]:
+        sp = Space(n, q)
+        rng = np.random.default_rng(n * 10 + q)
+        for rows in (1, 2, 7):
+            stack = rng.random((rows, sp.size)) < 0.4
+            want = np.stack([neighbor_counts(sp, m) for m in stack])
+            for shaped in (stack, stack.reshape((rows,) + sp.shape)):
+                got = neighbor_counts(sp, shaped)
+                assert got.shape == (rows, sp.size) and got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
+CERTIFY_SPACES = [(3, 4), (2, 3), (3, 2), (2, 5), (1, 4), (4, 3)]
+
+
+def crc_pool(sp):
+    """Rho = 1 codes of sp with their complements: unions of parallel
+    hyperfaces and, in H(3,q), every feasible build."""
+    coords = np.indices(sp.shape).reshape(sp.n, sp.size)
+    pool = [coords[j] < m for j in range(sp.n) for m in range(1, sp.q)]
+    if sp.n == 3:
+        pool += [build_feasible(q, gamma, index)[0].mask
+                 for q, gamma, index in h3q_table_entries(sp.q) if q == sp.q]
+    return pool + [~m for m in pool]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CERTIFY_SPACES), st.data())
+def test_certify_rho1_agrees_with_check_crc_row_by_row(nq, data):
+    sp = Space(*nq)
+    pool = crc_pool(sp)
+    member = st.integers(0, len(pool) - 1).map(lambda i: pool[i])
+
+    def flipped(args):
+        i, v = args
+        mask = pool[i].copy()
+        mask[v] = ~mask[v]
+        return mask
+
+    row = st.one_of(
+        member,
+        st.tuples(st.integers(0, len(pool) - 1), st.integers(0, sp.size - 1)).map(flipped),
+        st.tuples(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95)).map(
+            lambda a: np.random.default_rng(a[0]).random(sp.size) < a[1]),
+        st.sampled_from([np.zeros(sp.size, bool), np.ones(sp.size, bool)]))
+    masks = np.array(data.draw(st.lists(row, min_size=1, max_size=12)))
+    gamma, beta, ok = verifier.certify_rho1(sp, masks)
+    assert gamma.shape == beta.shape == ok.shape == (len(masks),)
+    for j, mask in enumerate(masks):
+        if not mask.any() or mask.all():
+            assert not ok[j]
+            continue
+        cert = check_crc(Code(sp, mask))
+        if ok[j]:
+            assert isinstance(cert, CrcCertificate) and cert.rho == 1
+            g, b = int(gamma[j]), int(beta[j])
+            assert (g, b, verifier.rho1_eigenvalue_index(sp.n, sp.q, g, b)) == (
+                cert.gamma, cert.beta, cert.eigenvalue_index)
+        else:
+            assert isinstance(cert, CrcFailure) or cert.rho != 1
+
+
+@pytest.mark.parametrize("nq", CERTIFY_SPACES)
+def test_certify_rho1_certifies_every_pool_code(nq):
+    # the pool the property test draws from is all rho = 1, stacked or one row at a time
+    sp = Space(*nq)
+    pool = np.array(crc_pool(sp))
+    gamma, beta, ok = verifier.certify_rho1(sp, pool)
+    assert ok.all()
+    for j, mask in enumerate(pool):
+        cert = check_crc(Code(sp, mask))
+        assert (int(gamma[j]), int(beta[j])) == (cert.gamma, cert.beta)
+        one = verifier.certify_rho1(sp, mask[None])
+        assert [int(a[0]) for a in one] == [gamma[j], beta[j], 1]
+    if sp.size == 64:
+        assert pool[:, 63].any()  # the top bit of a 64-vertex search mask
+    edge = np.array([np.zeros(sp.size, bool), np.ones(sp.size, bool), pool[0]])
+    assert verifier.certify_rho1(sp, edge)[2].tolist() == [False, False, True]
+
+
 def assert_same_check(code):
     """check_crc equals the three-pass reference field by field, types included."""
     got, want = check_crc(code), reference_check_crc(code)
