@@ -13,6 +13,8 @@ import os
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import constructions, parameters, search, structure, verifier
 from .codefile import CodeFileError, dumps_code, read_code, write_code
 from .hamming import Code
@@ -215,13 +217,13 @@ def cmd_analyze(args) -> int:
         if sp.n != 3:
             print("derivative classification needs n=3; skipped")
         else:
-            classes = structure.classify_all(code)
-            tally = {"zero": 0, "string": 0, "cross": 0, "unclassified": 0}
-            for c in classes.values():
-                tally[c.kind] += 1
-            print("derivatives: " + " ".join(f"{k}={v}" for k, v in tally.items()))
-            for key in sorted(k for k, c in classes.items() if c.kind == "unclassified"):
-                print(f"  unclassified: position {key[0]}, symbols {key[1]},{key[2]}")
+            kinds = structure.derivative_kinds(code)
+            # the diagonal u = v is no derivative of the code
+            tally = np.bincount(kinds[:, ~np.eye(sp.q, dtype=bool)].ravel(),
+                                minlength=len(structure.KINDS)).tolist()
+            print("derivatives: " + " ".join(f"{k}={v}" for k, v in zip(structure.KINDS, tally)))
+            for i, u, v in np.argwhere(kinds == structure.UNCLASSIFIED).tolist():
+                print(f"  unclassified: position {i + 1}, symbols {u},{v}")
 
     if args.cliques:
         if sp.n != 3:

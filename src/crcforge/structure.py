@@ -6,7 +6,11 @@ Two views of a code C in H(3,q):
   two restrictions gives a {-1,0,+1} function on the remaining q x q square.
   For well-behaved codes each derivative is zero, a "string" (depends on one
   coordinate, +1 on X, -1 on Y with |X| = |Y|), or a "cross" (+1 on
-  X x (A-Y), -1 on (A-X) x Y).
+  X x (A-Y), -1 on (A-X) x Y).  One kernel decides the shapes: it packs the
+  +1 and -1 cells of each row into 64-bit words and runs each test as a few
+  word operations per row, on whole slabs of derivatives at once.
+  ``classify`` and ``classify_all`` turn its verdicts into ``DerivativeClass``
+  objects; ``derivative_kinds`` returns only the kind codes, as one array.
 - Clique decompositions: when C is a disjoint union of maximal cliques, the
   partition is recovered, and if cliques of all three codirections occur the
   three bundles are projected to stochastic grid blocks whose sizes and
@@ -15,8 +19,9 @@ Two views of a code C in H(3,q):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -37,11 +42,17 @@ class DerivativeFunction:
     def __post_init__(self):
         if self.values.shape != (self.q, self.q):
             raise ValueError(f"derivative table shape {self.values.shape} != ({self.q},{self.q})")
+        if ((self.values != 0) & (self.values != 1) & (self.values != -1)).any():
+            raise ValueError("derivative table values must lie in {-1, 0, 1}")
+
+
+def _require_n3(code: Code) -> None:
+    if code.space.n != 3:
+        raise ValueError(f"derivatives are defined for n=3, got n={code.space.n}")
 
 
 def derivative(code: Code, i: int, u: int, v: int) -> DerivativeFunction:
-    if code.space.n != 3:
-        raise ValueError(f"derivatives are defined for n=3, got n={code.space.n}")
+    _require_n3(code)
     q = code.space.q
     if not 1 <= i <= 3:
         raise ValueError(f"position {i} out of 1..3")
@@ -65,32 +76,181 @@ class DerivativeClass:
     y: Union[frozenset, None] = None
 
 
+# The codes of ``derivative_kinds`` index this tuple.
+KINDS = ("zero", "string", "cross", "unclassified")
+ZERO, STRING, CROSS, UNCLASSIFIED = range(len(KINDS))
+
+# At most this many 64-bit words in one packed (word, u, v, row) array of the
+# kernel, so that its memory stays bounded at any q.
+_SLAB_WORDS = 1 << 16
+# set bits per byte value, to count the columns in a packed mask
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+def _pack(cells: np.ndarray) -> np.ndarray:
+    """A (..., q) bool array packed along its last axis into 64-bit words,
+    word index first: (W, ...) with W = ceil(q/64), and cell c is bit c % 64
+    of word c // 64."""
+    q = cells.shape[-1]
+    out = np.zeros(cells.shape[:-1] + (8 * -(-q // 64),), dtype=np.uint8)
+    out[..., :-(-q // 8)] = np.packbits(cells, axis=-1, bitorder="little")
+    return np.ascontiguousarray(np.moveaxis(out.view("<u8"), -1, 0))
+
+
+def _unpack(words: np.ndarray, q: int) -> np.ndarray:
+    """Inverse of ``_pack``: (W, ...) words to (..., q) bools."""
+    b = np.ascontiguousarray(np.moveaxis(words, 0, -1), dtype="<u8").view(np.uint8)
+    return np.unpackbits(b, axis=-1, bitorder="little")[..., :q].view(bool)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each (W, ...) packed mask."""
+    words = np.ascontiguousarray(words)
+    return _POPCOUNT8[words.view(np.uint8)].reshape(words.shape + (8,)).sum(axis=(0, -1))
+
+
+def _shapes(plus: np.ndarray, minus: np.ndarray,
+            full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classification kernel.  ``plus`` and ``minus`` mark the +1 and -1
+    cells of a stack of derivatives as (W, ..., q) words, entry [w, ..., r]
+    being word w of row r, and ``full`` is the packed all-ones row.  The tests are ``classify``'s, in its
+    order, each a few word operations per row; columns are read off the row
+    words by AND / OR over the rows.  Returns the KINDS codes and whether
+    each string depends on axis 2."""
+    full = full.reshape(full.shape + (1,) * (plus.ndim - 1))
+    plus_rows = functools.reduce(np.bitwise_or, plus) != 0
+    minus_rows = functools.reduce(np.bitwise_or, minus) != 0
+    full_plus_rows, full_minus_rows = (plus == full).all(axis=0), (minus == full).all(axis=0)
+    # axis 1: every row all +1, all -1 or empty, with as many all-(+1) rows
+    # as all-(-1) rows, and some of them
+    n_plus, n_minus = full_plus_rows.sum(axis=-1), full_minus_rows.sum(axis=-1)
+    string1 = ((full_plus_rows | full_minus_rows | ~(plus_rows | minus_rows)).all(axis=-1)
+               & (n_plus > 0) & (n_plus == n_minus))
+    # axis 2 likewise for the columns
+    full_plus_cols = np.bitwise_and.reduce(plus, axis=-1)
+    full_minus_cols = np.bitwise_and.reduce(minus, axis=-1)
+    minus_cols = np.bitwise_or.reduce(minus, axis=-1)
+    used_cols = np.bitwise_or.reduce(plus, axis=-1) | minus_cols
+    n_plus, n_minus = _popcount(full_plus_cols), _popcount(full_minus_cols)
+    string2 = (((full_plus_cols | full_minus_cols) == used_cols).all(axis=0)
+               & (n_plus > 0) & (n_plus == n_minus))
+    # cross: +1 exactly on X x (A-Y) and -1 on (A-X) x Y, with X the rows
+    # holding a +1 and Y the columns holding a -1
+    nx, ny = plus_rows.sum(axis=-1), _popcount(minus_cols)
+    zero = (nx == 0) & (ny == 0)
+    cross = nx == ny
+    if cross.any():
+        # A row's -1 cells lie in Y, and only X rows hold +1 cells.  So the
+        # rows are as required iff the nonzero cells of each row are A-Y on X
+        # and Y off X: (+1 or -1 cells) xor Y is all of A on X, else empty.
+        # This also bounds |X| by q - 1, as an X row needs a +1 off Y; |X| = 0
+        # is the zero derivative, decided first.
+        off = (plus | minus) ^ minus_cols[..., None] ^ (full * plus_rows)
+        cross &= ~off.any(axis=(0, -1))
+    kind = np.select([zero, string1 | string2, cross], [ZERO, STRING, CROSS],
+                     UNCLASSIFIED).astype(np.int8)
+    # a table constant along both axes is 0, +1 or -1 everywhere, no string
+    return kind, string2
+
+
+_ZERO = DerivativeClass("zero")
+_UNCLASSIFIED = DerivativeClass("unclassified")
+
+
+def _classes(plus: np.ndarray, minus: np.ndarray, full: np.ndarray,
+             sel: np.ndarray) -> list[DerivativeClass]:
+    """The ``DerivativeClass`` of each derivative that the boolean mask
+    ``sel`` selects from a kernel stack, in C order.  The +1 and -1 sets are
+    read off the packed words of the strings and crosses only: the rows
+    holding a +1 or a -1 for an axis-1 string, the columns for axis 2, and
+    the rows holding a +1 and columns holding a -1 for a cross."""
+    q = plus.shape[-1]
+    plus, minus = plus[:, sel], minus[:, sel]
+    kinds, axis2 = _shapes(plus, minus, full)
+    has_sets = (kinds == STRING) | (kinds == CROSS)
+    p, m = plus[:, has_sets], minus[:, has_sets]
+    a2, cross = axis2[has_sets][:, None], (kinds[has_sets] == CROSS)[:, None]
+    xs = np.where(a2, _unpack(np.bitwise_or.reduce(p, axis=-1), q),
+                  functools.reduce(np.bitwise_or, p) != 0)
+    ys = np.where(a2 | cross, _unpack(np.bitwise_or.reduce(m, axis=-1), q),
+                  functools.reduce(np.bitwise_or, m) != 0)
+    xs, ys = iter(_row_sets(xs)), iter(_row_sets(ys))
+    out = []
+    for k, a in zip(kinds.tolist(), axis2.tolist()):
+        if k == ZERO:
+            out.append(_ZERO)
+        elif k == STRING:
+            out.append(DerivativeClass("string", axis=2 if a else 1, x=next(xs), y=next(ys)))
+        elif k == CROSS:
+            out.append(DerivativeClass("cross", x=next(xs), y=next(ys)))
+        else:
+            out.append(_UNCLASSIFIED)
+    return out
+
+
+def _row_sets(sel: np.ndarray) -> list[frozenset]:
+    """The column indices set in each row of an (N, q) bool array."""
+    rows, cols = np.nonzero(sel)
+    cols = cols.tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=sel.shape[0])).tolist()
+    return [frozenset(cols[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _derivative_slabs(code: Code) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The derivatives (i, u, v) with u < v as packed kernel input, a slab of
+    u at a time.  Yields (i, a, plus, minus) where the (W, k, q - a, q) words
+    cover u in [a, a + k) and v in [a, q); k keeps each array under
+    _SLAB_WORDS words."""
+    q = code.space.q
+    step = max(1, _SLAB_WORDS // (q * q * -(-q // 64)))
+    for i in (1, 2, 3):
+        # rows[:, u] is the restriction to symbol u in position i, packed by row
+        rows = _pack(np.moveaxis(code.grid, i - 1, 0))
+        nots = ~rows
+        for a in range(0, q - 1, step):
+            b = min(a + step, q - 1)
+            yield (i, a, rows[:, a:b, None] & nots[:, None, a:],
+                   rows[:, None, a:] & nots[:, a:b, None])
+
+
 def classify(f: DerivativeFunction) -> DerivativeClass:
     """Try zero, then strings along each axis, then cross, else unclassified."""
-    return _classify_stack(f.values[None])[0]
+    v, full = f.values, _pack(np.ones(f.q, dtype=bool))
+    return _classes(_pack(v == 1)[:, None], _pack(v == -1)[:, None], full, np.ones(1, dtype=bool))[0]
+
+
+def derivative_kinds(code: Code) -> np.ndarray:
+    """The kind of every derivative, as a (3, q, q) int8 array: entry
+    [i - 1, u, v] indexes KINDS for the derivative (i, u, v).  The diagonal
+    u = v is the zero function.  Builds no per-derivative objects."""
+    _require_n3(code)
+    q = code.space.q
+    full = _pack(np.ones(q, dtype=bool))
+    out = np.zeros((3, q, q), dtype=np.int8)
+    for i, a, plus, minus in _derivative_slabs(code):
+        kind, _ = _shapes(plus, minus, full)
+        # -f has the kind of f, so (i, v, u) mirrors (i, u, v)
+        out[i - 1, a:a + len(kind), a:] = kind
+        out[i - 1, a:, a:a + len(kind)] = kind.T
+    return out
 
 
 def classify_all(code: Code) -> dict[tuple[int, int, int], DerivativeClass]:
     """Classification of every derivative (i, u, v) with u != v."""
-    if code.space.n != 3:
-        raise ValueError(f"derivatives are defined for n=3, got n={code.space.n}")
-    out = {}
+    _require_n3(code)
     q = code.space.q
+    full = _pack(np.ones(q, dtype=bool))
     symbols = frozenset(range(q))
-    for i in (1, 2, 3):
-        # s[u] is the restriction to symbol u in position i, so s[u] - s[u+1:]
-        # stacks the derivatives (i, u, v) for v > u; (i, v, u) is its negation
-        s = np.ascontiguousarray(np.moveaxis(code.grid, i - 1, 0), dtype=np.int8)
-        table = [[None] * q for _ in range(q)]
-        for u in range(q - 1):
-            for v, c in enumerate(_classify_stack(s[u] - s[u + 1:]), start=u + 1):
-                table[u][v] = c
-                table[v][u] = _negated(c, symbols)
-        for u, row in enumerate(table):
-            for v, c in enumerate(row):
-                if v != u:
-                    out[(i, u, v)] = c
-    return out
+    table = {}
+    for i, a, plus, minus in _derivative_slabs(code):
+        upper = np.arange(a, a + plus.shape[1])[:, None] < np.arange(a, q)[None, :]
+        us, vs = np.nonzero(upper)
+        classes = _classes(plus, minus, full, upper)
+        for u, v, c in zip((us + a).tolist(), (vs + a).tolist(), classes):
+            table[(i, u, v)] = c
+            table[(i, v, u)] = _negated(c, symbols)
+    return {(i, u, v): table[(i, u, v)]
+            for i in (1, 2, 3) for u in range(q) for v in range(q) if u != v}
 
 
 def _negated(c: DerivativeClass, symbols: frozenset) -> DerivativeClass:
@@ -102,63 +262,6 @@ def _negated(c: DerivativeClass, symbols: frozenset) -> DerivativeClass:
     if c.kind == "cross":
         return DerivativeClass("cross", x=symbols - c.x, y=symbols - c.y)
     return c
-
-
-_ZERO = DerivativeClass("zero")
-_UNCLASSIFIED = DerivativeClass("unclassified")
-
-
-def _classify_stack(d: np.ndarray) -> list[DerivativeClass]:
-    """``classify`` of each (q, q) table in a (k, q, q) int8 stack: the same
-    tests in the same order, decided for the whole stack at once."""
-    q = d.shape[1]
-    nonzero = d.any(axis=(1, 2))
-    # axis 1: every row constant, so the value is a function of the row
-    # (first remaining coordinate) given by column 0; axis 2 likewise
-    line1, line2 = d[:, :, 0], d[:, 0, :]
-    string1 = (d == line1[:, :, None]).all(axis=(1, 2)) & _balanced(line1)
-    string2 = ~string1 & (d == line2[:, None, :]).all(axis=(1, 2)) & _balanced(line2)
-    # cross: +1 exactly on X x (A-Y) and -1 on (A-X) x Y, i.e. d[r, c] = X[r] - Y[c]
-    # with X the rows holding a +1 and Y the columns holding a -1
-    rows_x, cols_y = (d == 1).any(axis=2), (d == -1).any(axis=1)
-    nx, ny = rows_x.sum(axis=1), cols_y.sum(axis=1)
-    cross = ~string1 & ~string2 & (nx > 0) & (nx == ny) & (nx < q)
-    if cross.any():
-        expected = rows_x[:, :, None].view(np.int8) - cols_y[:, None, :].view(np.int8)
-        cross &= (d == expected).all(axis=(1, 2))
-    # the +1 and -1 sets of each string or cross, as index lists
-    plus = np.where(string1[:, None], line1 == 1,
-                    np.where(string2[:, None], line2 == 1, rows_x))
-    minus = np.where(string1[:, None], line1 == -1,
-                     np.where(string2[:, None], line2 == -1, cols_y))
-    xs, ys = _index_lists(plus), _index_lists(minus)
-    out = []
-    for k, (nz, s1, s2, c) in enumerate(zip(nonzero.tolist(), string1.tolist(),
-                                             string2.tolist(), cross.tolist())):
-        if not nz:
-            out.append(_ZERO)
-        elif s1 or s2:
-            out.append(DerivativeClass("string", axis=1 if s1 else 2,
-                                       x=frozenset(xs[k]), y=frozenset(ys[k])))
-        elif c:
-            out.append(DerivativeClass("cross", x=frozenset(xs[k]), y=frozenset(ys[k])))
-        else:
-            out.append(_UNCLASSIFIED)
-    return out
-
-
-def _balanced(line: np.ndarray) -> np.ndarray:
-    """Per row of a (k, q) stack: some +1, some -1, and as many of each."""
-    plus, minus = (line == 1).sum(axis=1), (line == -1).sum(axis=1)
-    return (plus > 0) & (plus == minus)
-
-
-def _index_lists(sel: np.ndarray) -> list[list[int]]:
-    """Row-wise ``flatnonzero`` of a (k, q) boolean array, from one pass."""
-    rows, cols = np.nonzero(sel)
-    cols = cols.tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=sel.shape[0])).tolist()
-    return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def full_cliques(code: Code) -> list[Clique]:

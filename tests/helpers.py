@@ -158,6 +158,23 @@ def h3q_table_entries(q_max: int) -> list[tuple[int, int, int]]:
             for index, row in feasible_table(3, q).items() for gamma, _ in row]
 
 
+def spectral_support(code: Code) -> set[int]:
+    """The character weights on which the centred indicator of the code has
+    energy above 1e-9.  The characters of Z_q^n are indexed by frequency
+    vectors, and the weight of one is its number of nonzero coordinates; the
+    energy of a weight is the summed |FFT|^2 / q^n over its frequencies.  A
+    rho = 1 completely regular code lives on exactly one weight, its
+    eigenvalue index: an oracle independent of line-sum counting."""
+    sp = code.space
+    f = code.grid.astype(float)
+    f -= f.mean()
+    energy = np.abs(np.fft.fftn(f)) ** 2 / sp.size
+    nonzero = (np.arange(sp.q) != 0).astype(int)
+    weight = sum(np.ix_(*[nonzero] * sp.n))
+    per_weight = np.bincount(np.ravel(weight), weights=energy.ravel(), minlength=sp.n + 1)
+    return {w for w, e in enumerate(per_weight.tolist()) if e > 1e-9}
+
+
 def code_of(sp: Space, codewords) -> Code:
     return Code.from_vertices(sp, codewords)
 

@@ -1,5 +1,6 @@
 """Command-line interface and the JSON code-file format."""
 
+import hashlib
 import io
 import json
 
@@ -311,6 +312,51 @@ def test_analyze_is_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     run(["analyze", str(path), "--derivatives", "--cliques"])
     assert capsys.readouterr().out == first
+
+
+# The derivative section of ``analyze --derivatives`` (tally line, then the
+# unclassified lines), pinned from the per-derivative classifier it replaced.
+# Each unclassified list is given literally or as (count, first, last, sha256
+# of the lines joined with newlines).
+INDEX1_6_2_UNCLASSIFIED = [f"  unclassified: position 1, symbols {u},{v}" for u, v in (
+    (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+    (2, 0), (2, 1), (3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (5, 1))]
+PINNED_DERIVATIVES = [
+    (["index1", "--q", "6", "--m", "2"],
+     "derivatives: zero=74 string=0 cross=0 unclassified=16", INDEX1_6_2_UNCLASSIFIED),
+    (["d", "--q", "8", "--witness", "2,4,6,2,3,2"],
+     "derivatives: zero=36 string=52 cross=80 unclassified=0", []),
+    (["b", "--q", "8", "--variant", "2"],
+     "derivatives: zero=104 string=64 cross=0 unclassified=0", []),
+    # build_c(66, 34) with vertex (5, 64, 40) flipped: rows span two words
+    ("flip66", "derivatives: zero=3970 string=2178 cross=6332 unclassified=390",
+     (390, "  unclassified: position 1, symbols 0,5", "  unclassified: position 3, symbols 65,40",
+      "71e98ec35e98fddc53089f3bb09764c708e7fa8297e73d6d74c7517a973a5f79")),
+]
+
+
+@pytest.mark.parametrize("source, tally, unclassified", PINNED_DERIVATIVES)
+def test_analyze_derivatives_text_is_pinned(tmp_path, capsys, source, tally, unclassified):
+    path = tmp_path / "code.json"
+    if source == "flip66":
+        code = build_c(66, 34)
+        mask = code.mask.copy()
+        mask[code.space.index((5, 64, 40))] ^= True
+        write_code(Code(code.space, mask), str(path))
+    else:
+        run(["construct", *source, "-o", str(path)])
+    capsys.readouterr()
+    assert run(["analyze", str(path), "--derivatives"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index(tally)
+    got = lines[start + 1:]
+    assert all(line.startswith("  unclassified: ") for line in got)
+    if isinstance(unclassified, list):
+        assert got == unclassified
+    else:
+        count, first, last, sha = unclassified
+        assert (len(got), got[0], got[-1]) == (count, first, last)
+        assert hashlib.sha256("\n".join(got).encode()).hexdigest() == sha
 
 
 def test_analyze_non_crc_and_profiles(tmp_path, capsys):

@@ -9,7 +9,7 @@ from crcforge.search import (SearchConstraints, SearchSummary, enumerate_crcs,
 from crcforge.verifier import CrcCertificate, check_crc
 
 from helpers import (Hyperface, all_vertex_subsets, brute_crc1_params, code_of,
-                     hyperface_vertices, run_optimized)
+                     hyperface_vertices, run_optimized, spectral_support)
 
 
 def brute_census(sp):
@@ -122,6 +122,17 @@ def test_emission_is_lexicographic_on_indicator(n, q, fix_zero, workers):
     keys = [tuple(c.mask.astype(int)) for c in collected]
     assert len(keys) == s.codes_found > 0
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 4), (4, 2)])
+def test_emissions_live_on_one_character_weight(n, q):
+    # the spectral oracle agrees with the certified eigenvalue index of every
+    # code the search reports
+    collected = []
+    s = enumerate_crcs(SearchConstraints(n, q), sink=collected.append, workers=1)
+    assert len(collected) == s.codes_found > 0
+    for code in collected:
+        assert spectral_support(code) == {check_crc(code).eigenvalue_index}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

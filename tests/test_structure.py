@@ -1,5 +1,7 @@
 """Derivative classification and clique decompositions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from crcforge.constructions import (build_a, build_b, build_c, build_d, build_fe
                                     build_index1)
 from crcforge.hamming import Clique, Code, Space
 from crcforge.parameters import ConditionOneWitness, solve_condition1
-from crcforge.structure import (CliqueCoverFailure, CliqueDecomposition,
+from crcforge.structure import (KINDS, CliqueCoverFailure, CliqueDecomposition,
                                 DerivativeFunction, classify, classify_all,
-                                clique_cover, derivative,
+                                clique_cover, derivative, derivative_kinds,
                                 extract_construction_d, full_cliques)
 from crcforge.verifier import check_crc
 
@@ -101,6 +103,108 @@ def test_classify_cross():
     # overlapping x and y rows: a valid cross with x ∩ y nonempty
     f2 = DerivativeFunction(4, cross_values(4, {0, 1}, {1, 2}))
     assert classify(f2).kind == "cross"
+
+
+# one and two 64-bit words per packed row, and the edges of each
+TABLE_QS = (2, 3, 5, 8, 63, 64, 65, 70)
+TABLE_SHAPES = ("random", "string1", "string2", "cross", "plus", "minus")
+
+
+def shaped_table(q, shape, seed, balanced=True, flip=False):
+    """A {-1, 0, 1} table: uniformly random, a string along an axis, a cross
+    (+1/-1 sets of equal size when balanced, else of different sizes where q
+    allows), or a constant; with one cell changed to another value on flip."""
+    rng = np.random.default_rng(seed)
+    if shape == "random":
+        vals = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=(q, q),
+                          p=rng.dirichlet([1, 1, 1]))
+    elif shape in ("plus", "minus"):
+        vals = np.full((q, q), 1 if shape == "plus" else -1, dtype=np.int8)
+    elif shape == "cross":
+        nx = int(rng.integers(1, q)) if q > 1 else 1
+        ny = nx if balanced or q == 2 else int(rng.choice([k for k in range(1, q) if k != nx]))
+        vals = cross_values(q, set(rng.permutation(q)[:nx].tolist()),
+                            set(rng.permutation(q)[:ny].tolist()))
+    else:
+        nx = int(rng.integers(1, q // 2 + 1))
+        ny = nx if balanced else int(rng.choice([k for k in range(0, q - nx + 1) if k != nx]))
+        order = rng.permutation(q).tolist()
+        vals = string_values(q, 1 if shape == "string1" else 2,
+                             set(order[:nx]), set(order[nx:nx + ny]))
+    if flip:
+        r, c = rng.integers(0, q, size=2)
+        vals[r, c] = (vals[r, c] + 1 + int(rng.integers(0, 2)) + 1) % 3 - 1
+    return DerivativeFunction(q, vals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TABLE_QS), st.sampled_from(TABLE_SHAPES), st.integers(0, 2**32 - 1),
+       st.booleans(), st.booleans())
+def test_classify_matches_reference_on_tables(q, shape, seed, balanced, flip):
+    f = shaped_table(q, shape, seed, balanced, flip)
+    assert classify(f) == reference_classify(f)
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_classify_shapes_at_one_and_two_words(q):
+    seen = set()
+    for shape in TABLE_SHAPES:
+        for seed in range(4):
+            for balanced in (True, False):
+                for flip in (False, True):
+                    f = shaped_table(q, shape, seed, balanced, flip)
+                    got = classify(f)
+                    assert got == reference_classify(f), (shape, seed, balanced, flip)
+                    seen.add(got.kind)
+                    if balanced and not flip and shape != "random":
+                        want = {"cross": "cross", "plus": "unclassified",
+                                "minus": "unclassified"}.get(shape, "string")
+                        assert got.kind == want, (shape, seed)
+    assert seen >= {"string", "cross", "unclassified"}
+
+
+def test_derivative_function_rejects_values_outside_signs():
+    with pytest.raises(ValueError):
+        DerivativeFunction(3, np.full((3, 3), 2, dtype=np.int8))
+    with pytest.raises(ValueError):
+        DerivativeFunction(3, np.zeros((2, 3), dtype=np.int8))
+
+
+def assert_kinds_match_classify_all(code):
+    q = code.space.q
+    kinds = derivative_kinds(code)
+    assert kinds.shape == (3, q, q) and kinds.dtype == np.int8
+    assert not kinds[:, np.arange(q), np.arange(q)].any()   # u = v is the zero function
+    got = {(i + 1, u, v): KINDS[k] for (i, u, v), k in np.ndenumerate(kinds) if u != v}
+    assert got == {key: c.kind for key, c in classify_all(code).items()}
+    return set(got.values())
+
+
+def test_derivative_kinds_match_classify_all():
+    codes = [build_feasible(q, gamma, index)[0] for q, gamma, index in h3q_table_entries(8)]
+    kinds = set()
+    for code in codes:
+        kinds |= assert_kinds_match_classify_all(code)
+        for v in np.unique(np.linspace(0, code.space.size - 1, 4).astype(int)):
+            mask = code.mask.copy()
+            mask[v] = not mask[v]
+            kinds |= assert_kinds_match_classify_all(Code(code.space, mask))
+    assert kinds == set(KINDS)
+    # two 64-bit words per row
+    assert assert_kinds_match_classify_all(build_c(66, 34)) == {"zero", "string", "cross"}
+    assert assert_kinds_match_classify_all(build_index1(66, 33)) == {"zero", "unclassified"}
+
+
+def test_derivative_kinds_memory_is_bounded_in_slabs():
+    code = build_c(128, 65)
+    tracemalloc.start()
+    try:
+        kinds = derivative_kinds(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not (kinds == KINDS.index("unclassified")).any()
+    assert peak < 8 * 2 ** 20
 
 
 def test_classify_all_counts_and_flagship():

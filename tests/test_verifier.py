@@ -16,7 +16,8 @@ from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                reduce_code)
 
 from helpers import (SMALL_SPACES, all_cliques, brute_count_in, brute_crc1_params,
-                     brute_layer_sizes, code_of, h3q_table_entries, reference_check_crc)
+                     brute_layer_sizes, code_of, h3q_table_entries, reference_check_crc,
+                     spectral_support)
 
 
 def test_neighbor_counts_matches_brute_force():
@@ -384,6 +385,25 @@ def test_check_crc_matches_reference_on_feasible_codes_and_flips():
                 kinds.add((type(res).__name__, getattr(res, "class_index", None)))
     # failures at codewords and at non-codewords, plus the H(3,2) singleton (rho 3)
     assert {("CrcFailure", 0), ("CrcFailure", 1), ("CrcCertificate", None)} <= kinds
+
+
+def test_spectral_support_is_the_eigenvalue_index():
+    # every build_feasible code of H(3,q<=8) lives on one character weight,
+    # its eigenvalue index; a one-vertex flip that check_crc rejects does not
+    rejected = 0
+    for q, gamma, index in h3q_table_entries(8):
+        code = build_feasible(q, gamma, index)[0]
+        assert spectral_support(code) == {check_crc(code).eigenvalue_index} == {index}
+        for v in np.unique(np.linspace(0, code.space.size - 1, 8).astype(int)):
+            mask = code.mask.copy()
+            mask[v] = not mask[v]
+            if not mask.any() or mask.all():
+                continue
+            res = check_crc(Code(code.space, mask))
+            if isinstance(res, CrcFailure) or res.rho != 1:
+                rejected += 1
+                assert len(spectral_support(Code(code.space, mask))) > 1
+    assert rejected > 100
 
 
 def test_check_crc_matches_reference_for_covering_radius_above_one(monkeypatch):
