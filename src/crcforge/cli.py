@@ -258,7 +258,10 @@ def cmd_search(args) -> int:
     for g, b, i in sorted(summary.parameter_sets):
         print(f"  gamma={g} beta={b} index={i}")
     if args.emit and emitted:
-        os.makedirs(args.emit, exist_ok=True)
+        try:
+            os.makedirs(args.emit, exist_ok=True)
+        except OSError as e:
+            raise CodeFileError(f"cannot write {args.emit}: {e}") from e
         width = max(4, len(str(len(emitted) - 1)))
         index_lines = []
         for k, code in enumerate(emitted):

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crcforge.cli import build_parser, certificate_dict, run
-from crcforge.codefile import CodeFileError, dumps_code, read_code, write_code
-from crcforge.constructions import (ConstructionSpec, build_a, build_c, build_from_spec,
+from crcforge.codefile import CodeFileError, _read_rows, _rows, dumps_code, read_code, write_code
+from crcforge.constructions import (ConstructionSpec, build_a, build_b, build_c, build_from_spec,
                                     spec_for_witness)
 from crcforge.hamming import Code, Space
 from crcforge.parameters import ConditionOneWitness
@@ -96,6 +98,8 @@ def test_read_code_rejects_malformed():
         good.replace("[0, 0, 0]", "[0, -1, 0]", 1),
         good.replace("[0, 0, 0]", f"[0, {2**70}, 0]", 1),
         good.replace("[0, 0, 0]", f"[0, {-2**70}, 0]", 1),
+        good.replace("[0, 0, 0]", "[07, 0, 0]", 1),  # a leading zero is no JSON
+        good.replace('"q": 4', '"q": 04'),
         json.dumps({**json.loads(good), "codewords": 5}),
         good.replace('"meta": {}', '"meta": []'),
     ]
@@ -118,6 +122,137 @@ def test_read_code_rejects_malformed():
     for text in (one.replace('"n": 1', '"n": true'),
                  word.replace("[0, 0, 1]", "[true, false, 0]")):
         assert_rejected_like_reference(text)
+
+
+def read_canonically(text):
+    """read_code(text), asserting that json.loads never sees the whole text:
+    a file in the writer's layout is decoded from its bytes."""
+    seen = []
+    loads = json.loads
+
+    def spy(s, *args, **kwargs):
+        seen.append(s)
+        return loads(s, *args, **kwargs)
+
+    with mock.patch.object(json, "loads", spy):
+        got = read_code(io.StringIO(text))
+    assert text not in seen
+    return got
+
+
+TRICKY_META = {"note": "caf\u00e9 \u2713 \U0001f600", "nested": [[1, [2, []]], {"a": {"b": [{}]}}],
+               "s": '"],\n  "meta": {"x": [1, 2]}\n}\n', "\u00e9": None}
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL_SPACES, st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+       st.sampled_from([None, {"seed": 1}, TRICKY_META]))
+@example((3, 4), 0, 0.0, None)      # empty code
+@example((2, 16), 0, 1.0, None)     # full space, two-digit symbols
+@example((1, 256), 1, 0.5, None)    # n = 1
+@example((2, 11), 2, 0.5, None)
+@example((3, 10), 3, 0.5, None)     # one-digit symbols up to 9
+@example((3, 11), 4, 0.5, None)     # two digits from 10
+@example((2, 100), 5, 0.2, None)    # two digits up to 99
+@example((2, 101), 6, 0.2, TRICKY_META)  # three digits from 100
+def test_dumps_output_is_read_from_its_bytes(nq, seed, density, meta):
+    sp = Space(*nq)
+    code = Code(sp, np.random.default_rng(seed).random(sp.size) < density)
+    text = dumps_code(code, meta)
+    assert text == reference_dumps_code(code, meta)
+    assert read_canonically(text) == reference_read_code(io.StringIO(text)) == (code, meta or {})
+
+
+def test_seven_digit_symbols_are_read_from_their_bytes():
+    sp = Space(1, 10**6 + 1)  # w = 7
+    code = Code.from_vertices(sp, [(0,), (9,), (10,), (99999,), (999999,), (10**6,)])
+    text = dumps_code(code, TRICKY_META)
+    assert text == reference_dumps_code(code, TRICKY_META)
+    assert read_canonically(text) == (code, TRICKY_META)
+    # a meta in unescaped UTF-8 is no writer output, but still JSON on its own
+    raw = text[:text.index('"meta": ')] + '"meta": {"note": "caf\u00e9 \u2713", "n": [[]]}\n}\n'
+    assert read_canonically(raw) == reference_read_code(io.StringIO(raw))
+    assert read_canonically(raw)[1] == {"note": "caf\u00e9 \u2713", "n": [[]]}
+
+
+def test_rows_round_trip_symbols_beyond_int32():
+    # Space admits H(1, q) up to q = 2^32, too large to build a code of here;
+    # its symbols need int64 cells both ways
+    syms = np.array([[0], [9], [2**31 - 1], [2**31], [2**32 - 1]], dtype=np.int64)
+    block = _rows(syms, 2**32).tobytes()
+    assert block.decode() == ",\n".join("    " + json.dumps(row) for row in syms.tolist())
+    assert np.array_equal(_read_rows(block, 1, 2**32), syms)
+    assert _read_rows(block, 1, 2**32 - 1) is None  # 2^32 - 1 is out of range
+
+
+def read_outcome(reader, text):
+    try:
+        return reader(io.StringIO(text))
+    except CodeFileError as e:
+        return str(e)
+
+
+def test_other_layouts_read_like_reference():
+    # valid JSON outside the writer's layout takes the general path and
+    # reads to exactly what the reference reads, value or error
+    codes = [(build_a(4, 2), {"k": [1, 2]}), (Code.from_vertices(Space(2, 11), [(10, 3), (0, 10)]), {}),
+             (Code(Space(3, 3), np.zeros(27, bool)), TRICKY_META)]
+    texts = []
+    for code, meta in codes:
+        good = dumps_code(code, meta)
+        obj = json.loads(good)
+        texts += [
+            json.dumps(obj),                          # compact
+            json.dumps(obj, indent=2),
+            good.replace("\n", "\r\n"),
+            good[:-1],                                # no final newline
+            good + "x",                               # data after the object
+            good.replace("\n    [", "\n    [ ", 1),  # a space inside the first row
+            json.dumps(dict(reversed(list(obj.items()))), indent=2),
+            good.replace('\n  "meta": ', '\n  "meta": {"first": 1},\n  "meta": '),
+            good.replace('\n  "meta": ', '\n  "meta": 5,\n  "meta": '),
+            good.replace("\n}\n", ',\n  "meta": []\n}\n'),
+        ]
+    for text in texts:
+        want = read_outcome(reference_read_code, text)
+        assert read_outcome(read_code, text) == want, text[:80]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(1, 5), (2, 3), (2, 10), (2, 11), (3, 4), (1, 101)]),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.sampled_from([None, TRICKY_META]),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from(["", *'0123456789 ,[]\n"{}-.e']),
+                          st.booleans()), min_size=1, max_size=3))
+def test_edited_files_read_like_reference(nq, seed, density, meta, edits):
+    # a file one to three characters away from the writer's output reads to
+    # exactly the reference's value or error message
+    sp = Space(*nq)
+    text = dumps_code(Code(sp, np.random.default_rng(seed).random(sp.size) < density), meta)
+    for at, char, replace in edits:  # insert, or replace (delete for "")
+        i = int(at * (len(text) - 1))
+        text = text[:i] + char + text[i + replace:]
+    assert read_outcome(read_code, text) == read_outcome(reference_read_code, text)
+
+
+def test_codec_memory_is_bounded():
+    # tracemalloc peaks on a 55,296-codeword file; the general path peaks at
+    # 11.44 MiB to read (with the StringIO) and 4.75 MiB to write
+    code = build_b(48, 2)
+    text = dumps_code(code)
+
+    def peak(f):
+        tracemalloc.start()
+        try:
+            out = f()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (back, _), read_peak = peak(lambda: read_code(io.StringIO(text)))
+    written, write_peak = peak(lambda: dumps_code(code))
+    assert back == code and written == text
+    assert read_peak < 11.4 * 2**20
+    assert write_peak < 4.7 * 2**20
 
 
 # ---------------------------------------------------------------- construct
@@ -164,6 +299,21 @@ def test_construct_errors(capsys):
     assert run(["construct", "d", "--q", "8", "--witness", "a,b,c,d,e,f"]) == 2
     assert run(["construct", "d", "--q", "8", "--witness", "1,1,1,1,1,1"]) == 2
     capsys.readouterr()
+
+
+def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    out = blocker / "c.json"
+    assert run(["construct", "c", "--q", "6", "--t", "5", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert run(["search", "--n", "2", "--q", "2", "--emit", str(blocker / "found"),
+                "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocker / 'found'}: ") and err.count("\n") == 1
+    with pytest.raises(CodeFileError, match="cannot write"):
+        write_code(build_a(4, 2), str(out))
 
 
 @pytest.mark.parametrize("argv, spec", [

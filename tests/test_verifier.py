@@ -329,6 +329,9 @@ def test_certify_rho1_agrees_with_check_crc_row_by_row(nq, data):
                 cert.gamma, cert.beta, cert.eigenvalue_index)
         else:
             assert isinstance(cert, CrcFailure) or cert.rho != 1
+        # the spectral oracle: one character weight iff rho = 1 completely regular
+        is_rho1 = isinstance(cert, CrcCertificate) and cert.rho == 1
+        assert (len(spectral_support(Code(sp, mask))) == 1) == is_rho1
 
 
 @pytest.mark.parametrize("nq", CERTIFY_SPACES)
@@ -388,10 +391,10 @@ def test_check_crc_matches_reference_on_feasible_codes_and_flips():
 
 
 def test_spectral_support_is_the_eigenvalue_index():
-    # every build_feasible code of H(3,q<=8) lives on one character weight,
+    # every build_feasible code of H(3,q<=12) lives on one character weight,
     # its eigenvalue index; a one-vertex flip that check_crc rejects does not
     rejected = 0
-    for q, gamma, index in h3q_table_entries(8):
+    for q, gamma, index in h3q_table_entries(12):
         code = build_feasible(q, gamma, index)[0]
         assert spectral_support(code) == {check_crc(code).eigenvalue_index} == {index}
         for v in np.unique(np.linspace(0, code.space.size - 1, 8).astype(int)):
