@@ -32,7 +32,9 @@ class Space:
     def __post_init__(self) -> None:
         if self.n < 1 or self.q < 2:
             raise ValueError(f"invalid dimensions: need n >= 1 and q >= 2, got n={self.n} q={self.q}")
-        if self.q ** self.n > SPACE_CAP:
+        # q >= 2, so n beyond the cap's bit length is too large: decided
+        # before the power, which a huge n would take long to compute
+        if self.n > SPACE_CAP.bit_length() or self.q ** self.n > SPACE_CAP:
             raise ValueError(f"space too large: q^n = {self.q}^{self.n} exceeds cap {SPACE_CAP}")
 
     @property

@@ -38,6 +38,17 @@ LEAF_BATCH, in emission order: one stacked neighbor count certifies a whole
 batch, and the first bad leaf raises with check_crc's witness.  Work splits
 across processes at the top two decision levels; the summary (codes,
 parameter sets, node count) does not depend on the worker count.
+
+Complementing a (gamma, beta, i) code gives a (beta, gamma, i) code, and
+flipping every decision maps the search tree onto itself node for node
+whenever the constraints admit both codes and vertex 0 is free: gamma open,
+or gamma = beta fixed with the index, and no fix_first_codeword.  Such a
+search solves only the two top-level tasks with vertex 0 out.  The tasks
+with vertex 0 in are their mirrors: their leaves are the complements of the
+solved leaves, in reverse order, since complementing reverses the
+lexicographic order.  Each mirrored leaf is certified as well, by line-sum
+counting of the complement batch, before it is reported.  The node count
+still counts the whole tree, mirrored half included.
 """
 
 from __future__ import annotations
@@ -110,13 +121,15 @@ def _unpack(sp: Space, masks: list[int]) -> np.ndarray:
     return bits[:, :sp.size].view(bool)
 
 
-def _solve_subtree(args) -> tuple[int, list]:
+def _solve_subtree(args) -> tuple[int, list, list]:
     """Run the DFS below one prefix of forced assignments.
 
-    Returns (nodes visited, results), each result being
-    (gamma, beta, index, IN bitmask) in emission order.
+    Returns (nodes visited, results, mirrored), each result being
+    (gamma, beta, index, IN bitmask) in emission order.  With ``mirror`` set,
+    ``mirrored`` holds the certified complement of every result, in the same
+    order; otherwise it is empty.
     """
-    n, q, gamma_t, index_t, fix_zero, prefix = args
+    n, q, gamma_t, index_t, fix_zero, prefix, mirror = args
     sp = Space(n, q)
     V, k = sp.size, sp.valency
     full = (1 << V) - 1
@@ -137,11 +150,11 @@ def _solve_subtree(args) -> tuple[int, list]:
         qi = q * index_t
         num = V * gamma_t
         if num % qi:
-            return 0, []  # code size q^n*gamma/(q*i) not an integer
+            return 0, [], []  # code size q^n*gamma/(q*i) not an integer
         size_t = num // qi
         if index_t >= 2:
             if size_t % q:
-                return 0, []  # balanced hyperfaces impossible
+                return 0, [], []  # balanced hyperfaces impossible
             face_t = size_t // q
             faces = [sum(1 << vi for vi in range(V) if vi // stride % q == s)
                      for stride in strides for s in range(q)]
@@ -149,6 +162,7 @@ def _solve_subtree(args) -> tuple[int, list]:
 
     nodes = 0
     results: list = []
+    mirrored: list = []
     pending: list[int] = []  # leaves not yet re-verified, in emission order
 
     def propagate(IN: int, OUT: int, box: list, new: int):
@@ -231,9 +245,18 @@ def _solve_subtree(args) -> tuple[int, list]:
             verify_pending()
 
     def verify_pending() -> None:
-        """Re-verify the pending leaves by line-sum counting, in emission
-        order, and move them to results; raise on the first bad one."""
+        """Re-verify the pending leaves, in emission order, and move them to
+        results, and their complements to mirrored when mirroring; raise on
+        the first bad one."""
         masks = _unpack(sp, pending)
+        certify(masks, pending, results)
+        if mirror:
+            certify(~masks, [full ^ m for m in pending], mirrored)
+        pending.clear()
+
+    def certify(masks: np.ndarray, ins: list[int], out: list) -> None:
+        """Certify the rows of ``masks`` by line-sum counting, in order, and
+        append them to ``out``; raise with check_crc's witness on a bad one."""
         gam, bet, ok = certify_rho1(sp, masks)
         for j, (gamma, beta, good) in enumerate(zip(gam.tolist(), bet.tolist(), ok.tolist())):
             if not good:
@@ -243,8 +266,7 @@ def _solve_subtree(args) -> tuple[int, list]:
             idx = rho1_eigenvalue_index(n, q, gamma, beta)
             if index_t is not None and idx != index_t:
                 raise RuntimeError(f"search emitted eigenvalue index {idx}, target was {index_t}")
-            results.append((gamma, beta, idx, pending[j]))
-        pending.clear()
+            out.append((gamma, beta, idx, ins[j]))
 
     def dfs(IN: int, OUT: int, box: list) -> None:
         nonlocal nodes
@@ -279,7 +301,7 @@ def _solve_subtree(args) -> tuple[int, list]:
         dfs(*state)
     if pending:
         verify_pending()
-    return nodes, results
+    return nodes, results, mirrored
 
 
 def _tasks(constraints: SearchConstraints) -> list:
@@ -288,6 +310,17 @@ def _tasks(constraints: SearchConstraints) -> list:
     first = 1 if constraints.fix_first_codeword else 0
     pv = [v for v in (first, first + 1) if v < V]
     return [tuple(zip(pv, vals)) for vals in product((0, 1), repeat=len(pv))]
+
+
+def _complement_symmetric(c: SearchConstraints) -> bool:
+    """Whether complementing maps the search tree onto itself: the
+    complement of a (gamma, beta, i) code is a (beta, gamma, i) code, so the
+    constraints must admit both, and vertex 0 must be free."""
+    if c.fix_first_codeword:
+        return False
+    if c.gamma is None:
+        return True
+    return c.eigenvalue_index is not None and 2 * c.gamma == c.q * c.eigenvalue_index
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -311,8 +344,14 @@ def enumerate_crcs(constraints: SearchConstraints,
     summary is identical for any worker count."""
     c = constraints
     collect = sink is not None and not count_only
-    args = [(c.n, c.q, c.gamma, c.eigenvalue_index, c.fix_first_codeword, p)
-            for p in _tasks(c)]
+    tasks = _tasks(c)
+    mirror = _complement_symmetric(c)
+    if mirror:
+        # Task t's mirror, tasks[-1 - t], is t with every decision flipped;
+        # it is solved as the complements of t's leaves, in reverse order.
+        tasks = tasks[:len(tasks) // 2]
+    args = [(c.n, c.q, c.gamma, c.eigenvalue_index, c.fix_first_codeword, p, mirror)
+            for p in tasks]
     w = min(resolve_workers(workers), len(args))
     if w <= 1:
         outs = [_solve_subtree(a) for a in args]
@@ -320,12 +359,12 @@ def enumerate_crcs(constraints: SearchConstraints,
         with Pool(w) as pool:
             outs = pool.map(_solve_subtree, args)
 
-    nodes = 0
+    nodes = sum(o[0] for o in outs) * (2 if mirror else 1)
+    parts = [o[1] for o in outs] + [o[2][::-1] for o in reversed(outs)]
     found = 0
     params = set()
     sp = c.space
-    for task_nodes, results in outs:
-        nodes += task_nodes
+    for results in parts:
         found += len(results)
         params.update(r[:3] for r in results)
         if collect:

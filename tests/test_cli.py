@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import time
 import tracemalloc
 from unittest import mock
 
@@ -365,6 +366,16 @@ def test_verify_malformed_file(tmp_path, capsys):
     path.write_text("{]")
     assert run(["verify", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_huge_n_is_a_prompt_one_line_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"format": "crc-code.v1", "n": 1000000000, "q": 3, "codewords": []}')
+    t0 = time.perf_counter()
+    assert run(["verify", str(path)]) == 2
+    assert time.perf_counter() - t0 < 0.1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "space too large" in err
 
 
 # ------------------------------------------------- reduce / extend / complement

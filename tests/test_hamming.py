@@ -1,6 +1,7 @@
 """Spaces, vertices, adjacency, cliques, hyperfaces."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,18 @@ def test_space_rejects_bad_dimensions():
         Space(2, 1)
     with pytest.raises(ValueError):
         Space(64, 64)  # beyond the vertex cap
+
+
+def test_huge_n_is_rejected_at_once():
+    # decided without computing q^n, whose cost grows faster than n
+    for n in (34, 10**9):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"space too large: q\^n = 3\^{n} exceeds cap"):
+            Space(n, 3)
+        assert time.perf_counter() - t0 < 0.05
+    assert Space(32, 2).size == 2**32  # the cap itself is admitted
+    with pytest.raises(ValueError, match="space too large"):
+        Space(33, 2)
 
 
 def test_index_vertex_bijection_is_lexicographic():

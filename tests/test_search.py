@@ -85,6 +85,11 @@ PINNED_NODES = [
     ((3, 4, 3, 3, False), (576, 1590)),
     ((2, 5, None, None, False), (4380, 23308)),
     ((3, 4, 2, None, False), (198, 7036)),
+    # gamma = beta: the fixed-gamma searches that are solved by mirroring
+    ((2, 4, 2, 1, False), (12, 40)),
+    ((4, 2, 2, 2, False), (36, 72)),
+    ((6, 2, 2, 2, False), (390, 1628)),
+    ((2, 6, 3, 1, False), (40, 276)),
 ]
 
 
@@ -113,15 +118,46 @@ def test_collected_codes_independent_of_worker_count():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n,q,fix_zero", [(3, 3, False), (2, 4, False), (4, 2, False),
-                                          (3, 3, True)])
-def test_emission_is_lexicographic_on_indicator(n, q, fix_zero, workers):
+@pytest.mark.parametrize("n,q,gamma,index,fix_zero", [
+    (3, 3, None, None, False), (2, 4, None, None, False), (4, 2, None, None, False),
+    (3, 3, None, None, True), (2, 4, 2, 1, False), (4, 2, 2, 2, False)],
+    ids=["3-3-False", "2-4-False", "4-2-False", "3-3-True", "2-4-gamma2-index1",
+         "4-2-gamma2-index2"])
+def test_emission_is_lexicographic_on_indicator(n, q, gamma, index, fix_zero, workers):
     collected = []
-    s = enumerate_crcs(SearchConstraints(n, q, fix_first_codeword=fix_zero),
+    s = enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index,
+                                         fix_first_codeword=fix_zero),
                        sink=collected.append, workers=workers)
     keys = [tuple(c.mask.astype(int)) for c in collected]
     assert len(keys) == s.codes_found > 0
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_mirrored_search_equals_brute_force_at_gamma_equal_beta():
+    sp = Space(3, 2)
+    brute_codes, _ = brute_census(sp)
+    at_gamma = {c for c in brute_codes if brute_crc1_params(sp, c) == (1, 1)}
+    collected = []
+    s = enumerate_crcs(SearchConstraints(3, 2, gamma=1, eigenvalue_index=1),
+                       sink=collected.append, workers=1)
+    assert s.parameter_sets == frozenset({(1, 1, 1)})
+    assert len(collected) == s.codes_found == len(at_gamma) == 6
+    assert {frozenset(c.vertices()) for c in collected} == at_gamma
+
+
+def test_mirrored_leaves_are_reverified(monkeypatch):
+    # every set holding vertex 0 lies below a decision putting vertex 0 in,
+    # which the search leaves to mirroring: rejecting those rows must still
+    # stop it
+    certify = search.certify_rho1
+
+    def reject_vertex_0(sp, masks):
+        gamma, beta, ok = certify(sp, masks)
+        return gamma, beta, ok & ~masks[:, 0]
+
+    monkeypatch.setattr(search, "certify_rho1", reject_vertex_0)
+    with pytest.raises(RuntimeError, match="^search emitted a non-CRC set: "):
+        enumerate_crcs(SearchConstraints(2, 3), workers=1)
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 4), (4, 2)])
