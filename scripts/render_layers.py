@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from crcforge.codefile import read_code
+from crcforge.codefile import CodeFileError, read_code
 from crcforge.stochastic import GridSet
 from crcforge.verifier import CrcCertificate, check_crc
 
@@ -27,7 +27,11 @@ def main() -> None:
                     help="position whose symbols index the layers (1-based)")
     args = ap.parse_args()
 
-    code, _meta = read_code(args.file)
+    try:
+        code, _meta = read_code(args.file)
+    except CodeFileError as e:
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(2)
     sp = code.space
     if sp.n != 3:
         print(f"layer rendering needs n=3, file has n={sp.n}", file=sys.stderr)

@@ -385,10 +385,7 @@ def run(argv: list[str]) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.func(args)
-    except CodeFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # CodeFileError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,9 @@ Six families, keyed by the second eigenvalue index i (gamma + beta = q*i):
   and degrees solve the witness equations.
 - index3(q, m): union of m diagonal classes, i=3, gamma = 3m.
 
-Every builder returns a plain Code; verification is a separate concern.
+Every builder returns a plain Code; verification is a separate concern.  Each
+builder constructs its Space(3, q) first, so that a q whose cube exceeds the
+space cap is refused before any array is allocated.
 """
 
 from __future__ import annotations
@@ -39,25 +41,28 @@ class ConstructionSpec:
 
 def build_index1(q: int, m: int) -> Code:
     """C = {0..m-1} x A x A in H(3,q): gamma = m, beta = q - m."""
+    sp = Space(3, q)
     if not 1 <= m <= q - 1:
         raise ValueError(f"interval size m={m} must be in 1..{q - 1}")
     g = np.zeros((q, q, q), dtype=bool)
     g[:m, :, :] = True
-    return Code(Space(3, q), g)
+    return Code(sp, g)
 
 
 def build_index3(q: int, m: int) -> Code:
     """Union of m diagonal classes {x : x1+x2+x3 = d mod q}: gamma = 3m."""
+    sp = Space(3, q)
     if not 1 <= m <= q - 1:
         raise ValueError(f"class count m={m} must be in 1..{q - 1}")
     i = np.arange(q)
     tot = (i[:, None, None] + i[None, :, None] + i[None, None, :]) % q
-    return Code(Space(3, q), tot < m)
+    return Code(sp, tot < m)
 
 
 def build_a(q: int, gamma: int) -> Code:
     """Extend a stochastic grid set of total degree gamma (even) by a free
     first position: gamma stays, beta = 2q - gamma."""
+    Space(3, q)  # rejects a q too large before the grid is built
     if gamma % 2 != 0:
         raise ValueError(f"gamma={gamma} must be even for the grid construction")
     if not 2 <= gamma <= 2 * q - 2:
@@ -75,7 +80,8 @@ def build_b(q: int, variant: int) -> Code:
     """Lift a binary seed through symbol parity: x is in C iff x mod 2
     (coordinatewise) lies in the seed.  Variant 1 seeds the repetition pair
     {000, 111}; variant 2 seeds the pairs with equal last two bits."""
-    if q < 2 or q % 2 != 0:
+    sp = Space(3, q)
+    if q % 2 != 0:
         raise ValueError(f"alphabet size q={q} must be even")
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
@@ -85,13 +91,14 @@ def build_b(q: int, variant: int) -> Code:
         lut[v] = True
     p = np.arange(q) % 2
     g = lut[p[:, None, None], p[None, :, None], p[None, None, :]]
-    return Code(Space(3, q), g)
+    return Code(sp, g)
 
 
 def build_c(q: int, t: int) -> Code:
     """Glue T x (A-T) x S, (A-T) x T x (A-S), and D x A along a stochastic set
     D in T x T of total degree 2t - q, where T = {0..t-1} and S = {0..q/2-1}.
     Gives gamma = t (odd allowed), beta = 2q - t."""
+    sp = Space(3, q)
     if q % 2 != 0:
         raise ValueError(f"alphabet size q={q} must be even")
     if not q // 2 < t < q:
@@ -105,7 +112,7 @@ def build_c(q: int, t: int) -> Code:
     t2 = in_t[None, :, None]
     s3 = in_s[None, None, :]
     g = (t1 & ~t2 & s3) | (~t1 & t2 & ~s3) | dfull[:, :, None]
-    return Code(Space(3, q), g)
+    return Code(sp, g)
 
 
 def construction_d_blocks(q: int, w: ConditionOneWitness
@@ -124,12 +131,13 @@ def build_d(q: int, w: ConditionOneWitness) -> Code:
     """Three clique bundles over the blocks of construction_d_blocks:
     cliques free in position 1 over D1, in position 2 over D2, in position 3
     over D3.  Gives gamma = a + b + c, beta = 2q - gamma."""
+    sp = Space(3, q)
     d1, d2, d3 = construction_d_blocks(q, w)
     g = np.zeros((q, q, q), dtype=bool)
     g[:, :w.s, :w.t] |= d1.cells[None, :, :]
     g[:w.r, :, w.t:] |= d2.cells[:, None, :]
     g[w.r:, w.s:, :] |= d3.cells[:, :, None]
-    return Code(Space(3, q), g)
+    return Code(sp, g)
 
 
 def build_from_spec(spec: ConstructionSpec) -> Code:

@@ -12,16 +12,18 @@ Two views of a code C in H(3,q):
   ``classify`` and ``classify_all`` turn its verdicts into ``DerivativeClass``
   objects; ``derivative_kinds`` returns only the kind codes, as one array.
 - Clique decompositions: when C is a disjoint union of maximal cliques, the
-  partition is recovered, and if cliques of all three codirections occur the
-  three bundles are projected to stochastic grid blocks whose sizes and
-  degrees form a three-block system witness.
+  partition is recovered as three (q, q) line masks, one per codirection j,
+  marking the fixed symbols of the chosen codirection-j cliques.  If all
+  three masks are nonempty, their row and column supports give the symbol
+  sets R, S, T, and slicing each mask to its block gives the stochastic grid
+  blocks whose sizes and degrees form a three-block system witness.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -264,16 +266,19 @@ def _negated(c: DerivativeClass, symbols: frozenset) -> DerivativeClass:
     return c
 
 
+def _cliques(lines: Sequence[np.ndarray]) -> list[Clique]:
+    """The cliques that per-codirection line masks mark, codirection-major then
+    fixed-lex: entry j - 1 of ``lines`` is indexed by the fixed symbols of the
+    codirection-j cliques."""
+    return [Clique(j + 1, tuple(idx))
+            for j, m in enumerate(lines) for idx in np.argwhere(m).tolist()]
+
+
 def full_cliques(code: Code) -> list[Clique]:
     """Maximal cliques lying entirely inside the code, codirection-major then
     fixed-lex."""
     g = code.grid
-    out = []
-    for j in range(code.space.n):
-        arr = g.all(axis=j)
-        for idx in np.argwhere(arr):
-            out.append(Clique(j + 1, tuple(int(c) for c in idx)))
-    return out
+    return _cliques([g.all(axis=j) for j in range(code.space.n)])
 
 
 @dataclass(frozen=True)
@@ -318,15 +323,6 @@ class CliqueCoverFailure:
 CoverResult = Union[CliqueDecomposition, CliqueCoverFailure]
 
 
-def _grid_block(cells: set[tuple[int, int]], rows: list[int], cols: list[int]) -> stochastic.GridSet:
-    rpos = {r: i for i, r in enumerate(rows)}
-    cpos = {c: i for i, c in enumerate(cols)}
-    m = np.zeros((len(rows), len(cols)), dtype=bool)
-    for r, c in cells:
-        m[rpos[r], cpos[c]] = True
-    return stochastic.GridSet(len(rows), len(cols), m)
-
-
 def clique_cover(code: Code) -> CoverResult:
     """Partition a code in H(3,q) into maximal cliques if possible.
 
@@ -339,7 +335,6 @@ def clique_cover(code: Code) -> CoverResult:
         raise ValueError(f"clique decomposition is implemented for n=3, got n={sp.n}")
     if code.size == 0:
         raise ValueError("empty code has no clique decomposition")
-    q = sp.q
     g = code.grid
     fc = [g.all(axis=j) for j in range(3)]
     cnt = (fc[0][None, :, :].astype(np.int16)
@@ -353,7 +348,7 @@ def clique_cover(code: Code) -> CoverResult:
                                   "codeword lies in no full clique")
 
     if (cnt[g] == 1).all():
-        chosen = full_cliques(code)
+        chosen = fc
     else:
         chosen = _exact_cover(code, fc)
         if chosen is None:
@@ -365,11 +360,11 @@ def clique_cover(code: Code) -> CoverResult:
     return _decompose(code, chosen)
 
 
-def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[list[Clique], None]:
+def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[np.ndarray, None]:
     """Deterministic backtracking: cover the first uncovered codeword by the
     least clique (codirection order) disjoint from the cover so far.  The
     search keeps its own stack, since a cover can hold thousands of cliques.
-    The cliques come back in the order chosen; ``_decompose`` sorts them."""
+    The cover comes back as line masks in the form of ``fc``."""
     q = code.space.q
     members = [tuple(x) for x in np.argwhere(code.grid).tolist()]
     covered = np.zeros((q, q, q), dtype=bool)
@@ -386,7 +381,10 @@ def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[list[Clique], None]:
         while pos < len(members) and covered[members[pos]]:
             pos += 1
         if pos == len(members):
-            return [Clique(j + 1, fixed) for j, fixed in chosen]
+            lines = np.zeros((3, q, q), dtype=bool)
+            for j, fixed in chosen:
+                lines[(j, *fixed)] = True
+            return lines
         x = members[pos]
         cands = [(j, x[:j] + x[j + 1:]) for j in range(3) if fc[j][x[:j] + x[j + 1:]]]
         while k < len(cands) and covered[line(*cands[k])].any():
@@ -403,39 +401,29 @@ def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[list[Clique], None]:
         covered[line(*chosen.pop())] = False
 
 
-def _decompose(code: Code, chosen: list[Clique]) -> CoverResult:
-    q = code.space.q
-    syms = set(range(q))
-    cells = {1: set(), 2: set(), 3: set()}
-    for cl in chosen:
-        cells[cl.codirection].add(cl.fixed)
-    strong = all(cells[j] for j in (1, 2, 3))
-    decomposition = CliqueDecomposition(tuple(sorted(
-        chosen, key=lambda c: (c.codirection, c.fixed))), strong)
-    if not strong:
-        return decomposition
+def _decompose(code: Code, lines: Sequence[np.ndarray]) -> CoverResult:
+    """The decomposition into the cliques that the line masks ``lines`` mark,
+    in the form of ``fc``: codirection-1 lines indexed by (x2, x3), 2 by
+    (x1, x3) and 3 by (x1, x2)."""
+    c1, c2, c3 = lines
+    cliques = tuple(_cliques(lines))
+    if not (c1.any() and c2.any() and c3.any()):
+        return CliqueDecomposition(cliques, False)
 
-    s_set = {x2 for x2, _ in cells[1]}
-    t_set = {x3 for _, x3 in cells[1]}
-    r_set = {x1 for x1, _ in cells[2]}
-    t2_set = {x3 for _, x3 in cells[2]}
-    r3_set = {x1 for x1, _ in cells[3]}
-    s3_set = {x2 for _, x2 in cells[3]}
-
-    if t2_set != syms - t_set:
+    s, t, r = c1.any(axis=1), c1.any(axis=0), c2.any(axis=1)
+    if not np.array_equal(c2.any(axis=0), ~t):
         return CliqueCoverFailure(
             "lemma-violated",
             detail="x3-symbols of codirection-2 cliques are not the complement "
                    "of the codirection-1 x3-symbols")
-    if r3_set != syms - r_set or s3_set != syms - s_set:
+    if not (np.array_equal(c3.any(axis=1), ~r) and np.array_equal(c3.any(axis=0), ~s)):
         return CliqueCoverFailure(
             "lemma-violated",
             detail="codirection-3 symbol sets are not the complements of the "
                    "codirection-2 x1-set and codirection-1 x2-set")
 
-    d1 = _grid_block(cells[1], sorted(s_set), sorted(t_set))
-    d2 = _grid_block(cells[2], sorted(r_set), sorted(syms - t_set))
-    d3 = _grid_block(cells[3], sorted(syms - r_set), sorted(syms - s_set))
+    d1, d2, d3 = (stochastic.GridSet(*m.shape, m) for m in (
+        c1[np.ix_(s, t)], c2[np.ix_(r, ~t)], c3[np.ix_(~r, ~s)]))
     p1 = stochastic.profile(d1)
     p2 = stochastic.profile(d2)
     p3 = stochastic.profile(d3)
@@ -448,13 +436,12 @@ def _decompose(code: Code, chosen: list[Clique]) -> CoverResult:
             "lemma-violated",
             detail=f"block degrees disagree: d1={p1}, d2={p2}, d3={p3}")
 
-    w = ConditionOneWitness(len(r_set), len(s_set), len(t_set), p1.a, p1.b, p2.b)
+    w = ConditionOneWitness(int(r.sum()), int(s.sum()), int(t.sum()), p1.a, p1.b, p2.b)
     if not check_condition1(code.space.q, w):
         return CliqueCoverFailure(
             "lemma-violated", detail=f"projected witness {w.as_tuple()} fails the block system")
-    return CliqueDecomposition(decomposition.cliques, True,
-                               frozenset(r_set), frozenset(s_set), frozenset(t_set),
-                               d1, d2, d3, w)
+    r_set, s_set, t_set = (frozenset(np.flatnonzero(m).tolist()) for m in (r, s, t))
+    return CliqueDecomposition(cliques, True, r_set, s_set, t_set, d1, d2, d3, w)
 
 
 def extract_construction_d(code: Code) -> tuple[int, ConditionOneWitness,

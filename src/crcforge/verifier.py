@@ -16,6 +16,7 @@ neighbor in C does the layered path run, which grows each distance layer from
 the previous layer's count and so counts into every layer once.
 ``certify_rho1`` applies the same single-pass rule to a stack of sets at once
 and answers only whether each one is a rho = 1 code, with its gamma and beta.
+Both read the rule from one helper, ``_rho1_rule``.
 """
 
 from __future__ import annotations
@@ -178,6 +179,22 @@ class CrcFailure:
 CheckResult = Union[CrcCertificate, CrcFailure]
 
 
+def _rho1_rule(c: np.ndarray, masks: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rho = 1 rule on the rows of an (L, V) bool array, given their
+    neighbor counts ``c``: each row's first codeword fixes ``inner``, its
+    in-code neighbors, and its first non-codeword fixes ``gamma``.  Returns
+    (inner, gamma, bad, proper): ``bad`` marks every vertex whose count differs
+    from its side's, and ``proper`` whether the row is a nonempty, non-full set."""
+    rows = np.arange(len(masks))
+    first_in = masks.argmax(axis=1)
+    first_out = masks.argmin(axis=1)
+    inner = c[rows, first_in]
+    gamma = c[rows, first_out]
+    bad = c != np.where(masks, inner[:, None], gamma[:, None])
+    return inner, gamma, bad, masks[rows, first_in] & ~masks[rows, first_out]
+
+
 def certify_rho1(space: Space, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched rho = 1 certifier for the rows of an (L, V) bool array.
 
@@ -186,15 +203,8 @@ def certify_rho1(space: Space, masks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     and beta are the certificate's; on other rows (including the empty and
     the full set) they mean nothing.  One stacked ``neighbor_counts`` pass.
     """
-    c = neighbor_counts(space, masks)
-    rows = np.arange(len(masks))
-    first_in = masks.argmax(axis=1)
-    first_out = masks.argmin(axis=1)
-    inner = c[rows, first_in]   # in-code neighbors of each row's first codeword
-    gamma = c[rows, first_out]  # ... and of its first non-codeword
-    ok = ((c == np.where(masks, inner[:, None], gamma[:, None])).all(axis=1)
-          & (gamma > 0) & masks[rows, first_in] & ~masks[rows, first_out])
-    return gamma, space.valency - inner, ok
+    inner, gamma, bad, proper = _rho1_rule(neighbor_counts(space, masks), masks)
+    return gamma, space.valency - inner, ~bad.any(axis=1) & (gamma > 0) & proper
 
 
 def check_crc(code: Code) -> CheckResult:
@@ -206,10 +216,9 @@ def check_crc(code: Code) -> CheckResult:
     mask = code.mask
     c = neighbor_counts(sp, mask)
     k = sp.valency
-    inner = int(c[np.argmax(mask)])   # in-code neighbors of the first codeword
-    gamma = int(c[np.argmin(mask)])   # ... and of the first non-codeword
+    inner, gamma, bad, _ = _rho1_rule(c[None], mask[None])
+    inner, gamma, bad = int(inner[0]), int(gamma[0]), bad[0]
     if gamma > 0:
-        bad = np.where(mask, c != inner, c != gamma)
         v = int(np.argmax(bad))
         if not bad[v]:
             return CrcCertificate(sp.n, sp.q, 1, size, (k - inner,), (gamma,))

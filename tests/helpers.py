@@ -6,8 +6,8 @@ vectorized library code it is used to check.  That includes the explicit
 neighbor, clique and hyperface enumerators of H(n,q).  The exceptions are the
 reference implementations at the end, which the vectorized library code must
 reproduce exactly (the three-pass verifier, the per-codeword code-file
-writer and reader, and the per-derivative classifier), and a runner for
-snippets under ``python -O``.
+writer and reader, the per-derivative classifier and the set-based clique
+decomposition), and a runner for snippets under ``python -O``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 import numpy as np
 from hypothesis import strategies as st
 
+from crcforge import stochastic
 from crcforge.codefile import FORMAT, CodeFileError
 from crcforge.hamming import Clique, Code, Space, Vertex
-from crcforge.parameters import feasible_table
-from crcforge.structure import DerivativeClass, DerivativeFunction, derivative
+from crcforge.parameters import ConditionOneWitness, check_condition1, feasible_table
+from crcforge.structure import (CliqueCoverFailure, CliqueDecomposition, CoverResult,
+                                DerivativeClass, DerivativeFunction, derivative)
 from crcforge.verifier import CheckResult, CrcCertificate, CrcFailure, DistancePartition
 
 
@@ -147,6 +149,37 @@ def brute_crc1_params(sp: Space, codewords):
     return None
 
 
+def brute_clique_partition(code: Code) -> Optional[list[Clique]]:
+    """The partition of a code into maximal cliques that ``clique_cover``
+    chooses, or None if there is none: the first codeword (lexicographic) not
+    yet covered goes to the first full clique through it, in codirection
+    order, that misses the cliques chosen so far, backtracking on a dead end.
+    Recursive, one level per clique, so for small codes only."""
+    sp = code.space
+    members = set(code.vertices())
+    through: dict[Vertex, list[Clique]] = {v: [] for v in members}
+    for cl in all_cliques(sp):
+        vs = clique_vertices(sp, cl)
+        if members.issuperset(vs):
+            for v in vs:
+                through[v].append(cl)
+    order = sorted(members)
+
+    def extend(covered: frozenset, chosen: list[Clique]) -> Optional[list[Clique]]:
+        v = next((v for v in order if v not in covered), None)
+        if v is None:
+            return chosen
+        for cl in through[v]:
+            vs = clique_vertices(sp, cl)
+            if covered.isdisjoint(vs):
+                found = extend(covered.union(vs), chosen + [cl])
+                if found is not None:
+                    return found
+        return None
+
+    return extend(frozenset(), [])
+
+
 def normalized_params(triples) -> set:
     """{(gamma, beta, index)} -> {(min(gamma,beta), index)}."""
     return {(min(g, b), i) for (g, b, i) in triples}
@@ -189,12 +222,13 @@ def all_vertex_subsets(sp: Space):
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run the interpreter with the given arguments in the repository root, against ./src."""
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run the interpreter with the given arguments in the repository root, against ./src.
+    Keyword arguments go to ``subprocess.run``."""
     path = [os.path.join(REPO, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, *args], cwd=REPO, env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, **kwargs)
 
 
 def run_optimized(script: str) -> subprocess.CompletedProcess:
@@ -367,3 +401,71 @@ def reference_classify_all(code: Code) -> dict[tuple[int, int, int], DerivativeC
                 if u != v:
                     out[(i, u, v)] = reference_classify(derivative(code, i, u, v))
     return out
+
+
+# The clique decomposition from a list of cliques, with Python sets of fixed
+# symbols and one grid block filled cell by cell: the reference that
+# ``clique_cover``'s line masks must match field by field.
+
+def _reference_grid_block(cells: set[tuple[int, int]], rows: list[int],
+                          cols: list[int]) -> stochastic.GridSet:
+    rpos = {r: i for i, r in enumerate(rows)}
+    cpos = {c: i for i, c in enumerate(cols)}
+    m = np.zeros((len(rows), len(cols)), dtype=bool)
+    for r, c in cells:
+        m[rpos[r], cpos[c]] = True
+    return stochastic.GridSet(len(rows), len(cols), m)
+
+
+def reference_decompose(code: Code, cliques: Sequence[Clique]) -> CoverResult:
+    q = code.space.q
+    syms = set(range(q))
+    cells = {1: set(), 2: set(), 3: set()}
+    for cl in cliques:
+        cells[cl.codirection].add(cl.fixed)
+    strong = all(cells[j] for j in (1, 2, 3))
+    decomposition = CliqueDecomposition(tuple(sorted(
+        cliques, key=lambda c: (c.codirection, c.fixed))), strong)
+    if not strong:
+        return decomposition
+
+    s_set = {x2 for x2, _ in cells[1]}
+    t_set = {x3 for _, x3 in cells[1]}
+    r_set = {x1 for x1, _ in cells[2]}
+    t2_set = {x3 for _, x3 in cells[2]}
+    r3_set = {x1 for x1, _ in cells[3]}
+    s3_set = {x2 for _, x2 in cells[3]}
+
+    if t2_set != syms - t_set:
+        return CliqueCoverFailure(
+            "lemma-violated",
+            detail="x3-symbols of codirection-2 cliques are not the complement "
+                   "of the codirection-1 x3-symbols")
+    if r3_set != syms - r_set or s3_set != syms - s_set:
+        return CliqueCoverFailure(
+            "lemma-violated",
+            detail="codirection-3 symbol sets are not the complements of the "
+                   "codirection-2 x1-set and codirection-1 x2-set")
+
+    d1 = _reference_grid_block(cells[1], sorted(s_set), sorted(t_set))
+    d2 = _reference_grid_block(cells[2], sorted(r_set), sorted(syms - t_set))
+    d3 = _reference_grid_block(cells[3], sorted(syms - r_set), sorted(syms - s_set))
+    p1 = stochastic.profile(d1)
+    p2 = stochastic.profile(d2)
+    p3 = stochastic.profile(d3)
+    if p1 is None or p2 is None or p3 is None:
+        which = [n for n, p in zip(("d1", "d2", "d3"), (p1, p2, p3)) if p is None]
+        return CliqueCoverFailure(
+            "lemma-violated", detail=f"block(s) {', '.join(which)} not doubly stochastic")
+    if p2.a != p1.a or p3.a != p1.b or p3.b != p2.b:
+        return CliqueCoverFailure(
+            "lemma-violated",
+            detail=f"block degrees disagree: d1={p1}, d2={p2}, d3={p3}")
+
+    w = ConditionOneWitness(len(r_set), len(s_set), len(t_set), p1.a, p1.b, p2.b)
+    if not check_condition1(code.space.q, w):
+        return CliqueCoverFailure(
+            "lemma-violated", detail=f"projected witness {w.as_tuple()} fails the block system")
+    return CliqueDecomposition(decomposition.cliques, True,
+                               frozenset(r_set), frozenset(s_set), frozenset(t_set),
+                               d1, d2, d3, w)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import resource
 import time
 import tracemalloc
 from unittest import mock
@@ -16,7 +17,7 @@ from crcforge.cli import build_parser, certificate_dict, run
 from crcforge.codefile import CodeFileError, _read_rows, _rows, dumps_code, read_code, write_code
 from crcforge.constructions import (ConstructionSpec, build_a, build_b, build_c, build_from_spec,
                                     spec_for_witness)
-from crcforge.hamming import Code, Space
+from crcforge.hamming import SPACE_CAP, Code, Space
 from crcforge.parameters import ConditionOneWitness
 from crcforge.verifier import check_crc
 
@@ -300,6 +301,30 @@ def test_construct_errors(capsys):
     assert run(["construct", "d", "--q", "8", "--witness", "a,b,c,d,e,f"]) == 2
     assert run(["construct", "d", "--q", "8", "--witness", "1,1,1,1,1,1"]) == 2
     capsys.readouterr()
+
+
+# q^3 above the space cap; each builder's first array for these would take
+# 7.45 GiB or more
+OVERSIZED = [["index1", "--q", "2000", "--m", "1"], ["index3", "--q", "2000", "--m", "1"],
+             ["a", "--q", "70000", "--gamma", "2"], ["b", "--q", "2000", "--variant", "1"],
+             ["c", "--q", "2000", "--t", "1001"],
+             ["d", "--q", "2000", "--witness", "500,1000,1500,2,3,2"]]
+
+
+def _limit_address_space():
+    # an allocation before the space check then fails in the child at once,
+    # and cannot exhaust the machine
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_oversized_construct_fails_before_allocating():
+    script = ("from crcforge.cli import run\n"
+              f"for argv in {OVERSIZED!r}:\n"
+              "    print(run(['construct', *argv]))\n")
+    proc = run_python("-c", script, preexec_fn=_limit_address_space)
+    assert proc.stdout.split() == ["2"] * len(OVERSIZED)
+    assert proc.stderr.splitlines() == [
+        f"error: space too large: q^n = {argv[2]}^3 exceeds cap {SPACE_CAP}" for argv in OVERSIZED]
 
 
 def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
@@ -597,6 +622,30 @@ def test_feasibility_report_output():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "".join(f"{line[:6]}{cell}\n" for line in TABLE_Q8.splitlines()[:-1]
                                   for cell in line[6:].replace("*", "").split("   "))
+
+
+def test_render_layers(tmp_path):
+    path = tmp_path / "c65.json"
+    write_code(build_c(6, 5), str(path))
+    proc = run_python("scripts/render_layers.py", str(path), "--direction", "3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "H(3,6), 90 codewords, gamma=5 beta=7"
+    assert lines.count("position 3 = 0   (rows: position 1, cols: position 2)") == 1
+    assert sum(line.count("*") for line in lines[1:]) == 90
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("missing.json", None, "cannot read"),
+    ("junk.json", "{]", "not valid JSON"),
+])
+def test_render_layers_bad_file_is_a_one_line_error(tmp_path, name, text, message):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    proc = run_python("scripts/render_layers.py", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
 
 
 def test_usage_errors():

@@ -17,8 +17,8 @@ from crcforge.structure import (KINDS, CliqueCoverFailure, CliqueDecomposition,
                                 extract_construction_d, full_cliques)
 from crcforge.verifier import check_crc
 
-from helpers import (clique_vertices, code_of, h3q_table_entries, reference_classify,
-                     reference_classify_all)
+from helpers import (brute_clique_partition, clique_vertices, code_of, h3q_table_entries,
+                     reference_classify, reference_classify_all, reference_decompose)
 
 
 def test_derivative_matches_definition():
@@ -391,3 +391,109 @@ def test_extract_construction_d_errors():
     assert q == 8
     assert w == ConditionOneWitness(2, 4, 6, 2, 3, 2)
     assert blocks[1].is_full
+
+
+def assert_cover_matches_reference(code: Code):
+    """``clique_cover`` against the set-based decomposition of the partition
+    found by brute force; returns the result."""
+    res = clique_cover(code)
+    cliques = brute_clique_partition(code)
+    if cliques is None:
+        assert isinstance(res, CliqueCoverFailure) and res.kind == "not-clique-partition"
+    else:
+        assert res == reference_decompose(code, cliques)
+    return res
+
+
+def _outcome(res) -> str:
+    """'strong', 'weak', 'not-clique-partition' or the first word of a
+    lemma-violated detail."""
+    if isinstance(res, CliqueDecomposition):
+        return "strong" if res.strong else "weak"
+    return res.kind if res.kind == "not-clique-partition" else res.detail.split(" ")[0]
+
+
+def test_clique_cover_matches_reference_on_constructions_and_flips():
+    # every build_d code for q <= 10, index-1, a and c codes, and their
+    # one-vertex flips at 3 evenly spread vertices
+    codes = [build_d(q, w) for q in range(2, 11) for w in solve_condition1(q)]
+    codes += [build_index1(q, m) for q, m in ((2, 1), (4, 2), (5, 3), (6, 1))]
+    codes += [build_a(q, gamma) for q, gamma in ((3, 2), (4, 2), (5, 4), (6, 6))]
+    codes += [build_c(q, t) for q, t in ((4, 3), (6, 4), (6, 5), (8, 5))]
+    seen = set()
+    for code in codes:
+        seen.add(_outcome(assert_cover_matches_reference(code)))
+        for v in np.unique(np.linspace(0, code.space.size - 1, 3).astype(int)):
+            mask = code.mask.copy()
+            mask[v] = not mask[v]
+            seen.add(_outcome(assert_cover_matches_reference(Code(code.space, mask))))
+    assert {"strong", "weak", "not-clique-partition"} <= seen
+
+
+def _random_lines(rng, q: int) -> np.ndarray:
+    """Up to 3q - 1 random lines, each kept if it misses those kept before."""
+    lines = np.zeros((3, q, q), dtype=bool)
+    grid = np.zeros((q, q, q), dtype=bool)
+    for _ in range(rng.integers(1, 3 * q)):
+        j, fixed = int(rng.integers(3)), tuple(rng.integers(q, size=2).tolist())
+        line = fixed[:j] + (slice(None),) + fixed[j:]
+        if not grid[line].any():
+            grid[line] = lines[j][fixed] = True
+    return lines
+
+
+def _random_blocks(rng, q: int) -> np.ndarray:
+    """Lines over the blocks S x T, R x (A-T), (A-R) x (A-S) of random sets
+    R, S, T, which miss each other, each block full or random with every row
+    and column used: the complement laws hold, the block laws mostly not."""
+    r, s, t = (rng.permutation(q) < rng.integers(1, q) for _ in range(3))
+    lines = np.zeros((3, q, q), dtype=bool)
+    for j, (rows, cols) in enumerate(((s, t), (r, ~t), (~r, ~s))):
+        m, n = int(rows.sum()), int(cols.sum())
+        block = np.ones((m, n), dtype=bool) if rng.integers(2) else rng.random((m, n)) < 0.3
+        block[np.arange(m), rng.integers(n, size=m)] = True
+        block[rng.integers(m, size=n), np.arange(n)] = True
+        lines[j][np.ix_(rows, cols)] = block
+    return lines
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6, 8])
+def test_clique_cover_matches_reference_on_random_line_unions(q):
+    # unions of disjoint full lines across codirections, and build_d codes
+    # under random symbol permutations (R, S, T then need not be intervals)
+    rng = np.random.default_rng(q)
+    sp = Space(3, q)
+    ws, seen = solve_condition1(q), set()
+    for k in range(240):
+        if k % 3 == 2 and ws:
+            grid = build_d(q, ws[k % len(ws)]).grid[np.ix_(*(rng.permutation(q) for _ in range(3)))]
+        else:
+            lines = (_random_lines if k % 3 else _random_blocks)(rng, q)
+            grid = lines[0][None, :, :] | lines[1][:, None, :] | lines[2][:, :, None]
+        seen.add(_outcome(assert_cover_matches_reference(Code(sp, grid))))
+    # the projected-witness check cannot fail once the block degrees agree
+    assert seen == {"weak", "x3-symbols", "codirection-3", "block(s)", "block"} | (
+        {"strong"} if ws else set())
+
+
+def test_clique_cover_complement_failure_details():
+    sp = Space(3, 3)
+    # codirection 2 takes x3 = 1 where codirection 1 already has T = {0}, so
+    # its x3-symbols {1} miss 2
+    vs = (clique_vertices(sp, Clique(1, (0, 0)))
+          + clique_vertices(sp, Clique(2, (1, 1)))
+          + clique_vertices(sp, Clique(3, (2, 2))))
+    assert clique_cover(code_of(sp, vs)) == CliqueCoverFailure(
+        "lemma-violated",
+        detail="x3-symbols of codirection-2 cliques are not the complement "
+               "of the codirection-1 x3-symbols")
+    # codirections 1 and 2 agree (T = {0}, x3-symbols {1, 2}), but the
+    # codirection-3 x1-set {2} is not the complement of R = {1}
+    vs = (clique_vertices(sp, Clique(1, (0, 0)))
+          + clique_vertices(sp, Clique(2, (1, 1)))
+          + clique_vertices(sp, Clique(2, (1, 2)))
+          + clique_vertices(sp, Clique(3, (2, 2))))
+    assert clique_cover(code_of(sp, vs)) == CliqueCoverFailure(
+        "lemma-violated",
+        detail="codirection-3 symbol sets are not the complements of the "
+               "codirection-2 x1-set and codirection-1 x2-set")
