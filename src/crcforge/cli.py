@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 = success / feasible / verified; 1 = verification failed or
-parameters infeasible; 2 = usage or file-format error.
+parameters infeasible; 2 = usage or file-format error, or out of memory.
 """
 
 from __future__ import annotations
@@ -387,6 +387,9 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except ValueError as e:  # CodeFileError is a ValueError
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a space too large for this machine
+        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -136,7 +136,7 @@ class Code:
 
     @property
     def size(self) -> int:
-        return int(self._mask.sum())
+        return int(np.count_nonzero(self._mask))
 
     def __len__(self) -> int:
         return self.size

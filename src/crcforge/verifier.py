@@ -4,23 +4,28 @@ A code C is completely regular when every vertex at distance i from C has
 constant numbers of neighbors at distances i-1 and i+1, depending only on i.
 For covering radius rho = 1 the certificate carries the pair (gamma, beta):
 every non-codeword has gamma neighbors in C, every codeword has beta
-neighbors outside.  Counting is vectorized: the number of set members
-adjacent to each vertex equals the sum of line sums through it minus n
-times its own membership.
+neighbors outside.  Counting is vectorized: the line total of a vertex, the
+sum of the n line sums through it, is its number of neighbors in C plus n
+if it is a codeword.
 
-``check_crc`` counts in-code neighbors once.  When every non-codeword has
-one, rho = 1 and that single pass decides everything: the first codeword
-fixes beta, the first non-codeword fixes gamma, and the first vertex whose
-count disagrees is the failure witness.  Only when some non-codeword has no
-neighbor in C does the layered path run, which grows each distance layer from
-the previous layer's count and so counts into every layer once.
-``certify_rho1`` applies the same single-pass rule to a stack of sets at once
-and answers only whether each one is a rho = 1 code, with its gamma and beta.
-Both read the rule from one helper, ``_rho1_rule``.
+``check_crc`` decides rho = 1 from line totals in slabs.  The n line-sum
+arrays (q^(n-1) entries each, in the narrowest dtype that holds n*q) are
+added up one slab of first-position rows at a time, ``SLAB`` vertices or
+one row, and each slab is compared with its expected totals: the first
+codeword's total for codewords, the first non-codeword's, gamma, for the
+rest.  When gamma > 0 and no slab disagrees, rho = 1 and the two totals are
+the certificate; the first vertex that disagrees is the failure witness,
+unless some non-codeword has no neighbor in C (a line total of 0).  Only then,
+or when gamma = 0, does the layered path run, which grows each distance
+layer from the previous layer's ``neighbor_counts`` and so counts into every
+layer once.  ``certify_rho1`` applies the same rule to a stack of sets at
+once and answers only whether each one is a rho = 1 code, with its gamma and
+beta.  Both read the rule from one helper, ``_rho1_rule``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -33,14 +38,13 @@ def neighbor_counts(space: Space, indicator: np.ndarray) -> np.ndarray:
     """For every vertex, the number of its neighbors inside the indicated set.
 
     ``indicator`` is one set, flat or in grid shape, or a stack of sets along
-    a leading axis.  Returns flat counts, shape (V,) or (L, V), of dtype
-    uint16 when n*q < 2**16 (a vertex's n line sums then total at most n*q)
-    and int64 otherwise.
+    a leading axis.  Returns flat counts, shape (V,) or (L, V), in the
+    narrowest dtype that holds n*q, the most a vertex's n line sums total.
     """
     g = np.asarray(indicator, dtype=bool)
     lead = () if g.shape in ((space.size,), space.shape) else g.shape[:1]
     g = g.reshape(lead + space.shape)
-    dtype = np.uint16 if space.n * space.q < 2**16 else np.int64
+    dtype = _narrowest(space.n * space.q)
     tot = np.zeros(g.shape, dtype=dtype)
     for ax in range(len(lead), g.ndim):
         tot += g.sum(axis=ax, keepdims=True, dtype=dtype)
@@ -179,20 +183,84 @@ class CrcFailure:
 CheckResult = Union[CrcCertificate, CrcFailure]
 
 
-def _rho1_rule(c: np.ndarray, masks: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rho = 1 rule on the rows of an (L, V) bool array, given their
-    neighbor counts ``c``: each row's first codeword fixes ``inner``, its
-    in-code neighbors, and its first non-codeword fixes ``gamma``.  Returns
-    (inner, gamma, bad, proper): ``bad`` marks every vertex whose count differs
-    from its side's, and ``proper`` whether the row is a nonempty, non-full set."""
-    rows = np.arange(len(masks))
-    first_in = masks.argmax(axis=1)
-    first_out = masks.argmin(axis=1)
-    inner = c[rows, first_in]
-    gamma = c[rows, first_out]
-    bad = c != np.where(masks, inner[:, None], gamma[:, None])
-    return inner, gamma, bad, masks[rows, first_in] & ~masks[rows, first_out]
+# Vertices whose line totals the rho = 1 rule holds at a time, in whole
+# first-position rows (at least one), so that a slab stays in cache.
+SLAB = 2**16
+
+# For the two sides whose first vertices the rho = 1 rule reads, codewords
+# and non-codewords, the membership of the other side.
+_OTHER = np.array([[0], [1]])
+
+
+def _narrowest(bound: int) -> type:
+    """The narrowest unsigned dtype that holds ``bound``, or int64."""
+    return np.uint8 if bound < 2**8 else np.uint16 if bound < 2**16 else np.int64
+
+
+def _line_sums(space: Space, masks: np.ndarray) -> list[np.ndarray]:
+    """The n line-sum arrays of the rows of an (L, V) bool array: entry j sums
+    each row's grid along position j+1, kept as an axis of length 1.  The
+    dtype is the narrowest that holds n*q, the largest line total.
+
+    Each sum is an einsum in the narrowest dtype that holds q, the largest
+    line sum: that reduces the short inner axes several times faster than
+    ``np.add.reduce``."""
+    g = masks.reshape((len(masks),) + space.shape).view(np.uint8)
+    axes = list(range(g.ndim))
+    line, total = _narrowest(space.q), _narrowest(space.n * space.q)
+    return [np.einsum(g, axes, axes[:ax] + axes[ax + 1:], dtype=line).astype(total, copy=False)
+            .reshape(g.shape[:ax] + (1,) + g.shape[ax + 1:])
+            for ax in axes[1:]]
+
+
+def _line_totals(space: Space, sums: list[np.ndarray], first_row: int = 0):
+    """Yield (start, stop, totals) slab by slab, from first-position row
+    ``first_row`` on: ``totals`` is the (L, stop - start) array (broadcast from
+    (L, 1) when n = 1) of the line totals of vertices start:stop.  A vertex's
+    line total is the sum of the n line sums through it: its number of
+    neighbors in the set, plus n if it is a member."""
+    per_row = space.size // space.q
+    rows = max(1, SLAB // per_row)
+    for a in range(first_row, space.q, rows):
+        b = min(a + rows, space.q)
+        tot = sum((s[:, a:b] for s in sums[1:]), sums[0])
+        yield a * per_row, b * per_row, tot.reshape(len(tot), math.prod(tot.shape[1:]))
+
+
+def _totals_at(space: Space, sums: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """The line totals of the vertices ``idx[r, i]`` of row r."""
+    at = np.unravel_index(idx, space.shape)
+    rows, zero = np.arange(len(idx))[:, None], np.zeros(idx.shape, dtype=np.intp)
+    return sum(s[(rows,) + at[:j] + (zero,) + at[j + 1:]] for j, s in enumerate(sums))
+
+
+def _rho1_rule(space: Space, masks: np.ndarray, sums: list[np.ndarray]):
+    """The rho = 1 rule on the rows of an (L, V) bool array, given their line
+    sums: a row's first codeword fixes the line total ``inner_total`` of every
+    codeword, and its first non-codeword the total ``gamma`` of every
+    non-codeword.  Returns (inner_total, gamma, proper, bad): ``proper`` tells
+    whether the row is a nonempty, non-full set, and ``bad`` yields, slab by
+    slab and only as it is read, the slab's first vertex, its totals as
+    ``_line_totals`` gives them and an (L, slab) bool array marking each
+    vertex whose total differs from its side's."""
+    # ends[r] = (first codeword, first non-codeword): the first vertex of its
+    # side on the first line along the last position that holds one, that
+    # is whose line sum is not 0, respectively not q.  An argmax over the
+    # whole of a read-only mask would copy it.
+    q, rows = space.q, np.arange(len(masks))
+    n_lines = space.size // q
+    line = (sums[-1].reshape(len(masks), 1, n_lines) != q * _OTHER).argmax(axis=2)
+    on_line = masks.reshape(len(masks), n_lines, q)[rows[:, None], line]
+    ends = line * q + (on_line != _OTHER).argmax(axis=2)
+    inner_total, gamma = _totals_at(space, sums, ends).T
+    sides = masks[rows[:, None], ends]
+    # a total is its side's when it minus (inner_total - gamma) times
+    # membership is gamma; unsigned totals wrap alike on both sides
+    step, b = (inner_total - gamma)[:, None], gamma[:, None]
+    member = masks.view(np.uint8)
+    bad = ((start, tot, tot - member[:, start:stop] * step != b)
+           for start, stop, tot in _line_totals(space, sums))
+    return inner_total, gamma, sides[:, 0] > sides[:, 1], bad
 
 
 def certify_rho1(space: Space, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,10 +269,15 @@ def certify_rho1(space: Space, masks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Returns (gamma, beta, ok), one entry per row.  ``ok`` holds exactly when
     ``check_crc`` of the row would certify covering radius 1, and then gamma
     and beta are the certificate's; on other rows (including the empty and
-    the full set) they mean nothing.  One stacked ``neighbor_counts`` pass.
+    the full set) they mean nothing.  One stacked line-sum pass.
     """
-    inner, gamma, bad, proper = _rho1_rule(neighbor_counts(space, masks), masks)
-    return gamma, space.valency - inner, ~bad.any(axis=1) & (gamma > 0) & proper
+    inner_total, gamma, proper, bad = _rho1_rule(space, masks, _line_sums(space, masks))
+    ok = proper & (gamma > 0)
+    for _, _, slab in bad:
+        ok &= ~slab.any(axis=1)
+        if not ok.any():
+            break
+    return gamma, space.valency + space.n - inner_total.astype(np.int64), ok
 
 
 def check_crc(code: Code) -> CheckResult:
@@ -214,22 +287,30 @@ def check_crc(code: Code) -> CheckResult:
     if size == 0 or size == sp.size:
         raise ValueError("code must be a proper nonempty vertex subset")
     mask = code.mask
-    c = neighbor_counts(sp, mask)
     k = sp.valency
-    inner, gamma, bad, _ = _rho1_rule(c[None], mask[None])
-    inner, gamma, bad = int(inner[0]), int(gamma[0]), bad[0]
+    sums = _line_sums(sp, mask[None])
+    inner_total, gamma, _, bad = _rho1_rule(sp, mask[None], sums)
+    inner, gamma = int(inner_total[0]) - sp.n, int(gamma[0])
     if gamma > 0:
-        v = int(np.argmax(bad))
-        if not bad[v]:
+        hit = next((h for h in bad if h[2].any()), None)
+        if hit is None:
             return CrcCertificate(sp.n, sp.q, 1, size, (k - inner,), (gamma,))
-        # rho = 1 unless some non-codeword has no neighbor in C
-        if not ((c == 0) & ~mask).any():
+        start, tot, slab = hit
+        i = int(slab.argmax())
+        v, total = start + i, int(tot[0, i % tot.shape[1]])   # tot is (1, 1) when n = 1
+        # rho = 1 unless some non-codeword has no neighbor in C, that is a
+        # line total of 0 (a codeword's is at least n).  A direction whose
+        # every line meets C rules that out; else the slabs from v's on are
+        # scanned, since every vertex before v has its side's positive total.
+        if (any(s.all() for s in sums)
+                or not any((tot == 0).any()
+                           for _, _, tot in _line_totals(sp, sums, v // (sp.size // sp.q)))):
             if mask[v]:
-                return CrcFailure(sp.vertex(v), 0, 1, k - int(c[v]), k - inner)
-            return CrcFailure(sp.vertex(v), 1, 0, int(c[v]), gamma)
+                return CrcFailure(sp.vertex(v), 0, 1, k - (total - sp.n), k - inner)
+            return CrcFailure(sp.vertex(v), 1, 0, total, gamma)
 
     # covering radius >= 2: check layer by layer, counting into each layer once
-    counts = [c]
+    counts = [neighbor_counts(sp, mask)]
     layers = _grow_layers(code, counts)
     counts.append(neighbor_counts(sp, layers[-1]))
     rho = len(layers) - 1

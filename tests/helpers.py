@@ -5,9 +5,10 @@ loops over vertices and neighbor enumeration), independently of the
 vectorized library code it is used to check.  That includes the explicit
 neighbor, clique and hyperface enumerators of H(n,q).  The exceptions are the
 reference implementations at the end, which the vectorized library code must
-reproduce exactly (the three-pass verifier, the per-codeword code-file
-writer and reader, the per-derivative classifier and the set-based clique
-decomposition), and a runner for snippets under ``python -O``.
+reproduce exactly (the three-pass verifier, the one-pass rho = 1 decision
+from whole count arrays, the per-codeword code-file writer and reader, the
+per-derivative classifier and the set-based clique decomposition), and a
+runner for snippets under ``python -O``.
 """
 
 from __future__ import annotations
@@ -297,6 +298,49 @@ def reference_check_crc(code: Code) -> CheckResult:
     if best is not None:
         return best[1]
     return CrcCertificate(sp.n, sp.q, dp.rho, code.size, tuple(betas), tuple(gammas))
+
+
+# The one-pass rho = 1 decision from whole count arrays: every vertex's
+# in-code neighbor count, the rule read off the counts with whole-space
+# argmax and where, and the three-pass verifier above for codes it leaves
+# undecided.  The reference that the slab-by-slab line totals of
+# ``check_crc`` and ``certify_rho1`` must match field by field.
+
+def reference_rho1_rule(space: Space, masks: np.ndarray):
+    """(counts, inner, gamma, bad, proper) per row: each row's first codeword
+    fixes ``inner``, its in-code neighbors, and its first non-codeword
+    ``gamma``; ``bad`` marks every vertex whose count differs from its
+    side's, and ``proper`` whether the row is a nonempty, non-full set."""
+    c = np.array([reference_neighbor_counts(space, m) for m in masks]).reshape(masks.shape)
+    rows = np.arange(len(masks))
+    first_in, first_out = masks.argmax(axis=1), masks.argmin(axis=1)
+    inner, gamma = c[rows, first_in], c[rows, first_out]
+    bad = c != np.where(masks, inner[:, None], gamma[:, None])
+    return c, inner, gamma, bad, masks[rows, first_in] & ~masks[rows, first_out]
+
+
+def reference_certify_rho1(space: Space, masks: np.ndarray):
+    """(gamma, beta, ok) per row, as ``certify_rho1`` defines them."""
+    _, inner, gamma, bad, proper = reference_rho1_rule(space, masks)
+    return gamma, space.valency - inner, ~bad.any(axis=1) & (gamma > 0) & proper
+
+
+def reference_one_pass_check(code: Code) -> CheckResult:
+    sp, mask = code.space, code.mask
+    if code.size == 0 or code.size == sp.size:
+        raise ValueError("code must be a proper nonempty vertex subset")
+    c, inner, gamma, bad, _ = reference_rho1_rule(sp, mask[None])
+    c, inner, gamma, bad = c[0], int(inner[0]), int(gamma[0]), bad[0]
+    k = sp.valency
+    if gamma > 0:
+        v = int(np.argmax(bad))
+        if not bad[v]:
+            return CrcCertificate(sp.n, sp.q, 1, code.size, (k - inner,), (gamma,))
+        if not ((c == 0) & ~mask).any():
+            if mask[v]:
+                return CrcFailure(sp.vertex(v), 0, 1, k - int(c[v]), k - inner)
+            return CrcFailure(sp.vertex(v), 1, 0, int(c[v]), gamma)
+    return reference_check_crc(code)
 
 
 # The code-file writer and reader one codeword at a time: the reference that

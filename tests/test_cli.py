@@ -327,6 +327,20 @@ def test_oversized_construct_fails_before_allocating():
         f"error: space too large: q^n = {argv[2]}^3 exceeds cap {SPACE_CAP}" for argv in OVERSIZED]
 
 
+def test_space_too_large_for_memory_is_a_one_line_error(tmp_path):
+    # H(1, 2^32) is within the space cap, but its 4 GiB indicator is not
+    # within the child's address space: verify and analyze must end in exit 2
+    path = tmp_path / "huge.json"
+    path.write_text('{"format": "crc-code.v1", "n": 1, "q": 4294967296, "codewords": [[0]]}')
+    script = ("from crcforge.cli import run\n"
+              f"print(run(['verify', {str(path)!r}]))\n"
+              f"print(run(['analyze', {str(path)!r}]))\n")
+    proc = run_python("-c", script, preexec_fn=_limit_address_space)
+    assert proc.stdout.split() == ["2", "2"]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2 and all(ln.startswith("error: out of memory: ") for ln in lines)
+
+
 def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

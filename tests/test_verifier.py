@@ -1,6 +1,7 @@
 """Distance partitions, regularity certificates, profiles, reduce/extend."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crcforge import verifier
-from crcforge.constructions import build_feasible
+from crcforge.constructions import build_c, build_feasible
 from crcforge.hamming import Code, Space
+from crcforge.parameters import feasible_table
 from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                clique_profile, distance_partition, essential_positions,
                                extend_code, hyperface_profile, neighbor_counts,
                                reduce_code)
 
 from helpers import (SMALL_SPACES, all_cliques, brute_count_in, brute_crc1_params,
-                     brute_layer_sizes, code_of, h3q_table_entries, reference_check_crc,
-                     spectral_support)
+                     brute_layer_sizes, code_of, h3q_table_entries, reference_certify_rho1,
+                     reference_check_crc, reference_one_pass_check, spectral_support)
 
 
 def test_neighbor_counts_matches_brute_force():
@@ -352,9 +354,16 @@ def test_certify_rho1_certifies_every_pool_code(nq):
     assert verifier.certify_rho1(sp, edge)[2].tolist() == [False, False, True]
 
 
-def assert_same_check(code):
-    """check_crc equals the three-pass reference field by field, types included."""
-    got, want = check_crc(code), reference_check_crc(code)
+@pytest.mark.parametrize("nq", CERTIFY_SPACES)
+def test_certify_rho1_on_an_empty_stack(nq):
+    sp = Space(*nq)
+    assert [a.shape for a in verifier.certify_rho1(sp, np.zeros((0, sp.size), bool))] == [(0,)] * 3
+
+
+def assert_same_check(code, reference=reference_check_crc):
+    """check_crc equals a reference verifier, by default the three-pass one,
+    field by field, types included."""
+    got, want = check_crc(code), reference(code)
     assert type(got) is type(want), (got, want)
     for f in dataclasses.fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
@@ -425,3 +434,172 @@ def test_check_crc_matches_reference_for_covering_radius_above_one(monkeypatch):
     res = assert_same_check(code_of(Space(3, 3), [(0, 0, 0), (1, 1, 1)]))
     assert (res.witness_vertex, res.class_index, res.target_class) == ((0, 0, 2), 1, 2)
     assert len(passes) == 4
+
+
+# ------------------------------------------ line totals against whole count arrays
+
+def assert_same_as_one_pass(code):
+    """check_crc equals the whole-array one-pass oracle field by field, types
+    included, and certify_rho1 of the code as a one-row stack agrees."""
+    got = assert_same_check(code, reference_one_pass_check)
+    assert_same_certify(code.space, code.mask[None])
+    return got
+
+
+def assert_same_certify(space, masks):
+    """certify_rho1 equals the oracle on every row's ok, and on the gamma and
+    beta of every proper row (they mean nothing on the empty and full set)."""
+    gamma, beta, ok = verifier.certify_rho1(space, masks)
+    want_gamma, want_beta, want_ok = reference_certify_rho1(space, masks)
+    assert ok.tolist() == want_ok.tolist()
+    proper = masks.any(axis=1) & ~masks.all(axis=1)
+    assert gamma[proper].tolist() == want_gamma[proper].tolist()
+    assert beta[proper].tolist() == want_beta[proper].tolist()
+
+
+def flipped(code, *vertices):
+    mask = code.mask.copy()
+    mask[list(vertices)] ^= True
+    return Code(code.space, mask)
+
+
+def feasible_codes(q, count):
+    """``count`` build_feasible codes of H(3,q), spread over its table."""
+    entries = [(gamma, index) for index, row in feasible_table(3, q).items()
+               for gamma, _ in row]
+    picks = np.unique(np.linspace(0, len(entries) - 1, count).astype(int))
+    return [build_feasible(q, *entries[i])[0] for i in picks]
+
+
+@pytest.mark.parametrize("n, q, dtype", [(3, 85, np.uint8), (2, 128, np.uint16),
+                                         (3, 86, np.uint16), (1, 65535, np.uint16),
+                                         (1, 65536, np.int64)])
+def test_line_sums_take_the_narrowest_width(n, q, dtype):
+    # n*q = 255, 256, 258, 65535 and 65536: a vertex's line total is at most n*q
+    sp = Space(n, q)
+    sums = verifier._line_sums(sp, np.ones((1, sp.size), dtype=bool))
+    assert [s.dtype for s in sums] == [dtype] * n
+    total = sum(int(s.flat[0]) for s in sums)
+    assert total == n * q
+
+
+def test_check_crc_matches_one_pass_at_the_first_wide_total():
+    # H(2,128): n*q = 256, one more than uint8 holds
+    sp = Space(2, 128)
+    holes = [Code.from_indices(sp, [v]).complement() for v in (0, 5000)]
+    for code in [Code(sp, m) for m in crc_pool(sp)[::16]] + holes:
+        assert_same_as_one_pass(code)
+        assert_same_as_one_pass(flipped(code, 777))
+
+
+@pytest.mark.parametrize("q", [85, 86])
+def test_check_crc_matches_one_pass_at_both_count_widths(q):
+    # H(3,85) totals in uint8 up to exactly 255, H(3,86) in uint16; the
+    # complement of a singleton drives codeword totals to n*q
+    sp = Space(3, q)
+    kinds = set()
+    for code in feasible_codes(q, 4):
+        for c in (code, code.complement(), flipped(code, 0), flipped(code, sp.size - 1)):
+            res = assert_same_as_one_pass(c)
+            kinds.add((type(res).__name__, getattr(res, "class_index", None)))
+    hole = Code.from_indices(sp, [0]).complement()
+    res = assert_same_as_one_pass(hole)
+    assert isinstance(res, CrcFailure) and res.observed_count == 0   # a codeword of total n*q
+    assert {("CrcCertificate", None), ("CrcFailure", 0), ("CrcFailure", 1)} <= kinds
+
+
+@pytest.mark.parametrize("q", [65535, 65536])
+def test_check_crc_matches_one_pass_on_complete_graphs(q):
+    # H(1,q) is K_q: every proper subset is a rho = 1 code with gamma = |C|
+    sp = Space(1, q)
+    for members in ([0], [q - 1], range(q // 2), range(1, q), range(q - 1)):
+        code = Code.from_indices(sp, members)
+        cert = assert_same_as_one_pass(code)
+        assert (cert.gamma, cert.beta) == (code.size, q - code.size)
+
+
+def slab_edges(sp):
+    """The first and last vertex of every slab, in the current SLAB."""
+    per_row = sp.size // sp.q
+    rows = max(1, verifier.SLAB // per_row)
+    starts = range(0, sp.size, rows * per_row)
+    return sorted({v for s in starts for v in (s, min(s + rows * per_row, sp.size) - 1)})
+
+
+@pytest.mark.parametrize("slab", [None, "row", 1])
+def test_check_crc_matches_one_pass_on_slab_edge_flips(monkeypatch, slab):
+    # H(3,41) has 68,921 vertices: two slabs of the default size, 41 of one
+    # row; a flip at either end of a slab, or of the space, changes the
+    # totals on both sides of a slab border
+    sp = Space(3, 41)
+    if slab is not None:
+        monkeypatch.setattr(verifier, "SLAB", sp.size // sp.q if slab == "row" else slab)
+    edges = slab_edges(sp)
+    assert len(edges) == (4 if slab is None else 2 * sp.q)
+    kinds = set()
+    for code in feasible_codes(41, 3):
+        assert isinstance(assert_same_as_one_pass(code), CrcCertificate)
+        for v in edges[::1 if slab is None else 9] + [sp.size - 1]:
+            res = assert_same_as_one_pass(flipped(code, v))
+            kinds.add((type(res).__name__, getattr(res, "class_index", None)))
+        masks = np.array([code.mask] + [flipped(code, v).mask for v in edges[:6]])
+        assert_same_certify(sp, masks)
+    assert {("CrcFailure", 0), ("CrcFailure", 1)} <= kinds
+
+
+@pytest.mark.parametrize("slab", [None, "row", 1])
+@pytest.mark.parametrize("nq", [(1, 7), (2, 6), (4, 4), (5, 3), (7, 2)])
+def test_check_crc_matches_one_pass_beyond_n3(monkeypatch, slab, nq):
+    sp = Space(*nq)
+    if slab is not None:
+        monkeypatch.setattr(verifier, "SLAB", sp.size // sp.q if slab == "row" else slab)
+    rng = np.random.default_rng(sp.n * 100 + sp.q)
+    pool = crc_pool(sp)
+    rows = pool + [np.logical_xor(m, np.arange(sp.size) == v)
+                   for m in pool[:4] for v in (0, sp.size - 1, int(rng.integers(sp.size)))]
+    rows += [rng.random(sp.size) < d for d in (0.1, 0.5, 0.9)]
+    for mask in rows:
+        if mask.any() and not mask.all():
+            assert_same_as_one_pass(Code(sp, mask))
+    assert_same_certify(sp, np.array(rows + [np.zeros(sp.size, bool), np.ones(sp.size, bool)]))
+
+
+@pytest.mark.parametrize("slab", [None, "row", 1])
+def test_check_crc_matches_one_pass_for_covering_radius_above_one(monkeypatch, slab):
+    # sparse sets: a vertex with no neighbor in C may sit in the failing
+    # vertex's own slab, before or after it, or in a later one
+    if slab is not None:
+        monkeypatch.setattr(verifier, "SLAB", 16 if slab == "row" else slab)  # one row of H(3,4)
+    rng = np.random.default_rng(5)
+    codes = [code_of(Space(3, 3), [(0, 0, 0)]), code_of(Space(5, 2), [(0,) * 5, (1,) * 5]),
+             code_of(Space(3, 3), [(0, 0, 0), (1, 1, 1)])]
+    codes += [Code(Space(3, 4), rng.random(64) < d) for d in (0.05, 0.1, 0.15) for _ in range(20)]
+    codes += [Code(Space(4, 4), rng.random(256) < 0.03) for _ in range(6)]
+    results = [assert_same_as_one_pass(c) for c in codes if c.size]
+    assert {2, 3} <= {getattr(r, "rho", None) for r in results}
+    assert any(isinstance(r, CrcFailure) for r in results)
+
+
+def test_spectral_support_at_both_count_widths():
+    # one rho = 1 code each side of the uint8/uint16 switch: the Fourier oracle
+    # agrees with the line-total certificate
+    for q in (85, 86):
+        for code in feasible_codes(q, 2):
+            cert = check_crc(code)
+            assert isinstance(cert, CrcCertificate) and cert.rho == 1
+            assert spectral_support(code) == {cert.eigenvalue_index}
+
+
+def test_check_crc_keeps_no_per_vertex_arrays():
+    # the slabs bound the working set; count arrays over H(3,256) would take
+    # 32 MiB in uint16, and argmax copies of the read-only mask 16 MiB each
+    code = build_c(256, 129)
+    for c in (code, flipped(code, 3 * 256 * 256 + 12345)):
+        tracemalloc.start()
+        try:
+            res = check_crc(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (res, peak)
+    assert isinstance(res, CrcFailure)
