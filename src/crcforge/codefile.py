@@ -183,7 +183,7 @@ def _read_rows(raw: bytes, n: int, q: int) -> Optional[np.ndarray]:
 def _read_json(text: str) -> tuple[Code, dict]:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # deep nesting raises RecursionError
         raise CodeFileError(f"not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise CodeFileError("top level must be a JSON object")

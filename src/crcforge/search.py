@@ -33,11 +33,13 @@ narrows, every decided vertex in its state (in both states when the index
 shift ties the intervals).
 
 Every completed assignment is independently re-verified, by line-sum
-counting, before being reported.  Leaves are re-verified in batches of
-LEAF_BATCH, in emission order: one stacked neighbor count certifies a whole
-batch, and the first bad leaf raises with check_crc's witness.  Work splits
-across processes at the top two decision levels; the summary (codes,
-parameter sets, node count) does not depend on the worker count.
+counting, before anything is reported.  Work splits across processes at the
+top two decision levels, and the workers only search: each returns its node
+count and the IN bitmasks of its leaves.  enumerate_crcs certifies every
+leaf in emission order, LEAF_BATCH at a time (one stacked line-sum count per
+batch), raises on the first bad one with check_crc's witness, and only then
+hands codes to the sink.  The summary (codes, parameter sets, node count)
+does not depend on the worker count.
 
 Complementing a (gamma, beta, i) code gives a (beta, gamma, i) code, and
 flipping every decision maps the search tree onto itself node for node
@@ -46,9 +48,9 @@ or gamma = beta fixed with the index, and no fix_first_codeword.  Such a
 search solves only the two top-level tasks with vertex 0 out.  The tasks
 with vertex 0 in are their mirrors: their leaves are the complements of the
 solved leaves, in reverse order, since complementing reverses the
-lexicographic order.  Each mirrored leaf is certified as well, by line-sum
-counting of the complement batch, before it is reported.  The node count
-still counts the whole tree, mirrored half included.
+lexicographic order.  enumerate_crcs appends them after the solved leaves
+and certifies them like any other leaf.  The node count still counts the
+whole tree, mirrored half included.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .verifier import certify_rho1, check_crc, rho1_eigenvalue_index
 # The search state is one bit per vertex; beyond this the tree is hopeless anyway.
 VERTEX_LIMIT = 64
 
-# Leaves re-verified per batch: bounds the (batch, V) arrays at any census size.
+# Leaves certified per certify_rho1 call: bounds the (batch, V) arrays at any census size.
 LEAF_BATCH = 1024
 
 WORKERS_ENV = "CRC_FORGE_THREADS"
@@ -121,15 +123,14 @@ def _unpack(sp: Space, masks: list[int]) -> np.ndarray:
     return bits[:, :sp.size].view(bool)
 
 
-def _solve_subtree(args) -> tuple[int, list, list]:
+def _solve_subtree(args) -> tuple[int, list[int]]:
     """Run the DFS below one prefix of forced assignments.
 
-    Returns (nodes visited, results, mirrored), each result being
-    (gamma, beta, index, IN bitmask) in emission order.  With ``mirror`` set,
-    ``mirrored`` holds the certified complement of every result, in the same
-    order; otherwise it is empty.
+    Returns (nodes visited, leaves): the IN bitmask of every completed
+    assignment other than the empty set and the whole space, in emission
+    order, not yet certified.
     """
-    n, q, gamma_t, index_t, fix_zero, prefix, mirror = args
+    n, q, gamma_t, index_t, fix_zero, prefix = args
     sp = Space(n, q)
     V, k = sp.size, sp.valency
     full = (1 << V) - 1
@@ -150,20 +151,18 @@ def _solve_subtree(args) -> tuple[int, list, list]:
         qi = q * index_t
         num = V * gamma_t
         if num % qi:
-            return 0, [], []  # code size q^n*gamma/(q*i) not an integer
+            return 0, []  # code size q^n*gamma/(q*i) not an integer
         size_t = num // qi
         if index_t >= 2:
             if size_t % q:
-                return 0, [], []  # balanced hyperfaces impossible
+                return 0, []  # balanced hyperfaces impossible
             face_t = size_t // q
             faces = [sum(1 << vi for vi in range(V) if vi // stride % q == s)
                      for stride in strides for s in range(q)]
     shift = None if index_t is None else k - q * index_t
 
     nodes = 0
-    results: list = []
-    mirrored: list = []
-    pending: list[int] = []  # leaves not yet re-verified, in emission order
+    leaves: list[int] = []
 
     def propagate(IN: int, OUT: int, box: list, new: int):
         """Close (IN, OUT, box) under every rule after the vertices in ``new``
@@ -237,42 +236,12 @@ def _solve_subtree(args) -> tuple[int, list, list]:
     def decide(IN: int, OUT: int, box: list, bit: int, val: int):
         return propagate(IN | bit, OUT, box, bit) if val else propagate(IN, OUT | bit, box, bit)
 
-    def leaf(IN: int) -> None:
-        if IN in (0, full):
-            return  # the empty set or the whole space
-        pending.append(IN)
-        if len(pending) == LEAF_BATCH:
-            verify_pending()
-
-    def verify_pending() -> None:
-        """Re-verify the pending leaves, in emission order, and move them to
-        results, and their complements to mirrored when mirroring; raise on
-        the first bad one."""
-        masks = _unpack(sp, pending)
-        certify(masks, pending, results)
-        if mirror:
-            certify(~masks, [full ^ m for m in pending], mirrored)
-        pending.clear()
-
-    def certify(masks: np.ndarray, ins: list[int], out: list) -> None:
-        """Certify the rows of ``masks`` by line-sum counting, in order, and
-        append them to ``out``; raise with check_crc's witness on a bad one."""
-        gam, bet, ok = certify_rho1(sp, masks)
-        for j, (gamma, beta, good) in enumerate(zip(gam.tolist(), bet.tolist(), ok.tolist())):
-            if not good:
-                raise RuntimeError(f"search emitted a non-CRC set: {check_crc(Code(sp, masks[j]))}")
-            if gamma_t is not None and gamma != gamma_t:
-                raise RuntimeError(f"search emitted gamma={gamma}, target was {gamma_t}")
-            idx = rho1_eigenvalue_index(n, q, gamma, beta)
-            if index_t is not None and idx != index_t:
-                raise RuntimeError(f"search emitted eigenvalue index {idx}, target was {index_t}")
-            out.append((gamma, beta, idx, ins[j]))
-
     def dfs(IN: int, OUT: int, box: list) -> None:
         nonlocal nodes
         free = full & ~(IN | OUT)
         if not free:
-            leaf(IN)
+            if IN and IN != full:  # neither the empty set nor the whole space
+                leaves.append(IN)
             return
         low = free & -free  # lowest undecided vertex, 0 first: lexicographic emission
         for val in (0, 1):
@@ -299,9 +268,7 @@ def _solve_subtree(args) -> tuple[int, list, list]:
         state = decide(IN, OUT, box, bit, val)
     if state:
         dfs(*state)
-    if pending:
-        verify_pending()
-    return nodes, results, mirrored
+    return nodes, leaves
 
 
 def _tasks(constraints: SearchConstraints) -> list:
@@ -343,15 +310,14 @@ def enumerate_crcs(constraints: SearchConstraints,
     constraints.  Found codes go to ``sink`` (unless count_only); the returned
     summary is identical for any worker count."""
     c = constraints
-    collect = sink is not None and not count_only
+    sp = c.space
     tasks = _tasks(c)
     mirror = _complement_symmetric(c)
     if mirror:
         # Task t's mirror, tasks[-1 - t], is t with every decision flipped;
-        # it is solved as the complements of t's leaves, in reverse order.
+        # its leaves are the complements of t's, in reverse order.
         tasks = tasks[:len(tasks) // 2]
-    args = [(c.n, c.q, c.gamma, c.eigenvalue_index, c.fix_first_codeword, p, mirror)
-            for p in tasks]
+    args = [(c.n, c.q, c.gamma, c.eigenvalue_index, c.fix_first_codeword, p) for p in tasks]
     w = min(resolve_workers(workers), len(args))
     if w <= 1:
         outs = [_solve_subtree(a) for a in args]
@@ -359,15 +325,29 @@ def enumerate_crcs(constraints: SearchConstraints,
         with Pool(w) as pool:
             outs = pool.map(_solve_subtree, args)
 
-    nodes = sum(o[0] for o in outs) * (2 if mirror else 1)
-    parts = [o[1] for o in outs] + [o[2][::-1] for o in reversed(outs)]
-    found = 0
+    nodes = sum(o[0] for o in outs)
+    leaves = [m for o in outs for m in o[1]]
+    if mirror:
+        nodes *= 2
+        full = (1 << sp.size) - 1
+        leaves += [full ^ m for m in reversed(leaves)]
+
+    # Certify every leaf, in emission order, before anything is emitted.
     params = set()
-    sp = c.space
-    for results in parts:
-        found += len(results)
-        params.update(r[:3] for r in results)
-        if collect:
-            for mask in _unpack(sp, [r[3] for r in results]):
-                sink(Code(sp, mask))
-    return SearchSummary(c.n, c.q, found, frozenset(params), nodes)
+    for start in range(0, len(leaves), LEAF_BATCH):
+        masks = _unpack(sp, leaves[start:start + LEAF_BATCH])
+        gam, bet, ok = certify_rho1(sp, masks)
+        for j, (gamma, beta, good) in enumerate(zip(gam.tolist(), bet.tolist(), ok.tolist())):
+            if not good:
+                raise RuntimeError(f"search emitted a non-CRC set: {check_crc(Code(sp, masks[j]))}")
+            if c.gamma is not None and gamma != c.gamma:
+                raise RuntimeError(f"search emitted gamma={gamma}, target was {c.gamma}")
+            idx = rho1_eigenvalue_index(c.n, c.q, gamma, beta)
+            if c.eigenvalue_index is not None and idx != c.eigenvalue_index:
+                raise RuntimeError(
+                    f"search emitted eigenvalue index {idx}, target was {c.eigenvalue_index}")
+            params.add((gamma, beta, idx))
+    if sink is not None and not count_only:
+        for mask in _unpack(sp, leaves):
+            sink(Code(sp, mask))
+    return SearchSummary(c.n, c.q, len(leaves), frozenset(params), nodes)

@@ -37,19 +37,17 @@ from .hamming import Clique, Code, Space
 def neighbor_counts(space: Space, indicator: np.ndarray) -> np.ndarray:
     """For every vertex, the number of its neighbors inside the indicated set.
 
-    ``indicator`` is one set, flat or in grid shape, or a stack of sets along
-    a leading axis.  Returns flat counts, shape (V,) or (L, V), in the
-    narrowest dtype that holds n*q, the most a vertex's n line sums total.
+    ``indicator`` is one set, flat or in grid shape.  Returns flat counts,
+    shape (V,), in the narrowest dtype that holds n*q, the most a vertex's n
+    line sums total.
     """
-    g = np.asarray(indicator, dtype=bool)
-    lead = () if g.shape in ((space.size,), space.shape) else g.shape[:1]
-    g = g.reshape(lead + space.shape)
+    g = np.asarray(indicator, dtype=bool).reshape(space.shape)
     dtype = _narrowest(space.n * space.q)
-    tot = np.zeros(g.shape, dtype=dtype)
-    for ax in range(len(lead), g.ndim):
+    tot = np.zeros(space.shape, dtype=dtype)
+    for ax in range(space.n):
         tot += g.sum(axis=ax, keepdims=True, dtype=dtype)
     tot -= dtype(space.n) * g
-    return tot.reshape(lead + (space.size,))
+    return tot.reshape(space.size)
 
 
 @dataclass(frozen=True)

@@ -407,6 +407,24 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+DEEP = "[" * 10000 + "]" * 10000  # json.loads raises RecursionError, not JSONDecodeError
+
+
+@pytest.mark.parametrize("layout", ["bare", "canonical"])
+def test_verify_deeply_nested_file_is_a_one_line_error(tmp_path, capsys, layout):
+    text = DEEP
+    if layout == "canonical":
+        # the writer's layout, so the canonical reader sees the deep meta first
+        shallow = dumps_code(build_a(4, 2), {"x": [[1]]})
+        assert read_canonically(shallow)[1] == {"x": [[1]]}
+        text = shallow.replace("[[1]]", DEEP)
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert run(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: not valid JSON") and err.count("\n") == 1
+
+
 def test_verify_huge_n_is_a_prompt_one_line_error(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"format": "crc-code.v1", "n": 1000000000, "q": 3, "codewords": []}')
@@ -652,6 +670,10 @@ def test_render_layers(tmp_path):
 @pytest.mark.parametrize("name, text, message", [
     ("missing.json", None, "cannot read"),
     ("junk.json", "{]", "not valid JSON"),
+    pytest.param("deep.json", DEEP, "not valid JSON", id="deep.json"),
+    # beyond Python's int-string digit limit: json.loads raises ValueError
+    pytest.param("long-int.json", '{"n": 1' + "0" * 5000 + "}", "not valid JSON",
+                 id="long-int.json"),
 ])
 def test_render_layers_bad_file_is_a_one_line_error(tmp_path, name, text, message):
     path = tmp_path / name

@@ -160,6 +160,28 @@ def test_mirrored_leaves_are_reverified(monkeypatch):
         enumerate_crcs(SearchConstraints(2, 3), workers=1)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sink_sees_nothing_until_every_leaf_is_certified(workers, monkeypatch):
+    # only the last code in emission order is rejected, after many batches
+    # of 7 have passed: a search that emitted while still certifying would
+    # have handed the earlier codes to the sink first
+    collected = []
+    enumerate_crcs(SearchConstraints(2, 4), sink=collected.append, workers=1)
+    last = collected[-1].mask
+    certify = search.certify_rho1
+
+    def reject_last(sp, masks):
+        gamma, beta, ok = certify(sp, masks)
+        return gamma, beta, ok & ~(masks == last).all(axis=1)
+
+    monkeypatch.setattr(search, "certify_rho1", reject_last)
+    monkeypatch.setattr(search, "LEAF_BATCH", 7)
+    emitted = []
+    with pytest.raises(RuntimeError, match="^search emitted a non-CRC set: "):
+        enumerate_crcs(SearchConstraints(2, 4), sink=emitted.append, workers=workers)
+    assert emitted == []
+
+
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 4), (4, 2)])
 def test_emissions_live_on_one_character_weight(n, q):
     # the spectral oracle agrees with the certified eigenvalue index of every

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crcforge import structure
 from crcforge.constructions import (build_a, build_b, build_c, build_d, build_feasible,
                                     build_index1)
 from crcforge.hamming import Clique, Code, Space
@@ -497,3 +498,13 @@ def test_clique_cover_complement_failure_details():
         "lemma-violated",
         detail="codirection-3 symbol sets are not the complements of the "
                "codirection-2 x1-set and codirection-1 x2-set")
+
+
+def test_clique_cover_projected_witness_failure(monkeypatch):
+    # lawful blocks always satisfy the block system, so this last check only
+    # fails when check_condition1 is made to reject the projected witness
+    code = build_d(8, ConditionOneWitness(2, 4, 6, 2, 3, 2))
+    assert isinstance(clique_cover(code), CliqueDecomposition)
+    monkeypatch.setattr(structure, "check_condition1", lambda q, w: False)
+    assert clique_cover(code) == CliqueCoverFailure(
+        "lemma-violated", detail="projected witness (2, 4, 6, 2, 3, 2) fails the block system")

@@ -270,19 +270,6 @@ def test_neighbor_counts_dtype_boundary(q):
         assert (counts[~mask] == members).all()
 
 
-def test_stacked_neighbor_counts_equal_row_by_row():
-    for n, q in [(1, 5), (2, 2), (2, 4), (3, 4)]:
-        sp = Space(n, q)
-        rng = np.random.default_rng(n * 10 + q)
-        for rows in (1, 2, 7):
-            stack = rng.random((rows, sp.size)) < 0.4
-            want = np.stack([neighbor_counts(sp, m) for m in stack])
-            for shaped in (stack, stack.reshape((rows,) + sp.shape)):
-                got = neighbor_counts(sp, shaped)
-                assert got.shape == (rows, sp.size) and got.dtype == want.dtype
-                assert np.array_equal(got, want)
-
-
 CERTIFY_SPACES = [(3, 4), (2, 3), (3, 2), (2, 5), (1, 4), (4, 3)]
 
 
