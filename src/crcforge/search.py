@@ -1,10 +1,13 @@
 """Exhaustive enumeration of covering-radius-1 completely regular codes.
 
-The search decides vertices in/out in lexicographic order.  Its state is two
-bitmasks, IN and OUT (the decided codewords and non-codewords), and the box
-of intervals below; all three are passed down the recursion by value, so
-backtracking undoes nothing.  A vertex's possible in-neighbor count is
-[cmin, cmax] = [|N(v) & IN|, k - |N(v) & OUT|].  In an equitable partition
+The search decides vertices in/out in lexicographic order.  Its state lives
+in Python ints: vertex v owns the w-bit field at bit w*v, with w wide enough
+that every count fits below the field's top bit.  cin and cout hold each
+vertex's number of decided neighbors in and out of the code, and IN and OUT,
+the decided codewords and non-codewords, are sets of field top bits.  With
+the box of intervals below, the state is passed down the recursion by value,
+so backtracking undoes nothing.  A vertex's possible in-neighbor count is
+[cmin, cmax] = [cin_v, k - cout_v].  In an equitable partition
 {C, complement} every decided vertex ends with a fixed number of neighbors in
 C: gamma for a non-codeword, k - beta for a codeword.  So the search keeps one
 global interval per vertex state for that number, and applies one rule to
@@ -14,7 +17,7 @@ every decided vertex, whatever its state:
   branch (with cmin == cmax this pins gamma or beta);
 - when the narrowed interval's low end is cmax, all undecided neighbors are
   forced in; when its high end is cmin, they are forced out (unit
-  propagation).
+  propagation).  A vertex forced both ways kills the branch.
 
 Global rules on the two intervals, reading beta as k minus the codeword count:
 
@@ -26,16 +29,21 @@ Global rules on the two intervals, reading beta as k minus the codeword count:
   up with exactly |C|/q codewords.
 
 Every rule only narrows, so the closed state of a branch and whether it dies
-do not depend on the order of the checks.  Propagation therefore rechecks
-only what a decision can have changed: the newly decided vertices, their
-decided neighbors and the hyperfaces through them, and, once an interval
-narrows, every decided vertex in its state (in both states when the index
-shift ties the intervals).
+do not depend on the order of the checks.  Propagation therefore applies
+each rule to all decided vertices at once.  Deciding u adds its spread, a 1
+in each neighbor's field, to cin or cout.  Adding ge[t], 2^(w-1) - t in
+every field, sets a field's top bit exactly when its count is at least t, so
+one add and one mask with IN or OUT tests a threshold for every vertex of a
+state: whether an interval end moves, or which vertices sit at an end and
+force their free neighbors.  The forced vertices are added the same way and
+the rules reapplied until nothing is forced.  With gamma and i fixed, the
+hyperfaces are n*q more fields of the same ints, counting their decided
+vertices against the balance.
 
 Every completed assignment is independently re-verified, by line-sum
 counting, before anything is reported.  Work splits across processes at the
 top two decision levels, and the workers only search: each returns its node
-count and the IN bitmasks of its leaves.  enumerate_crcs certifies every
+count and the packed IN sets of its leaves.  enumerate_crcs certifies every
 leaf in emission order, LEAF_BATCH at a time (one stacked line-sum count per
 batch), raises on the first bad one with check_crc's witness, and only then
 hands codes to the sink.  The summary (codes, parameter sets, node count)
@@ -67,10 +75,13 @@ import numpy as np
 from .hamming import Code, Space
 from .verifier import certify_rho1, check_crc, rho1_eigenvalue_index
 
-# The search state is one bit per vertex; beyond this the tree is hopeless anyway.
+# Bounds emission (one code per leaf) and the width of the packed search
+# state, not what can be searched: the cost follows the constraints, not the
+# vertex count.
 VERTEX_LIMIT = 64
 
-# Leaves certified per certify_rho1 call: bounds the (batch, V) arrays at any census size.
+# Leaves certified per certify_rho1 call, and unpacked per batch for the sink:
+# bounds the (batch, V) arrays at any census size.
 LEAF_BATCH = 1024
 
 WORKERS_ENV = "CRC_FORGE_THREADS"
@@ -115,38 +126,40 @@ class SearchSummary:
     nodes: int
 
 
-def _unpack(sp: Space, masks: list[int]) -> np.ndarray:
-    """The (len(masks), V) bool indicators of vertex bitmasks, bit v = vertex v."""
-    nb = (sp.size + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(nb, "little") for m in masks), np.uint8)
-    bits = np.unpackbits(raw.reshape(len(masks), nb), axis=1, bitorder="little")
-    return bits[:, :sp.size].view(bool)
+def _field_width(sp: Space) -> int:
+    """Bits per packed counter field: any vertex's or hyperface's count fits
+    below the field's top bit, so adding a threshold never carries."""
+    return max(sp.valency, sp.q ** (sp.n - 1)).bit_length() + 1
+
+
+def _ones(w: int, fields: int) -> int:
+    """A 1 at the bottom of each of ``fields`` consecutive w-bit fields."""
+    return ((1 << w * fields) - 1) // ((1 << w) - 1)
+
+
+def _unpack(sp: Space, leaves: list[int]) -> np.ndarray:
+    """The (len(leaves), V) bool indicators of packed vertex sets, in which
+    vertex v is the top bit of field v."""
+    w = _field_width(sp)
+    nb = (sp.size * w + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(nb, "little") for m in leaves), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(leaves), nb), axis=1, bitorder="little")
+    return bits[:, w - 1::w][:, :sp.size].view(bool)
 
 
 def _solve_subtree(args) -> tuple[int, list[int]]:
     """Run the DFS below one prefix of forced assignments.
 
-    Returns (nodes visited, leaves): the IN bitmask of every completed
+    Returns (nodes visited, leaves): the packed IN set of every completed
     assignment other than the empty set and the whole space, in emission
     order, not yet certified.
     """
     n, q, gamma_t, index_t, fix_zero, prefix = args
     sp = Space(n, q)
     V, k = sp.size, sp.valency
-    full = (1 << V) - 1
     strides = [q ** (n - 1 - j) for j in range(n)]
 
-    nbr: list[int] = []  # bit u of nbr[v] is set iff u is adjacent to v
-    for vi in range(V):
-        m = 0
-        for x, stride in zip(sp.vertex(vi), strides):
-            base = vi - x * stride
-            for s in range(q):
-                if s != x:
-                    m |= 1 << (base + s * stride)
-        nbr.append(m)
-
-    faces: list[int] = []  # hyperface masks, filled only when they must balance
+    face_t = None  # codewords per hyperface, when hyperfaces must balance
     if gamma_t is not None and index_t is not None:
         qi = q * index_t
         num = V * gamma_t
@@ -157,117 +170,137 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
             if size_t % q:
                 return 0, []  # balanced hyperfaces impossible
             face_t = size_t // q
-            faces = [sum(1 << vi for vi in range(V) if vi // stride % q == s)
-                     for stride in strides for s in range(q)]
     shift = None if index_t is None else k - q * index_t
+
+    # Field v < V counts vertex v's decided neighbors; while hyperfaces must
+    # balance, field V + j*q + s counts the decided vertices with x_j = s.
+    w = _field_width(sp)
+    half = 1 << (w - 1)
+    ones = _ones(w, V + (n * q if face_t is not None else 0))
+    full = _ones(w, V) << (w - 1)  # every vertex: the top bits of the vertex fields
+    faces = ones * half ^ full
+    ge = [ones * (half - t) for t in range(k + 2)]  # + ge[t]: top bit set iff count >= t
+    if face_t is not None:
+        in_over = ones * (half - 1 - face_t)  # + in_over: top bit set iff count > face_t
+        out_over = ones * (half - 1 - (V // q - face_t))
+
+    # spread[b], for the vertex u whose top bit is bit b - 1 (b = w*u + w, its
+    # bit_length): adding it counts u at each of its neighbors and hyperfaces.
+    spread = [0] * (w * V + 1)
+    for u in range(V):
+        m = 0
+        for j, (x, stride) in enumerate(zip(sp.vertex(u), strides)):
+            base = u - x * stride
+            for s in range(q):
+                if s != x:
+                    m |= 1 << w * (base + s * stride)
+            if face_t is not None:
+                m |= 1 << w * (V + j * q + x)
+        spread[w * u + w] = m
+
+    def total(mask: int) -> int:
+        """The sum of spread over the vertices of a packed set."""
+        t = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            t += spread[low.bit_length()]
+        return t
 
     nodes = 0
     leaves: list[int] = []
 
-    def propagate(IN: int, OUT: int, box: list, new: int):
-        """Close (IN, OUT, box) under every rule after the vertices in ``new``
-        were decided, the state without them being closed already.  Returns
-        the closed state, or None when the branch dies."""
-        box = box[:]
-        narrowed = 0  # bit 0 / bit 1: the non-codeword / codeword interval narrowed
+    def propagate(IN: int, OUT: int, cin: int, cout: int, box: tuple):
+        """Close a state under every rule; cin and cout count each vertex's
+        neighbors in IN and in OUT.  Returns the closed state, or None when
+        the branch dies."""
+        g_lo, g_hi, a_lo, a_hi = box
         while True:
-            not_out = ~OUT
-            for f in faces:
-                if f & new and ((IN & f).bit_count() > face_t
-                                or (f & not_out).bit_count() < face_t):
-                    return None
+            if face_t is not None and ((cin + in_over) | (cout + out_over)) & faces:
+                return None  # a hyperface holds too many codewords or too few candidates
+            # Narrow each interval to the in-code neighbor counts [cin, k - cout]
+            # of the decided vertices in its state.
+            while (cin + ge[g_lo + 1]) & OUT:
+                g_lo += 1
+            while (cout + ge[k + 1 - g_hi]) & OUT:
+                g_hi -= 1
+            while (cin + ge[a_lo + 1]) & IN:
+                a_lo += 1
+            while (cout + ge[k + 1 - a_hi]) & IN:
+                a_hi -= 1
             if shift is not None:
                 # gamma + beta = q*i, i.e. k - beta = gamma + shift
-                g_lo = max(box[0], box[2] - shift)
-                g_hi = min(box[1], box[3] - shift)
+                g_lo = max(g_lo, a_lo - shift)
+                g_hi = min(g_hi, a_hi - shift)
                 if g_lo > g_hi:
                     return None
-                # This moves the box only at the root, where every decided
-                # vertex is new, or after a narrowing, which the shift makes
-                # a recheck of both states.
-                box = [g_lo, g_hi, g_lo + shift, g_hi + shift]
-                if narrowed:
-                    narrowed = 3
-            else:
-                g_lo, g_hi, a_lo, a_hi = box
-                if (g_lo + k - a_hi + q - 1) // q * q > g_hi + k - a_lo:
-                    return None  # no multiple of q reachable for gamma+beta
+                a_lo, a_hi = g_lo + shift, g_hi + shift
+            elif g_lo > g_hi or a_lo > a_hi:
+                return None
+            elif (g_lo + k - a_hi + q - 1) // q * q > g_hi + k - a_lo:
+                return None  # no multiple of q reachable for gamma+beta
 
-            # Only the new vertices and their decided neighbors saw their
-            # counts move; a narrowed interval concerns every decided vertex
-            # in its state.
-            todo = dirty = new
-            while dirty:
-                low = dirty & -dirty
-                dirty ^= low
-                todo |= nbr[low.bit_length() - 1]
-            todo &= IN | OUT
-            if narrowed & 1:
-                todo |= OUT
-            if narrowed & 2:
-                todo |= IN
-            new = narrowed = 0
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                m = nbr[low.bit_length() - 1]
-                cmin = (m & IN).bit_count()
-                cmax = k - (m & OUT).bit_count()
-                at = 2 if IN & low else 0  # the vertex's interval in box
-                lo, hi = box[at], box[at + 1]
-                if cmin > lo:
-                    lo = box[at] = cmin
-                    narrowed |= 2 if at else 1
-                if cmax < hi:
-                    hi = box[at + 1] = cmax
-                    narrowed |= 2 if at else 1
-                if lo > hi:
-                    return None
-                if cmin < cmax and (cmax == lo or cmin == hi):
-                    free = m & ~(IN | OUT)
-                    if cmax == lo:
-                        IN |= free
-                    else:
-                        OUT |= free
-                    new |= free
-            if not (new or narrowed):
-                return IN, OUT, box
+            # Every decided vertex's counts now straddle its state's interval.
+            # One with a free neighbor forces its free neighbors in when its
+            # most possible in-code neighbors, k - cout, is the interval's low
+            # end, and out when cin already is its high end.
+            has_free = ~(cin + cout + ge[k])
+            force_in = ((cout + ge[k - g_lo]) & OUT | (cout + ge[k - a_lo]) & IN) & has_free
+            force_out = ((cin + ge[g_hi]) & OUT | (cin + ge[a_hi]) & IN) & has_free
+            if not (force_in or force_out):
+                return IN, OUT, cin, cout, (g_lo, g_hi, a_lo, a_hi)
+            free = full & ~(IN | OUT)
+            new_in = (total(force_in) + ge[1]) & free
+            new_out = (total(force_out) + ge[1]) & free
+            if new_in & new_out:
+                return None  # a free vertex forced both ways
+            IN |= new_in
+            OUT |= new_out
+            cin += total(new_in)
+            cout += total(new_out)
 
-    def decide(IN: int, OUT: int, box: list, bit: int, val: int):
-        return propagate(IN | bit, OUT, box, bit) if val else propagate(IN, OUT | bit, box, bit)
+    def decide(state: tuple, bit: int, val: int):
+        """Put the vertex whose top bit is ``bit`` in (val 1) or out, and close."""
+        IN, OUT, cin, cout, box = state
+        s = spread[bit.bit_length()]
+        if val:
+            return propagate(IN | bit, OUT, cin + s, cout, box)
+        return propagate(IN, OUT | bit, cin, cout + s, box)
 
-    def dfs(IN: int, OUT: int, box: list) -> None:
+    def dfs(state: tuple) -> None:
         nonlocal nodes
+        IN, OUT = state[0], state[1]
         free = full & ~(IN | OUT)
         if not free:
             if IN and IN != full:  # neither the empty set nor the whole space
                 leaves.append(IN)
             return
-        low = free & -free  # lowest undecided vertex, 0 first: lexicographic emission
+        # lowest undecided vertex, 0 first: lexicographic emission
+        low = free & -free
         for val in (0, 1):
             nodes += 1
-            state = decide(IN, OUT, box, low, val)
-            if state:
-                dfs(*state)
+            child = decide(state, low, val)
+            if child:
+                dfs(child)
 
-    # box[2s], box[2s+1]: the range the final in-code neighbor count of a
-    # decided vertex in state s must land in -- gamma for s = 0, k - beta
-    # for s = 1.
-    box = [1, k, 0, k - 1] if gamma_t is None else [gamma_t, gamma_t, 0, k - 1]
-    state = propagate(1, 0, box, 1) if fix_zero else (0, 0, box)
+    # box: the ranges [g_lo, g_hi] and [a_lo, a_hi] that the final in-code
+    # neighbor count of a decided vertex must land in -- gamma for a
+    # non-codeword, k - beta for a codeword.
+    box = (1, k, 0, k - 1) if gamma_t is None else (gamma_t, gamma_t, 0, k - 1)
+    state = decide((0, 0, 0, 0, box), half, 1) if fix_zero else (0, 0, 0, 0, box)
     for v, val in prefix:
         if state is None:
             break
         nodes += 1
-        IN, OUT, box = state
-        bit = 1 << v
+        IN, OUT = state[0], state[1]
+        bit = half << w * v
         if (IN | OUT) & bit:
             if bool(IN & bit) != bool(val):
                 state = None
             continue
-        state = decide(IN, OUT, box, bit, val)
+        state = decide(state, bit, val)
     if state:
-        dfs(*state)
+        dfs(state)
     return nodes, leaves
 
 
@@ -329,7 +362,8 @@ def enumerate_crcs(constraints: SearchConstraints,
     leaves = [m for o in outs for m in o[1]]
     if mirror:
         nodes *= 2
-        full = (1 << sp.size) - 1
+        w = _field_width(sp)
+        full = _ones(w, sp.size) << (w - 1)
         leaves += [full ^ m for m in reversed(leaves)]
 
     # Certify every leaf, in emission order, before anything is emitted.
@@ -348,6 +382,7 @@ def enumerate_crcs(constraints: SearchConstraints,
                     f"search emitted eigenvalue index {idx}, target was {c.eigenvalue_index}")
             params.add((gamma, beta, idx))
     if sink is not None and not count_only:
-        for mask in _unpack(sp, leaves):
-            sink(Code(sp, mask))
+        for start in range(0, len(leaves), LEAF_BATCH):
+            for mask in _unpack(sp, leaves[start:start + LEAF_BATCH]):
+                sink(Code(sp, mask))
     return SearchSummary(c.n, c.q, len(leaves), frozenset(params), nodes)

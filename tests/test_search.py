@@ -66,8 +66,11 @@ def test_summary_independent_of_worker_count():
 
 # (n, q, gamma, index, fix_first_codeword) -> (codes_found, nodes), one worker.
 # The node counts pin the pruning itself: the faces path, the multiple-of-q
-# path, the gamma-only path and the fixed-zero path.  H(3,4) has 64 vertices,
-# so its rows also use the top bit of the search's vertex masks.
+# path, the gamma-only path and the fixed-zero path.  H(3,4) and H(2,8) have
+# 64 vertices, so their rows also use the top field of the search's packed
+# counters.  The field width is set by the valency or the hyperface size,
+# whichever is larger: 7 bits both at the valency 63 of H(1,64) and at the
+# hyperface size 32 of H(6,2) with the index fixed at 2 or more.
 PINNED_NODES = [
     ((2, 3, None, None, False), (24, 112)),
     ((2, 4, None, None, False), (166, 1080)),
@@ -90,6 +93,12 @@ PINNED_NODES = [
     ((4, 2, 2, 2, False), (36, 72)),
     ((6, 2, 2, 2, False), (390, 1628)),
     ((2, 6, 3, 1, False), (40, 276)),
+    # field-width extremes
+    ((1, 64, 1, 1, False), (64, 130)),
+    ((1, 64, 2, 1, False), (2016, 4032)),
+    ((1, 5, None, None, False), (30, 60)),
+    ((2, 8, 2, 1, False), (56, 520)),
+    ((3, 4, None, 1, False), (42, 516)),
 ]
 
 
@@ -131,6 +140,20 @@ def test_emission_is_lexicographic_on_indicator(n, q, gamma, index, fix_zero, wo
     keys = [tuple(c.mask.astype(int)) for c in collected]
     assert len(keys) == s.codes_found > 0
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_widest_fields_against_pairs_of_k64(workers):
+    # In H(1,64) = K_64 a non-codeword sees every codeword, so the proper
+    # subsets with gamma = 2 are exactly the 2-subsets.  Valency 63 makes the
+    # packed fields 7 bits wide, and vertex 63 sits in the top field.
+    collected = []
+    s = enumerate_crcs(SearchConstraints(1, 64, gamma=2), sink=collected.append,
+                       workers=workers)
+    assert s.parameter_sets == frozenset({(2, 62, 1)})
+    pairs = [(a, b) for a in range(64) for b in range(a + 1, 64)]
+    assert s.codes_found == len(pairs) == 2016
+    assert sorted(tuple(int(i) for i in c.indices()) for c in collected) == pairs
 
 
 def test_mirrored_search_equals_brute_force_at_gamma_equal_beta():
