@@ -273,10 +273,14 @@ def cmd_search(args) -> int:
             index_lines.append({"file": name, "size": code.size,
                                 "gamma": cert.gamma, "beta": cert.beta,
                                 "index": cert.eigenvalue_index})
-        with open(os.path.join(args.emit, "index.json"), "w", encoding="utf-8") as fp:
-            json.dump({"space": {"n": args.n, "q": args.q},
-                       "codes": index_lines}, fp, indent=2, sort_keys=True)
-            fp.write("\n")
+        index_path = os.path.join(args.emit, "index.json")
+        try:
+            with open(index_path, "w", encoding="utf-8") as fp:
+                json.dump({"space": {"n": args.n, "q": args.q},
+                           "codes": index_lines}, fp, indent=2, sort_keys=True)
+                fp.write("\n")
+        except OSError as e:
+            raise CodeFileError(f"cannot write {index_path}: {e}") from e
         print(f"emitted {len(emitted)} file(s) to {args.emit}")
     return 0
 

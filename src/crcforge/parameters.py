@@ -58,11 +58,6 @@ class ConditionOneWitness:
         return (self.r, self.s, self.t, self.a, self.b, self.c)
 
 
-def product_identity(q: int, r: int, s: int, t: int) -> bool:
-    """(q-s)*t*r = s*(q-t)*(q-r), the solvability condition on block sizes."""
-    return (q - s) * t * r == s * (q - t) * (q - r)
-
-
 def check_condition1(q: int, w: ConditionOneWitness) -> bool:
     """Verify every equation and bound of the three-block system."""
     r, s, t, a, b, c = w.as_tuple()

@@ -128,10 +128,3 @@ def to_code(grid: GridSet) -> Code:
     if grid.q != grid.qp:
         raise ValueError(f"only square grids embed in H(2,q); got {grid.q} x {grid.qp}")
     return Code(Space(2, grid.q), grid.cells)
-
-
-def from_code(code: Code) -> GridSet:
-    """Inverse of to_code for two-dimensional codes."""
-    if code.space.n != 2:
-        raise ValueError(f"expected a code in H(2,q), got n={code.space.n}")
-    return GridSet(code.space.q, code.space.q, code.grid)

@@ -274,13 +274,6 @@ def _cliques(lines: Sequence[np.ndarray]) -> list[Clique]:
             for j, m in enumerate(lines) for idx in np.argwhere(m).tolist()]
 
 
-def full_cliques(code: Code) -> list[Clique]:
-    """Maximal cliques lying entirely inside the code, codirection-major then
-    fixed-lex."""
-    g = code.grid
-    return _cliques([g.all(axis=j) for j in range(code.space.n)])
-
-
 @dataclass(frozen=True)
 class CliqueDecomposition:
     """A partition of a code into maximal cliques.

@@ -4,9 +4,10 @@ A code C is completely regular when every vertex at distance i from C has
 constant numbers of neighbors at distances i-1 and i+1, depending only on i.
 For covering radius rho = 1 the certificate carries the pair (gamma, beta):
 every non-codeword has gamma neighbors in C, every codeword has beta
-neighbors outside.  Counting is vectorized: the line total of a vertex, the
-sum of the n line sums through it, is its number of neighbors in C plus n
-if it is a codeword.
+neighbors outside.  Every count is read from one kernel, ``_line_sums``: a
+vertex's line total, the sum of the n line sums through it, is its number of
+neighbors in C plus n if it is a codeword, and the clique profile and the
+essential positions are read off the line sums themselves.
 
 ``check_crc`` decides rho = 1 from line totals in slabs.  The n line-sum
 arrays (q^(n-1) entries each, in the narrowest dtype that holds n*q) are
@@ -35,19 +36,17 @@ from .hamming import Clique, Code, Space
 
 
 def neighbor_counts(space: Space, indicator: np.ndarray) -> np.ndarray:
-    """For every vertex, the number of its neighbors inside the indicated set.
+    """For every vertex, the number of its neighbors inside the indicated set:
+    its line total less n if it is a member.
 
     ``indicator`` is one set, flat or in grid shape.  Returns flat counts,
     shape (V,), in the narrowest dtype that holds n*q, the most a vertex's n
     line sums total.
     """
-    g = np.asarray(indicator, dtype=bool).reshape(space.shape)
-    dtype = _narrowest(space.n * space.q)
-    tot = np.zeros(space.shape, dtype=dtype)
-    for ax in range(space.n):
-        tot += g.sum(axis=ax, keepdims=True, dtype=dtype)
-    tot -= dtype(space.n) * g
-    return tot.reshape(space.size)
+    g = np.asarray(indicator, dtype=bool).reshape((1,) + space.shape)
+    sums = _line_sums(space, g)
+    n = sums[0].dtype.type(space.n)
+    return (sum(sums[1:], sums[0]) - n * g).reshape(space.size)
 
 
 @dataclass(frozen=True)
@@ -66,24 +65,23 @@ class DistancePartition:
         return tuple(int(c.sum()) for c in self.classes)
 
 
-def _grow_layers(code: Code, counts: list[np.ndarray]) -> list[np.ndarray]:
+def _grow_layers(code: Code) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Layers C_0..C_rho by distance to the code, each the unseen part of the
-    previous layer's neighborhood.  ``counts[i]`` is the neighbor count of
-    C_i; the counts missing up to C_{rho-1} are taken once and appended."""
-    layers, seen = [code.mask.copy()], code.mask.copy()
+    previous layer's neighborhood, and the neighbor counts of C_0..C_{rho-1}
+    that grew them."""
+    layers, counts, seen = [code.mask.copy()], [], code.mask.copy()
     while not seen.all():
-        if len(counts) < len(layers):
-            counts.append(neighbor_counts(code.space, layers[-1]))
+        counts.append(neighbor_counts(code.space, layers[-1]))
         layers.append((counts[-1] > 0) & ~seen)
         seen |= layers[-1]
-    return layers
+    return layers, counts
 
 
 def distance_partition(code: Code) -> DistancePartition:
     """Layers of vertices by distance to the code."""
     if code.size == 0:
         raise ValueError("empty code has no distance partition")
-    layers = _grow_layers(code, [])
+    layers, _ = _grow_layers(code)
     for layer in layers:
         layer.setflags(write=False)
     return DistancePartition(code.space, tuple(layers))
@@ -308,8 +306,7 @@ def check_crc(code: Code) -> CheckResult:
             return CrcFailure(sp.vertex(v), 1, 0, total, gamma)
 
     # covering radius >= 2: check layer by layer, counting into each layer once
-    counts = [neighbor_counts(sp, mask)]
-    layers = _grow_layers(code, counts)
+    layers, counts = _grow_layers(code)
     counts.append(neighbor_counts(sp, layers[-1]))
     rho = len(layers) - 1
 
@@ -359,13 +356,9 @@ class HyperfaceProfile:
 
 
 def hyperface_profile(code: Code) -> HyperfaceProfile:
-    g = code.grid
     n = code.space.n
-    rows = []
-    for j in range(n):
-        other = tuple(ax for ax in range(n) if ax != j)
-        rows.append(g.sum(axis=other) if other else g.astype(np.int64))
-    counts = np.stack(rows).astype(np.int64)
+    counts = np.stack([code.grid.sum(axis=tuple(ax for ax in range(n) if ax != j),
+                                     dtype=np.int64) for j in range(n)])
     counts.setflags(write=False)
     return HyperfaceProfile(counts)
 
@@ -392,13 +385,12 @@ class CliqueProfile:
 
 
 def clique_profile(code: Code) -> CliqueProfile:
-    g = code.grid
-    arrs = []
-    for j in range(code.space.n):
-        arr = g.sum(axis=j).astype(np.int64)
+    shape = (code.space.q,) * (code.space.n - 1)
+    sums = _line_sums(code.space, code.mask[None])
+    arrs = tuple(s.reshape(shape).astype(np.int64) for s in sums)
+    for arr in arrs:
         arr.setflags(write=False)
-        arrs.append(arr)
-    return CliqueProfile(tuple(arrs))
+    return CliqueProfile(arrs)
 
 
 def essential_positions(code: Code) -> tuple[int, ...]:
@@ -407,14 +399,9 @@ def essential_positions(code: Code) -> tuple[int, ...]:
     Position j is essential iff some line in direction j is neither fully
     inside nor fully outside the code.
     """
-    g = code.grid
     q = code.space.q
-    out = []
-    for j in range(code.space.n):
-        sums = g.sum(axis=j)
-        if ((sums != 0) & (sums != q)).any():
-            out.append(j + 1)
-    return tuple(out)
+    return tuple(j for j, s in enumerate(_line_sums(code.space, code.mask[None]), 1)
+                 if ((s != 0) & (s != q)).any())
 
 
 def reduce_code(code: Code) -> Code:

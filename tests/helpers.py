@@ -3,7 +3,9 @@
 Everything here recomputes properties straight from definitions (explicit
 loops over vertices and neighbor enumeration), independently of the
 vectorized library code it is used to check.  That includes the explicit
-neighbor, clique and hyperface enumerators of H(n,q).  The exceptions are the
+neighbor, clique and hyperface enumerators of H(n,q), the block-size
+product identity, and counters of the line-regular 0/1 matrices and Latin
+squares that census counts must equal.  The exceptions are the
 reference implementations at the end, which the vectorized library code must
 reproduce exactly (the three-pass verifier, the one-pass rho = 1 decision
 from whole count arrays, the per-codeword code-file writer and reader, the
@@ -181,6 +183,11 @@ def brute_clique_partition(code: Code) -> Optional[list[Clique]]:
     return extend(frozenset(), [])
 
 
+def product_identity(q: int, r: int, s: int, t: int) -> bool:
+    """(q-s)*t*r = s*(q-t)*(q-r), the solvability condition on block sizes."""
+    return (q - s) * t * r == s * (q - t) * (q - r)
+
+
 def normalized_params(triples) -> set:
     """{(gamma, beta, index)} -> {(min(gamma,beta), index)}."""
     return {(min(g, b), i) for (g, b, i) in triples}
@@ -207,6 +214,42 @@ def spectral_support(code: Code) -> set[int]:
     weight = sum(np.ix_(*[nonzero] * sp.n))
     per_weight = np.bincount(np.ravel(weight), weights=energy.ravel(), minlength=sp.n + 1)
     return {w for w, e in enumerate(per_weight.tolist()) if e > 1e-9}
+
+
+def count_line_regular_matrices(q: int, r: int) -> int:
+    """The q x q 0/1 matrices with every row and column sum r (OEIS A001499 at
+    r = 2, A001501 at r = 3): a DP over column-sum vectors, adding one row of
+    r ones at a time.  A vector is kept sorted, since the number of ways to
+    complete a matrix does not depend on the order of its columns."""
+    states = {(0,) * q: 1}
+    for _ in range(q):
+        nxt: dict[tuple[int, ...], int] = {}
+        for sums, ways in states.items():
+            for cols in itertools.combinations(range(q), r):
+                new = list(sums)
+                for c in cols:
+                    new[c] += 1
+                if max(new) <= r:
+                    key = tuple(sorted(new))
+                    nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return states.get((r,) * q, 0)
+
+
+def count_latin_squares(q: int) -> int:
+    """The Latin squares of order q (OEIS A002860), row by row: each row is a
+    permutation of the symbols that repeats no symbol in a column above it.
+    Exhaustive over the q! permutations of each row, so meant for q <= 4:
+    q = 5 runs for tens of seconds."""
+    perms = list(itertools.permutations(range(q)))
+
+    def extend(rows: list[tuple[int, ...]]) -> int:
+        if len(rows) == q:
+            return 1
+        return sum(extend(rows + [p]) for p in perms
+                   if all(p[c] != row[c] for row in rows for c in range(q)))
+
+    return extend([])
 
 
 def code_of(sp: Space, codewords) -> Code:

@@ -16,8 +16,7 @@ from crcforge.constructions import (build_a, build_b, build_c, build_d,
                                     build_feasible)
 from crcforge.hamming import Code, Space
 from crcforge.parameters import (ConditionOneWitness, check_condition1,
-                                 feasible_table, product_identity,
-                                 solve_condition1)
+                                 feasible_table, solve_condition1)
 from crcforge.search import SearchConstraints, enumerate_crcs
 from crcforge.stochastic import build as build_grid
 from crcforge.stochastic import exists as grid_exists
@@ -28,7 +27,7 @@ from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                extend_code, hyperface_profile, reduce_code)
 
 from helpers import (all_vertex_subsets, brute_crc1_params, h3q_table_entries,
-                     hamming_distance, neighbors, normalized_params)
+                     hamming_distance, neighbors, normalized_params, product_identity)
 
 
 @contextmanager

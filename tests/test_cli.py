@@ -356,6 +356,17 @@ def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
         write_code(build_a(4, 2), str(out))
 
 
+def test_unwritable_search_index_is_a_one_line_error(tmp_path, capsys):
+    # the code files are written, then index.json is a directory
+    outdir = tmp_path / "found"
+    index = outdir / "index.json"
+    index.mkdir(parents=True)
+    assert run(["search", "--n", "2", "--q", "2", "--emit", str(outdir), "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {index}: ") and err.count("\n") == 1
+    assert (outdir / "code_0000.json").is_file()
+
+
 @pytest.mark.parametrize("argv, spec", [
     (["a", "--gamma", "4"], ConstructionSpec("a", (("q", 6), ("gamma", 4)))),
     (["b", "--variant", "2"], ConstructionSpec("b", (("q", 6), ("variant", 2)))),

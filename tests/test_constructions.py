@@ -9,7 +9,7 @@ from crcforge.constructions import (ConstructionSpec, build_a, build_b, build_c,
                                     construction_d_blocks, spec_for_witness)
 from crcforge.hamming import Space
 from crcforge.parameters import ConditionOneWitness, solve_condition1
-from crcforge.stochastic import from_code, profile
+from crcforge.stochastic import GridSet, profile
 from crcforge.verifier import (CrcCertificate, check_crc, essential_positions,
                                hyperface_profile, neighbor_counts, reduce_code)
 
@@ -53,7 +53,7 @@ def test_build_a():
     assert essential_positions(c) == (2, 3)
     red = reduce_code(c)
     assert red.space == Space(2, 5)
-    assert profile(from_code(red)).gamma == 4
+    assert profile(GridSet(5, 5, red.grid)).gamma == 4
 
 
 def test_build_b_seeds():

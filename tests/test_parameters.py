@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from crcforge import parameters
 from crcforge.parameters import (ConditionOneWitness, check_condition1,
                                  eigenvalue, feasible, feasible_h3q, feasible_hnq,
-                                 feasible_table, multiplicity, product_identity,
-                                 solve_condition1)
+                                 feasible_table, multiplicity, solve_condition1)
+
+from helpers import product_identity
 
 
 def test_eigenvalues():

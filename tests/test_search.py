@@ -1,5 +1,7 @@
 """Exhaustive enumeration: brute-force equality, determinism, pruning."""
 
+import math
+
 import pytest
 
 from crcforge import search
@@ -9,7 +11,8 @@ from crcforge.search import (SearchConstraints, SearchSummary, enumerate_crcs,
 from crcforge.verifier import CrcCertificate, check_crc
 
 from helpers import (Hyperface, all_vertex_subsets, brute_crc1_params, code_of,
-                     hyperface_vertices, run_optimized, spectral_support)
+                     count_latin_squares, count_line_regular_matrices, hyperface_vertices,
+                     run_optimized, spectral_support)
 
 
 def brute_census(sp):
@@ -282,6 +285,41 @@ def test_targeted_search_hyperfaces():
     faces = {frozenset(hyperface_vertices(sp, Hyperface(j, s)))
              for j in (1, 2, 3) for s in range(3)}
     assert {frozenset(c.vertices()) for c in collected} == faces
+
+
+# ---------------------------------------------- counts against independent oracles
+
+def labelled_count(n, q, gamma, index):
+    return enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index),
+                          workers=1, count_only=True).codes_found
+
+
+@pytest.mark.parametrize("n, q", [(1, 5), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (4, 2),
+                                  (5, 2), (6, 2)])
+def test_index1_counts_are_cylinders(n, q):
+    # an index-1 code is {x : x_j in S} for one position j and gamma = |S| symbols
+    for gamma in range(1, q // 2 + 1):
+        assert labelled_count(n, q, gamma, 1) == n * math.comb(q, gamma)
+
+
+@pytest.mark.parametrize("q, r, published", [(4, 1, 24), (4, 2, 90), (5, 1, 120),
+                                             (5, 2, 2040), (6, 1, 720)])
+def test_h2q_index2_counts_are_line_regular_matrices(q, r, published):
+    # an index-2 code of H(2,q) at gamma = 2r has r codewords on every line
+    assert labelled_count(2, q, 2 * r, 2) == count_line_regular_matrices(q, r) == published
+
+
+def test_line_regular_matrix_oracle_matches_published_values():
+    # OEIS A001499 and A001501 at q = 6; the search takes seconds to count
+    # H(2,6) at gamma 4 and 6, so only the oracle is pinned there
+    assert [count_line_regular_matrices(6, r) for r in range(7)] == [
+        1, 720, 67950, 297200, 67950, 720, 1]
+
+
+@pytest.mark.parametrize("q, published", [(3, 12), (4, 576)])
+def test_h3q_index3_gamma3_counts_are_latin_squares(q, published):
+    # one codeword on every line of H(3,q): x_3 = L(x_1, x_2) for a Latin square L
+    assert labelled_count(3, q, 3, 3) == count_latin_squares(q) == published
 
 
 def test_search_verifies_every_emission():

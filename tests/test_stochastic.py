@@ -86,13 +86,9 @@ def test_square_grid_sets_are_two_dimensional_crcs():
 def test_to_code_round_trip():
     g = build(5, 5, 4)
     code = stochastic.to_code(g)
-    back = stochastic.from_code(code)
-    assert back == g
+    assert GridSet(5, 5, code.grid) == g
     with pytest.raises(ValueError):
         stochastic.to_code(build(6, 4, 5))
-    from crcforge.hamming import Code, Space
-    with pytest.raises(ValueError):
-        stochastic.from_code(Code(Space(3, 2), np.zeros(8, dtype=bool)))
 
 
 def test_gridset_validation_and_identity():

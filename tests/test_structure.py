@@ -15,11 +15,12 @@ from crcforge.parameters import ConditionOneWitness, solve_condition1
 from crcforge.structure import (KINDS, CliqueCoverFailure, CliqueDecomposition,
                                 DerivativeFunction, classify, classify_all,
                                 clique_cover, derivative, derivative_kinds,
-                                extract_construction_d, full_cliques)
-from crcforge.verifier import check_crc
+                                extract_construction_d)
+from crcforge.verifier import check_crc, clique_profile
 
-from helpers import (brute_clique_partition, clique_vertices, code_of, h3q_table_entries,
-                     reference_classify, reference_classify_all, reference_decompose)
+from helpers import (all_cliques, brute_clique_partition, clique_vertices, code_of,
+                     h3q_table_entries, reference_classify, reference_classify_all,
+                     reference_decompose)
 
 
 def test_derivative_matches_definition():
@@ -273,7 +274,8 @@ def test_index1_derivatives_do_not_classify():
 def test_full_cliques_listing():
     sp = Space(3, 2)
     code = code_of(sp, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)])
-    fcs = full_cliques(code)
+    prof = clique_profile(code)
+    fcs = [cl for cl in all_cliques(sp) if prof.count(cl) == sp.q]
     assert fcs == [Clique(1, (0, 0)), Clique(2, (1, 0)), Clique(3, (1, 1))]
     for cl in fcs:
         assert all(v in code for v in clique_vertices(sp, cl))
