@@ -35,10 +35,19 @@ in each neighbor's field, to cin or cout.  Adding ge[t], 2^(w-1) - t in
 every field, sets a field's top bit exactly when its count is at least t, so
 one add and one mask with IN or OUT tests a threshold for every vertex of a
 state: whether an interval end moves, or which vertices sit at an end and
-force their free neighbors.  The forced vertices are added the same way and
-the rules reapplied until nothing is forced.  With gamma and i fixed, the
-hyperfaces are n*q more fields of the same ints, counting their decided
-vertices against the balance.
+force their free neighbors.  The forced vertices are added the same way,
+when there are any, and the rules reapplied until nothing is forced.
+
+With gamma and i both fixed, both intervals are closed from the root: gamma
+for a non-codeword, a = k - beta = gamma + k - q*i for a codeword.  No
+interval end can move, so the thresholds are computed once per subtree, and
+each round is one death test per vertex state (a decided vertex whose cin or
+cout is past its pinned count kills the branch) and then the four forcing
+masks.  For i >= 2 the hyperfaces are n*q more fields of the same ints,
+counting their decided codewords in cin and non-codewords in cout; their
+limits, |C|/q and q^(n-1) - |C|/q, ride in the constants of the
+non-codeword test, so the same adds check the balance.  With beta > k no
+count can be met, and every branch dies at its first decision.
 
 Every completed assignment is independently re-verified, by line-sum
 counting, before anything is reported.  Work splits across processes at the
@@ -159,8 +168,9 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
     V, k = sp.size, sp.valency
     strides = [q ** (n - 1 - j) for j in range(n)]
 
+    pinned = gamma_t is not None and index_t is not None
     face_t = None  # codewords per hyperface, when hyperfaces must balance
-    if gamma_t is not None and index_t is not None:
+    if pinned:
         qi = q * index_t
         num = V * gamma_t
         if num % qi:
@@ -176,17 +186,17 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
     # balance, field V + j*q + s counts the decided vertices with x_j = s.
     w = _field_width(sp)
     half = 1 << (w - 1)
+    vert = _ones(w, V)
     ones = _ones(w, V + (n * q if face_t is not None else 0))
-    full = _ones(w, V) << (w - 1)  # every vertex: the top bits of the vertex fields
+    full = vert << (w - 1)  # every vertex: the top bits of the vertex fields
     faces = ones * half ^ full
     ge = [ones * (half - t) for t in range(k + 2)]  # + ge[t]: top bit set iff count >= t
-    if face_t is not None:
-        in_over = ones * (half - 1 - face_t)  # + in_over: top bit set iff count > face_t
-        out_over = ones * (half - 1 - (V // q - face_t))
 
     # spread[b], for the vertex u whose top bit is bit b - 1 (b = w*u + w, its
     # bit_length): adding it counts u at each of its neighbors and hyperfaces.
+    # top[b] is that top bit.
     spread = [0] * (w * V + 1)
+    top = [0] * (w * V + 1)
     for u in range(V):
         m = 0
         for j, (x, stride) in enumerate(zip(sp.vertex(u), strides)):
@@ -197,67 +207,92 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
             if face_t is not None:
                 m |= 1 << w * (V + j * q + x)
         spread[w * u + w] = m
+        top[w * u + w] = half << w * u
 
     def total(mask: int) -> int:
-        """The sum of spread over the vertices of a packed set."""
+        """The sum of spread over the vertices of a packed set, highest first."""
         t = 0
         while mask:
-            low = mask & -mask
-            mask ^= low
-            t += spread[low.bit_length()]
+            b = mask.bit_length()
+            mask ^= top[b]
+            t += spread[b]
         return t
+
+    if pinned:
+        # Both counts are fixed from the root: gamma for a non-codeword and
+        # a = k - beta = gamma + shift for a codeword.  Adding cin_over_g
+        # sets a field's top bit where cin is past gamma, and so on; the
+        # hyperface fields' limits ride in the non-codeword constants.
+        a = max(gamma_t + shift, 0)
+        face = ones - vert  # a 1 in each hyperface field
+        f_in, f_out = (face_t, V // q - face_t) if face_t is not None else (0, 0)
+        cin_over_g = vert * (half - 1 - gamma_t) + face * (half - 1 - f_in)
+        cout_over_g = vert * (half - 1 - (k - gamma_t)) + face * (half - 1 - f_out)
+        cin_over_a, cout_over_a = ge[a + 1], ge[k + 1 - a]
+        forcing = ge[k - gamma_t], ge[k - a], ge[gamma_t], ge[a]  # in_g, in_a, out_g, out_a
+        if gamma_t + shift < 0:
+            cin_over_g = cin_over_a = ge[0]  # beta > k: every branch dies at its first decision
 
     nodes = 0
     leaves: list[int] = []
 
-    def propagate(IN: int, OUT: int, cin: int, cout: int, box: tuple):
+    def propagate(IN: int, OUT: int, cin: int, cout: int, box):
         """Close a state under every rule; cin and cout count each vertex's
         neighbors in IN and in OUT.  Returns the closed state, or None when
         the branch dies."""
-        g_lo, g_hi, a_lo, a_hi = box
+        if pinned:
+            in_g, in_a, out_g, out_a = forcing
+        else:
+            g_lo, g_hi, a_lo, a_hi = box
         while True:
-            if face_t is not None and ((cin + in_over) | (cout + out_over)) & faces:
-                return None  # a hyperface holds too many codewords or too few candidates
-            # Narrow each interval to the in-code neighbor counts [cin, k - cout]
-            # of the decided vertices in its state.
-            while (cin + ge[g_lo + 1]) & OUT:
-                g_lo += 1
-            while (cout + ge[k + 1 - g_hi]) & OUT:
-                g_hi -= 1
-            while (cin + ge[a_lo + 1]) & IN:
-                a_lo += 1
-            while (cout + ge[k + 1 - a_hi]) & IN:
-                a_hi -= 1
-            if shift is not None:
-                # gamma + beta = q*i, i.e. k - beta = gamma + shift
-                g_lo = max(g_lo, a_lo - shift)
-                g_hi = min(g_hi, a_hi - shift)
-                if g_lo > g_hi:
+            if pinned:
+                if (((cin + cin_over_g) | (cout + cout_over_g)) & (OUT | faces)
+                        or ((cin + cin_over_a) | (cout + cout_over_a)) & IN):
+                    return None  # a count past its target, or a hyperface past its balance
+            else:
+                # Narrow each interval to the in-code neighbor counts
+                # [cin, k - cout] of the decided vertices in its state.
+                while (cin + ge[g_lo + 1]) & OUT:
+                    g_lo += 1
+                while (cout + ge[k + 1 - g_hi]) & OUT:
+                    g_hi -= 1
+                while (cin + ge[a_lo + 1]) & IN:
+                    a_lo += 1
+                while (cout + ge[k + 1 - a_hi]) & IN:
+                    a_hi -= 1
+                if shift is not None:
+                    # gamma + beta = q*i, i.e. k - beta = gamma + shift
+                    g_lo = max(g_lo, a_lo - shift)
+                    g_hi = min(g_hi, a_hi - shift)
+                    if g_lo > g_hi:
+                        return None
+                    a_lo, a_hi = g_lo + shift, g_hi + shift
+                elif g_lo > g_hi or a_lo > a_hi:
                     return None
-                a_lo, a_hi = g_lo + shift, g_hi + shift
-            elif g_lo > g_hi or a_lo > a_hi:
-                return None
-            elif (g_lo + k - a_hi + q - 1) // q * q > g_hi + k - a_lo:
-                return None  # no multiple of q reachable for gamma+beta
+                elif (g_lo + k - a_hi + q - 1) // q * q > g_hi + k - a_lo:
+                    return None  # no multiple of q reachable for gamma+beta
+                in_g, in_a, out_g, out_a = ge[k - g_lo], ge[k - a_lo], ge[g_hi], ge[a_hi]
 
             # Every decided vertex's counts now straddle its state's interval.
             # One with a free neighbor forces its free neighbors in when its
             # most possible in-code neighbors, k - cout, is the interval's low
             # end, and out when cin already is its high end.
             has_free = ~(cin + cout + ge[k])
-            force_in = ((cout + ge[k - g_lo]) & OUT | (cout + ge[k - a_lo]) & IN) & has_free
-            force_out = ((cin + ge[g_hi]) & OUT | (cin + ge[a_hi]) & IN) & has_free
+            force_in = ((cout + in_g) & OUT | (cout + in_a) & IN) & has_free
+            force_out = ((cin + out_g) & OUT | (cin + out_a) & IN) & has_free
             if not (force_in or force_out):
-                return IN, OUT, cin, cout, (g_lo, g_hi, a_lo, a_hi)
+                return IN, OUT, cin, cout, box if pinned else (g_lo, g_hi, a_lo, a_hi)
             free = full & ~(IN | OUT)
-            new_in = (total(force_in) + ge[1]) & free
-            new_out = (total(force_out) + ge[1]) & free
+            new_in = force_in and (total(force_in) + ge[1]) & free
+            new_out = force_out and (total(force_out) + ge[1]) & free
             if new_in & new_out:
                 return None  # a free vertex forced both ways
-            IN |= new_in
-            OUT |= new_out
-            cin += total(new_in)
-            cout += total(new_out)
+            if new_in:
+                IN |= new_in
+                cin += total(new_in)
+            if new_out:
+                OUT |= new_out
+                cout += total(new_out)
 
     def decide(state: tuple, bit: int, val: int):
         """Put the vertex whose top bit is ``bit`` in (val 1) or out, and close."""
@@ -285,8 +320,10 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
 
     # box: the ranges [g_lo, g_hi] and [a_lo, a_hi] that the final in-code
     # neighbor count of a decided vertex must land in -- gamma for a
-    # non-codeword, k - beta for a codeword.
+    # non-codeword, k - beta for a codeword.  Pinned searches need none.
     box = (1, k, 0, k - 1) if gamma_t is None else (gamma_t, gamma_t, 0, k - 1)
+    if pinned:
+        box = None
     state = decide((0, 0, 0, 0, box), half, 1) if fix_zero else (0, 0, 0, 0, box)
     for v, val in prefix:
         if state is None:
@@ -332,7 +369,11 @@ def resolve_workers(workers: Optional[int] = None) -> int:
             return max(1, int(env))
         except ValueError:
             print(f"warning: ignoring {WORKERS_ENV}={env!r}, not an integer", file=sys.stderr)
-    return min(4, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    else:
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
 
 
 def enumerate_crcs(constraints: SearchConstraints,

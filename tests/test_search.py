@@ -1,6 +1,7 @@
 """Exhaustive enumeration: brute-force equality, determinism, pruning."""
 
 import math
+import os
 
 import pytest
 
@@ -102,6 +103,12 @@ PINNED_NODES = [
     ((1, 5, None, None, False), (30, 60)),
     ((2, 8, 2, 1, False), (56, 520)),
     ((3, 4, None, 1, False), (42, 516)),
+    # pinned counts: beta > k kills every branch at its first decision, and
+    # fix_first_codeword starts from a decided vertex 0
+    ((3, 3, 1, 3, False), (0, 4)),
+    ((3, 3, 2, 3, False), (0, 4)),
+    ((3, 3, 2, 2, True), (30, 78)),
+    ((3, 4, 3, 2, True), (2592, 8888)),
 ]
 
 
@@ -263,6 +270,30 @@ def test_fix_first_codeword_halves_enumeration():
     assert all((0, 0, 0) in c for c in collected)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n,q", [(2, 4), (3, 3), (4, 2), (2, 5)])
+def test_targeted_searches_are_slices_of_the_open_search(n, q, workers):
+    # a search with gamma and i fixed emits exactly the open search's codes
+    # with that certificate, in the same order
+    opened = []
+    enumerate_crcs(SearchConstraints(n, q), sink=opened.append, workers=workers)
+    by_cert = {}
+    for code in opened:
+        cert = check_crc(code)
+        key = (cert.gamma, cert.beta, cert.eigenvalue_index)
+        by_cert.setdefault(key, []).append(code.mask.tobytes())
+    sliced = 0
+    for index in range(1, n + 1):
+        for gamma in range(1, q * index // 2 + 1):
+            targeted = []
+            enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index),
+                           sink=targeted.append, workers=workers)
+            expected = by_cert.get((gamma, q * index - gamma, index), [])
+            assert [c.mask.tobytes() for c in targeted] == expected, (gamma, index)
+            sliced += len(targeted)
+    assert sliced == sum(len(v) for (g, b, _), v in by_cert.items() if g <= b) > 0
+
+
 def test_targeted_search_perfect_pairs():
     collected = []
     summary = enumerate_crcs(SearchConstraints(3, 2, gamma=1, eigenvalue_index=2),
@@ -374,6 +405,10 @@ def test_resolve_workers(monkeypatch, capsys):
     assert 1 <= resolve_workers(None) <= 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "CRC_FORGE_THREADS='junk'" in err
+    # the default counts the CPUs this process may run on, not the host's
+    monkeypatch.delenv("CRC_FORGE_THREADS")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert resolve_workers() == 1
 
 
 def test_gamma_only_constraint():
