@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Render a three-dimensional code as ASCII hyperface layers.
 
-Reads a code file (as produced by ``crcforge construct``) or builds one on
-the fly, then prints, for each symbol of the chosen direction, the q x q
-slice of the indicator with '*' for codewords.
+Reads a code file (as produced by ``crcforge construct``) and prints, for
+each symbol of the chosen direction, the q x q slice of the indicator with
+'*' for codewords.  A file that cannot be read, a space other than H(3,q),
+a bad --direction and an empty or full code each end in one error line and
+exit status 2.
 
 Usage:
     crcforge construct c --q 6 --t 5 -o /tmp/c65.json
@@ -12,12 +14,18 @@ Usage:
 
 import argparse
 import sys
+from typing import NoReturn
 
 import numpy as np
 
 from crcforge.codefile import CodeFileError, read_code
 from crcforge.stochastic import GridSet
 from crcforge.verifier import CrcCertificate, check_crc
+
+
+def fail(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(2)
 
 
 def main() -> None:
@@ -30,17 +38,16 @@ def main() -> None:
     try:
         code, _meta = read_code(args.file)
     except CodeFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        sys.exit(2)
+        fail(str(e))
     sp = code.space
     if sp.n != 3:
-        print(f"layer rendering needs n=3, file has n={sp.n}", file=sys.stderr)
-        sys.exit(2)
+        fail(f"layer rendering needs n=3, file has n={sp.n}")
     if not 1 <= args.direction <= 3:
-        print(f"--direction must be 1..3, got {args.direction}", file=sys.stderr)
-        sys.exit(2)
-
-    cert = check_crc(code)
+        fail(f"--direction must be 1..3, got {args.direction}")
+    try:
+        cert = check_crc(code)
+    except ValueError as e:  # the empty code and the whole space
+        fail(str(e))
     head = f"H(3,{sp.q}), {code.size} codewords"
     if isinstance(cert, CrcCertificate) and cert.rho == 1:
         head += f", gamma={cert.gamma} beta={cert.beta}"

@@ -46,8 +46,7 @@ cout is past its pinned count kills the branch) and then the four forcing
 masks.  For i >= 2 the hyperfaces are n*q more fields of the same ints,
 counting their decided codewords in cin and non-codewords in cout; their
 limits, |C|/q and q^(n-1) - |C|/q, ride in the constants of the
-non-codeword test, so the same adds check the balance.  With beta > k no
-count can be met, and every branch dies at its first decision.
+non-codeword test, so the same adds check the balance.
 
 Every completed assignment is independently re-verified, by line-sum
 counting, before anything is reported.  Work splits across processes at the
@@ -120,6 +119,10 @@ class SearchConstraints:
                 raise ValueError(
                     f"targets violate gamma <= beta (gamma={self.gamma}, "
                     f"beta would be {qi - self.gamma}); search the complement parameters")
+            if qi - self.gamma > sp.valency:
+                raise ValueError(
+                    f"targets give beta={qi - self.gamma} above the valency {sp.valency} "
+                    f"(gamma={self.gamma}, index {self.eigenvalue_index}); no such code exists")
 
     @property
     def space(self) -> Space:
@@ -223,15 +226,13 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
         # a = k - beta = gamma + shift for a codeword.  Adding cin_over_g
         # sets a field's top bit where cin is past gamma, and so on; the
         # hyperface fields' limits ride in the non-codeword constants.
-        a = max(gamma_t + shift, 0)
+        a = gamma_t + shift
         face = ones - vert  # a 1 in each hyperface field
         f_in, f_out = (face_t, V // q - face_t) if face_t is not None else (0, 0)
         cin_over_g = vert * (half - 1 - gamma_t) + face * (half - 1 - f_in)
         cout_over_g = vert * (half - 1 - (k - gamma_t)) + face * (half - 1 - f_out)
         cin_over_a, cout_over_a = ge[a + 1], ge[k + 1 - a]
         forcing = ge[k - gamma_t], ge[k - a], ge[gamma_t], ge[a]  # in_g, in_a, out_g, out_a
-        if gamma_t + shift < 0:
-            cin_over_g = cin_over_a = ge[0]  # beta > k: every branch dies at its first decision
 
     nodes = 0
     leaves: list[int] = []

@@ -9,8 +9,10 @@ Two views of a code C in H(3,q):
   X x (A-Y), -1 on (A-X) x Y).  One kernel decides the shapes: it packs the
   +1 and -1 cells of each row into 64-bit words and runs each test as a few
   word operations per row, on whole slabs of derivatives at once.
-  ``classify`` and ``classify_all`` turn its verdicts into ``DerivativeClass``
-  objects; ``derivative_kinds`` returns only the kind codes, as one array.
+  ``derivative_kinds`` is the one pass over every derivative and returns the
+  kind codes as one array.  ``classify`` runs the kernel on one table, and
+  ``classify_all`` takes its kinds from ``derivative_kinds``; both read the
+  +1 and -1 sets of a string or cross off the derivative's own table.
 - Clique decompositions: when C is a disjoint union of maximal cliques, the
   partition is recovered as three (q, q) line masks, one per codirection j,
   marking the fixed symbols of the chosen codirection-j cliques.  If all
@@ -99,12 +101,6 @@ def _pack(cells: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out.view("<u8"), -1, 0))
 
 
-def _unpack(words: np.ndarray, q: int) -> np.ndarray:
-    """Inverse of ``_pack``: (W, ...) words to (..., q) bools."""
-    b = np.ascontiguousarray(np.moveaxis(words, 0, -1), dtype="<u8").view(np.uint8)
-    return np.unpackbits(b, axis=-1, bitorder="little")[..., :q].view(bool)
-
-
 def _popcount(words: np.ndarray) -> np.ndarray:
     """Set bits of each (W, ...) packed mask."""
     words = np.ascontiguousarray(words)
@@ -112,13 +108,12 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 
 def _shapes(plus: np.ndarray, minus: np.ndarray,
-            full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            full: np.ndarray) -> np.ndarray:
     """The classification kernel.  ``plus`` and ``minus`` mark the +1 and -1
     cells of a stack of derivatives as (W, ..., q) words, entry [w, ..., r]
     being word w of row r, and ``full`` is the packed all-ones row.  The tests are ``classify``'s, in its
     order, each a few word operations per row; columns are read off the row
-    words by AND / OR over the rows.  Returns the KINDS codes and whether
-    each string depends on axis 2."""
+    words by AND / OR over the rows.  Returns the KINDS codes."""
     full = full.reshape(full.shape + (1,) * (plus.ndim - 1))
     plus_rows = functools.reduce(np.bitwise_or, plus) != 0
     minus_rows = functools.reduce(np.bitwise_or, minus) != 0
@@ -149,53 +144,8 @@ def _shapes(plus: np.ndarray, minus: np.ndarray,
         # is the zero derivative, decided first.
         off = (plus | minus) ^ minus_cols[..., None] ^ (full * plus_rows)
         cross &= ~off.any(axis=(0, -1))
-    kind = np.select([zero, string1 | string2, cross], [ZERO, STRING, CROSS],
+    return np.select([zero, string1 | string2, cross], [ZERO, STRING, CROSS],
                      UNCLASSIFIED).astype(np.int8)
-    # a table constant along both axes is 0, +1 or -1 everywhere, no string
-    return kind, string2
-
-
-_ZERO = DerivativeClass("zero")
-_UNCLASSIFIED = DerivativeClass("unclassified")
-
-
-def _classes(plus: np.ndarray, minus: np.ndarray, full: np.ndarray,
-             sel: np.ndarray) -> list[DerivativeClass]:
-    """The ``DerivativeClass`` of each derivative that the boolean mask
-    ``sel`` selects from a kernel stack, in C order.  The +1 and -1 sets are
-    read off the packed words of the strings and crosses only: the rows
-    holding a +1 or a -1 for an axis-1 string, the columns for axis 2, and
-    the rows holding a +1 and columns holding a -1 for a cross."""
-    q = plus.shape[-1]
-    plus, minus = plus[:, sel], minus[:, sel]
-    kinds, axis2 = _shapes(plus, minus, full)
-    has_sets = (kinds == STRING) | (kinds == CROSS)
-    p, m = plus[:, has_sets], minus[:, has_sets]
-    a2, cross = axis2[has_sets][:, None], (kinds[has_sets] == CROSS)[:, None]
-    xs = np.where(a2, _unpack(np.bitwise_or.reduce(p, axis=-1), q),
-                  functools.reduce(np.bitwise_or, p) != 0)
-    ys = np.where(a2 | cross, _unpack(np.bitwise_or.reduce(m, axis=-1), q),
-                  functools.reduce(np.bitwise_or, m) != 0)
-    xs, ys = iter(_row_sets(xs)), iter(_row_sets(ys))
-    out = []
-    for k, a in zip(kinds.tolist(), axis2.tolist()):
-        if k == ZERO:
-            out.append(_ZERO)
-        elif k == STRING:
-            out.append(DerivativeClass("string", axis=2 if a else 1, x=next(xs), y=next(ys)))
-        elif k == CROSS:
-            out.append(DerivativeClass("cross", x=next(xs), y=next(ys)))
-        else:
-            out.append(_UNCLASSIFIED)
-    return out
-
-
-def _row_sets(sel: np.ndarray) -> list[frozenset]:
-    """The column indices set in each row of an (N, q) bool array."""
-    rows, cols = np.nonzero(sel)
-    cols = cols.tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=sel.shape[0])).tolist()
-    return [frozenset(cols[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 def _derivative_slabs(code: Code) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
@@ -215,10 +165,30 @@ def _derivative_slabs(code: Code) -> Iterator[tuple[int, int, np.ndarray, np.nda
                    rows[:, None, a:] & nots[:, a:b, None])
 
 
+def _class(table: Union[np.ndarray, None], kind: int) -> DerivativeClass:
+    """The ``DerivativeClass`` of a (q, q) table whose kind the kernel found;
+    zero and unclassified carry no sets and need no table.  A string's +1 and -1 sets are read off one column if its rows are
+    constant (axis 1), else off one row (axis 2): no string is constant
+    along both axes.  A cross's are the rows holding a +1 and the columns
+    holding a -1."""
+    if kind == STRING:
+        axis = 1 if (table == table[:, :1]).all() else 2
+        line = table[:, 0] if axis == 1 else table[0]
+        plus, minus = line == 1, line == -1
+    elif kind == CROSS:
+        axis, plus, minus = None, (table == 1).any(axis=1), (table == -1).any(axis=0)
+    else:
+        return DerivativeClass(KINDS[kind])
+    x, y = (frozenset(np.flatnonzero(m).tolist()) for m in (plus, minus))
+    return DerivativeClass(KINDS[kind], axis, x, y)
+
+
 def classify(f: DerivativeFunction) -> DerivativeClass:
     """Try zero, then strings along each axis, then cross, else unclassified."""
-    v, full = f.values, _pack(np.ones(f.q, dtype=bool))
-    return _classes(_pack(v == 1)[:, None], _pack(v == -1)[:, None], full, np.ones(1, dtype=bool))[0]
+    v = f.values
+    kind = _shapes(_pack(v == 1)[:, None], _pack(v == -1)[:, None],
+                   _pack(np.ones(f.q, dtype=bool)))
+    return _class(v, int(kind[0]))
 
 
 def derivative_kinds(code: Code) -> np.ndarray:
@@ -230,7 +200,7 @@ def derivative_kinds(code: Code) -> np.ndarray:
     full = _pack(np.ones(q, dtype=bool))
     out = np.zeros((3, q, q), dtype=np.int8)
     for i, a, plus, minus in _derivative_slabs(code):
-        kind, _ = _shapes(plus, minus, full)
+        kind = _shapes(plus, minus, full)
         # -f has the kind of f, so (i, v, u) mirrors (i, u, v)
         out[i - 1, a:a + len(kind), a:] = kind
         out[i - 1, a:, a:a + len(kind)] = kind.T
@@ -238,32 +208,17 @@ def derivative_kinds(code: Code) -> np.ndarray:
 
 
 def classify_all(code: Code) -> dict[tuple[int, int, int], DerivativeClass]:
-    """Classification of every derivative (i, u, v) with u != v."""
-    _require_n3(code)
-    q = code.space.q
-    full = _pack(np.ones(q, dtype=bool))
-    symbols = frozenset(range(q))
-    table = {}
-    for i, a, plus, minus in _derivative_slabs(code):
-        upper = np.arange(a, a + plus.shape[1])[:, None] < np.arange(a, q)[None, :]
-        us, vs = np.nonzero(upper)
-        classes = _classes(plus, minus, full, upper)
-        for u, v, c in zip((us + a).tolist(), (vs + a).tolist(), classes):
-            table[(i, u, v)] = c
-            table[(i, v, u)] = _negated(c, symbols)
-    return {(i, u, v): table[(i, u, v)]
-            for i in (1, 2, 3) for u in range(q) for v in range(q) if u != v}
-
-
-def _negated(c: DerivativeClass, symbols: frozenset) -> DerivativeClass:
-    """The class of -f given the class of f: the tests are symmetric under
-    negation except that a string swaps its +1 and -1 sets and a cross on
-    X x (A-Y), (A-X) x Y becomes the cross of A-X and A-Y."""
-    if c.kind == "string":
-        return DerivativeClass("string", axis=c.axis, x=c.y, y=c.x)
-    if c.kind == "cross":
-        return DerivativeClass("cross", x=symbols - c.x, y=symbols - c.y)
-    return c
+    """Classification of every derivative (i, u, v) with u != v: the kinds
+    of ``derivative_kinds``, with the sets of each string and cross read off
+    its table."""
+    kinds = derivative_kinds(code)
+    g = code.grid.view(np.int8)
+    out = {}
+    for (i, u, v), kind in zip(np.ndindex(kinds.shape), kinds.ravel().tolist()):
+        if u != v:
+            table = np.take(g, u, i) - np.take(g, v, i) if kind in (STRING, CROSS) else None
+            out[(i + 1, u, v)] = _class(table, kind)
+    return out
 
 
 def _cliques(lines: Sequence[np.ndarray]) -> list[Clique]:

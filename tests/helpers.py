@@ -464,17 +464,14 @@ def reference_classify(f: DerivativeFunction) -> DerivativeClass:
             if x and y and len(x) == len(y):
                 return DerivativeClass("string", axis=axis, x=x, y=y)
 
-    x = frozenset(np.flatnonzero((vals == 1).any(axis=1)).tolist())
-    y = frozenset(np.flatnonzero((vals == -1).any(axis=0)).tolist())
+    rows = (vals == 1).any(axis=1)
+    cols = (vals == -1).any(axis=0)
+    x = frozenset(np.flatnonzero(rows).tolist())
+    y = frozenset(np.flatnonzero(cols).tolist())
     if x and y and len(x) < q and len(y) < q and len(x) == len(y):
-        expected = np.zeros((q, q), dtype=np.int8)
-        xi = np.fromiter(sorted(x), dtype=int)
-        yi = np.fromiter(sorted(y), dtype=int)
-        not_y = np.setdiff1d(np.arange(q), yi)
-        not_x = np.setdiff1d(np.arange(q), xi)
-        expected[np.ix_(xi, not_y)] = 1
-        expected[np.ix_(not_x, yi)] = -1
-        if np.array_equal(vals, expected):
+        # +1 exactly on X x (A-Y), -1 exactly on (A-X) x Y
+        if (np.array_equal(vals == 1, rows[:, None] & ~cols[None, :])
+                and np.array_equal(vals == -1, ~rows[:, None] & cols[None, :])):
             return DerivativeClass("cross", x=x, y=y)
     return DerivativeClass("unclassified")
 

@@ -639,6 +639,14 @@ def test_search_cli_validation(capsys):
     capsys.readouterr()
 
 
+def test_search_cli_rejects_beta_above_valency(capsys):
+    # beta = q*i - gamma = 8 > k = 6: no such code, so no search starts
+    assert run(["search", "--n", "3", "--q", "3", "--gamma", "1", "--index", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: targets give beta=8 above the valency 6")
+
+
 # ---------------------------------------------------------------- table, misc
 
 # q=8, gamma=3 is the first entry realized through the three-block system
@@ -693,6 +701,15 @@ def test_render_layers_bad_file_is_a_one_line_error(tmp_path, name, text, messag
     proc = run_python("scripts/render_layers.py", str(path))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["empty", "full"])
+def test_render_layers_empty_or_full_code_is_a_one_line_error(tmp_path, full):
+    path = tmp_path / "code.json"
+    write_code(Code(Space(3, 2), np.full(8, full)), str(path))
+    proc = run_python("scripts/render_layers.py", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: code must be a proper nonempty vertex subset\n"
 
 
 def test_usage_errors():

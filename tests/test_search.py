@@ -103,10 +103,7 @@ PINNED_NODES = [
     ((1, 5, None, None, False), (30, 60)),
     ((2, 8, 2, 1, False), (56, 520)),
     ((3, 4, None, 1, False), (42, 516)),
-    # pinned counts: beta > k kills every branch at its first decision, and
     # fix_first_codeword starts from a decided vertex 0
-    ((3, 3, 1, 3, False), (0, 4)),
-    ((3, 3, 2, 3, False), (0, 4)),
     ((3, 3, 2, 2, True), (30, 78)),
     ((3, 4, 3, 2, True), (2592, 8888)),
 ]
@@ -285,6 +282,11 @@ def test_targeted_searches_are_slices_of_the_open_search(n, q, workers):
     sliced = 0
     for index in range(1, n + 1):
         for gamma in range(1, q * index // 2 + 1):
+            if q * index - gamma > n * (q - 1):
+                # beta above the valency: no such code, so no search
+                with pytest.raises(ValueError):
+                    SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index)
+                continue
             targeted = []
             enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index),
                            sink=targeted.append, workers=workers)
@@ -373,8 +375,8 @@ def test_count_only_skips_collection():
 
 
 def test_infeasible_size_prunes_to_nothing():
-    # |C| = q^n * gamma/(q*i) = 9/6 is not an integer: zero nodes explored
-    s = enumerate_crcs(SearchConstraints(2, 3, gamma=1, eigenvalue_index=2), workers=1)
+    # |C| = q^n * gamma/(q*i) = 27/6 is not an integer: zero nodes explored
+    s = enumerate_crcs(SearchConstraints(3, 3, gamma=1, eigenvalue_index=2), workers=1)
     assert s.codes_found == 0
     assert s.nodes == 0
 
@@ -390,6 +392,11 @@ def test_constraint_validation():
         SearchConstraints(3, 2, eigenvalue_index=4)
     with pytest.raises(ValueError):
         SearchConstraints(3, 2, gamma=3, eigenvalue_index=2)  # gamma > beta
+    # beta = q*i - gamma above the valency k = 6: no such code exists
+    with pytest.raises(ValueError):
+        SearchConstraints(3, 3, gamma=1, eigenvalue_index=3)  # beta = 8
+    with pytest.raises(ValueError):
+        SearchConstraints(3, 3, gamma=2, eigenvalue_index=3)  # beta = 7
 
 
 def test_resolve_workers(monkeypatch, capsys):

@@ -172,29 +172,29 @@ def test_derivative_function_rejects_values_outside_signs():
         DerivativeFunction(3, np.zeros((2, 3), dtype=np.int8))
 
 
-def assert_kinds_match_classify_all(code):
+def assert_kinds_match_reference(code):
     q = code.space.q
     kinds = derivative_kinds(code)
     assert kinds.shape == (3, q, q) and kinds.dtype == np.int8
     assert not kinds[:, np.arange(q), np.arange(q)].any()   # u = v is the zero function
     got = {(i + 1, u, v): KINDS[k] for (i, u, v), k in np.ndenumerate(kinds) if u != v}
-    assert got == {key: c.kind for key, c in classify_all(code).items()}
+    assert got == {key: c.kind for key, c in reference_classify_all(code).items()}
     return set(got.values())
 
 
-def test_derivative_kinds_match_classify_all():
+def test_derivative_kinds_match_reference():
     codes = [build_feasible(q, gamma, index)[0] for q, gamma, index in h3q_table_entries(8)]
     kinds = set()
     for code in codes:
-        kinds |= assert_kinds_match_classify_all(code)
+        kinds |= assert_kinds_match_reference(code)
         for v in np.unique(np.linspace(0, code.space.size - 1, 4).astype(int)):
             mask = code.mask.copy()
             mask[v] = not mask[v]
-            kinds |= assert_kinds_match_classify_all(Code(code.space, mask))
+            kinds |= assert_kinds_match_reference(Code(code.space, mask))
     assert kinds == set(KINDS)
     # two 64-bit words per row
-    assert assert_kinds_match_classify_all(build_c(66, 34)) == {"zero", "string", "cross"}
-    assert assert_kinds_match_classify_all(build_index1(66, 33)) == {"zero", "unclassified"}
+    assert assert_kinds_match_reference(build_c(66, 34)) == {"zero", "string", "cross"}
+    assert assert_kinds_match_reference(build_index1(66, 33)) == {"zero", "unclassified"}
 
 
 def test_derivative_kinds_memory_is_bounded_in_slabs():
