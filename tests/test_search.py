@@ -103,6 +103,9 @@ PINNED_NODES = [
     ((1, 5, None, None, False), (30, 60)),
     ((2, 8, 2, 1, False), (56, 520)),
     ((3, 4, None, 1, False), (42, 516)),
+    # beta = q*i - gamma above the valency k = 6: rejected before any node
+    ((3, 3, 1, 3, False), None),
+    ((3, 3, 2, 3, False), None),
     # fix_first_codeword starts from a decided vertex 0
     ((3, 3, 2, 2, True), (30, 78)),
     ((3, 4, 3, 2, True), (2592, 8888)),
@@ -119,6 +122,11 @@ def _case_id(case):
                          ids=[_case_id(c) for c, _ in PINNED_NODES])
 def test_pinned_codes_and_nodes(case, expected):
     n, q, gamma, index, fix_zero = case
+    if expected is None:
+        with pytest.raises(ValueError):
+            SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index,
+                              fix_first_codeword=fix_zero)
+        return
     s = enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index,
                                          fix_first_codeword=fix_zero), workers=1)
     assert (s.codes_found, s.nodes) == expected
@@ -392,11 +400,6 @@ def test_constraint_validation():
         SearchConstraints(3, 2, eigenvalue_index=4)
     with pytest.raises(ValueError):
         SearchConstraints(3, 2, gamma=3, eigenvalue_index=2)  # gamma > beta
-    # beta = q*i - gamma above the valency k = 6: no such code exists
-    with pytest.raises(ValueError):
-        SearchConstraints(3, 3, gamma=1, eigenvalue_index=3)  # beta = 8
-    with pytest.raises(ValueError):
-        SearchConstraints(3, 3, gamma=2, eigenvalue_index=3)  # beta = 7
 
 
 def test_resolve_workers(monkeypatch, capsys):
