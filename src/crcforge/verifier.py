@@ -17,11 +17,13 @@ codeword's total for codewords, the first non-codeword's, gamma, for the
 rest.  When gamma > 0 and no slab disagrees, rho = 1 and the two totals are
 the certificate; the first vertex that disagrees is the failure witness,
 unless some non-codeword has no neighbor in C (a line total of 0).  Only then,
-or when gamma = 0, does the layered path run, which grows each distance
-layer from the previous layer's ``neighbor_counts`` and so counts into every
-layer once.  ``certify_rho1`` applies the same rule to a stack of sets at
-once and answers only whether each one is a rho = 1 code, with its gamma and
-beta.  Both read the rule from one helper, ``_rho1_rule``.
+or when gamma = 0, does the layered path run.  It walks the layers t = 0..rho
+once, with one count array alive: step t counts every vertex's neighbors in
+layer t, grows layer t+1 from them and checks layers t+1 and t-1 toward t.
+Layer 0's counts are read off the line sums held, so a layered check takes
+rho ``neighbor_counts`` passes.  ``certify_rho1`` applies the same rule to a
+stack of sets at once and answers only whether each one is a rho = 1 code,
+with its gamma and beta.  Both read the rule from one helper, ``_rho1_rule``.
 """
 
 from __future__ import annotations
@@ -65,23 +67,14 @@ class DistancePartition:
         return tuple(int(c.sum()) for c in self.classes)
 
 
-def _grow_layers(code: Code) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Layers C_0..C_rho by distance to the code, each the unseen part of the
-    previous layer's neighborhood, and the neighbor counts of C_0..C_{rho-1}
-    that grew them."""
-    layers, counts, seen = [code.mask.copy()], [], code.mask.copy()
-    while not seen.all():
-        counts.append(neighbor_counts(code.space, layers[-1]))
-        layers.append((counts[-1] > 0) & ~seen)
-        seen |= layers[-1]
-    return layers, counts
-
-
 def distance_partition(code: Code) -> DistancePartition:
     """Layers of vertices by distance to the code."""
     if code.size == 0:
         raise ValueError("empty code has no distance partition")
-    layers, _ = _grow_layers(code)
+    layers, seen = [code.mask.copy()], code.mask.copy()
+    while not seen.all():
+        layers.append((neighbor_counts(code.space, layers[-1]) > 0) & ~seen)
+        seen |= layers[-1]
     for layer in layers:
         layer.setflags(write=False)
     return DistancePartition(code.space, tuple(layers))
@@ -149,6 +142,8 @@ class CrcCertificate:
 
     @property
     def eigenvalue_index(self) -> Union[int, None]:
+        if self.rho != 1:
+            return None
         return rho1_eigenvalue_index(self.n, self.q, self.gamma, self.beta)
 
 
@@ -305,36 +300,36 @@ def check_crc(code: Code) -> CheckResult:
                 return CrcFailure(sp.vertex(v), 0, 1, k - (total - sp.n), k - inner)
             return CrcFailure(sp.vertex(v), 1, 0, total, gamma)
 
-    # covering radius >= 2: check layer by layer, counting into each layer once
-    layers, counts = _grow_layers(code)
-    counts.append(neighbor_counts(sp, layers[-1]))
-    rho = len(layers) - 1
-
-    best = None  # (vertex index, direction priority, failure record)
-    gammas: list[int] = []
-    betas: list[int] = []
-    for i, layer in enumerate(layers):
-        members = np.flatnonzero(layer)
+    # covering radius >= 2: step t counts every vertex's neighbors in layer
+    # C_t, grows C_{t+1} from them and checks C_{t+1} toward C_t (its gamma)
+    # and C_{t-1} away, toward C_t (its beta).  C_0's counts are read off the
+    # line sums held; one count array is alive at a time.
+    n = sums[0].dtype.type(sp.n)
+    counts = (sum(sums[1:], sums[0]) - n * code.grid).reshape(sp.size)
+    seen, prev, layer, t = mask.copy(), None, mask, 0
+    best, betas, gammas = None, [], []  # best: ((vertex index, direction), failure)
+    while True:
+        grown = (counts > 0) & ~seen
+        seen |= grown
         # direction 0 = toward the code, direction 1 = away from it
-        for direction, target in ((0, i - 1), (1, i + 1)):
-            if not 0 <= target <= rho:
+        for direction, i, side, out in ((0, t + 1, grown, gammas), (1, t - 1, prev, betas)):
+            if side is None or not side.any():
                 continue
-            vals = counts[target][members]
-            expected = int(vals[0])
-            if direction == 0:
-                gammas.append(expected)
-            else:
-                betas.append(expected)
-            bad = np.flatnonzero(vals != expected)
-            if bad.size:
-                v = int(members[bad[0]])
-                key = (v, direction)
-                if best is None or key < best[0]:
-                    best = (key, CrcFailure(sp.vertex(v), i, target,
-                                            int(vals[bad[0]]), expected))
+            expected = counts[side.argmax()]
+            out.append(int(expected))
+            bad = side & (counts != expected)
+            if bad.any():
+                v = int(bad.argmax())
+                if best is None or (v, direction) < best[0]:
+                    best = ((v, direction), CrcFailure(sp.vertex(v), i, t, int(counts[v]),
+                                                       int(expected)))
+        if not grown.any():
+            break
+        prev, layer, t, counts = layer, grown, t + 1, None
+        counts = neighbor_counts(sp, layer)
     if best is not None:
         return best[1]
-    return CrcCertificate(sp.n, sp.q, rho, size, tuple(betas), tuple(gammas))
+    return CrcCertificate(sp.n, sp.q, t, size, tuple(betas), tuple(gammas))
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,11 @@ PINNED_NODES = [
     ((1, 5, None, None, False), (30, 60)),
     ((2, 8, 2, 1, False), (56, 520)),
     ((3, 4, None, 1, False), (42, 516)),
+    # index only, q*i - k above 1: the shift lifts gamma's lower end before
+    # the first decision (H(4,2) at index 2 has q*i - k = 0, H(3,4) at 1 below)
+    ((3, 3, None, 3, False), (24, 248)),
+    ((2, 4, None, 2, False), (138, 612)),
+    ((2, 5, None, 2, False), (4320, 17016)),
     # beta = q*i - gamma above the valency k = 6: rejected before any node
     ((3, 3, 1, 3, False), None),
     ((3, 3, 2, 3, False), None),

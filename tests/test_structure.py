@@ -172,26 +172,34 @@ def test_derivative_function_rejects_values_outside_signs():
         DerivativeFunction(3, np.zeros((2, 3), dtype=np.int8))
 
 
-def assert_kinds_match_reference(code):
+def assert_kinds_match_reference(code, want=None):
+    """derivative_kinds against ``want``, the code's reference_classify_all
+    (computed here when not given); returns the kinds seen."""
     q = code.space.q
+    want = reference_classify_all(code) if want is None else want
     kinds = derivative_kinds(code)
     assert kinds.shape == (3, q, q) and kinds.dtype == np.int8
     assert not kinds[:, np.arange(q), np.arange(q)].any()   # u = v is the zero function
     got = {(i + 1, u, v): KINDS[k] for (i, u, v), k in np.ndenumerate(kinds) if u != v}
-    assert got == {key: c.kind for key, c in reference_classify_all(code).items()}
+    assert got == {key: c.kind for key, c in want.items()}
     return set(got.values())
 
 
 def test_derivative_kinds_match_reference():
-    codes = [build_feasible(q, gamma, index)[0] for q, gamma, index in h3q_table_entries(8)]
-    kinds = set()
-    for code in codes:
-        kinds |= assert_kinds_match_reference(code)
-        for v in np.unique(np.linspace(0, code.space.size - 1, 4).astype(int)):
-            mask = code.mask.copy()
-            mask[v] = not mask[v]
-            kinds |= assert_kinds_match_reference(Code(code.space, mask))
+    # every build_feasible code of H(3,q<=8), and its one-vertex flips at 4
+    # evenly spread vertices: derivative_kinds and classify_all against one
+    # reference per code
+    kinds, class_kinds = set(), set()
+    for q, gamma, index in h3q_table_entries(8):
+        code = build_feasible(q, gamma, index)[0]
+        flips = np.unique(np.linspace(0, code.space.size - 1, 4).astype(int))
+        for mask in [code.mask] + [code.mask ^ (np.arange(code.space.size) == v) for v in flips]:
+            c = Code(code.space, mask)
+            want = reference_classify_all(c)
+            kinds |= assert_kinds_match_reference(c, want)
+            class_kinds |= {x.kind for x in assert_classes_match_reference(c, want).values()}
     assert kinds == set(KINDS)
+    assert class_kinds == {"zero", "string", "cross", "unclassified"}
     # two 64-bit words per row
     assert assert_kinds_match_reference(build_c(66, 34)) == {"zero", "string", "cross"}
     assert assert_kinds_match_reference(build_index1(66, 33)) == {"zero", "unclassified"}
@@ -229,8 +237,9 @@ def test_index2_codes_classify_completely():
         assert tally["unclassified"] == 0, tally
 
 
-def assert_classes_match_reference(code):
-    got, want = classify_all(code), reference_classify_all(code)
+def assert_classes_match_reference(code, want=None):
+    got = classify_all(code)
+    want = reference_classify_all(code) if want is None else want
     assert got == want
     assert list(got) == list(want)
     return got
@@ -244,21 +253,6 @@ def test_classify_all_matches_reference_on_random_codes(q, seed, density):
     for i in (1, 2, 3):
         f = derivative(code, i, 0, q - 1)
         assert classify(f) == reference_classify(f)
-
-
-def test_classify_all_matches_reference_on_feasible_codes_and_flips():
-    # every build_feasible code of H(3,q<=8), and its one-vertex flips at 4
-    # evenly spread vertices
-    codes = [build_feasible(q, gamma, index)[0] for q, gamma, index in h3q_table_entries(8)]
-    kinds = set()
-    for code in codes:
-        kinds |= {c.kind for c in assert_classes_match_reference(code).values()}
-        for v in np.unique(np.linspace(0, code.space.size - 1, 4).astype(int)):
-            mask = code.mask.copy()
-            mask[v] = not mask[v]
-            kinds |= {c.kind for c in assert_classes_match_reference(
-                Code(code.space, mask)).values()}
-    assert kinds == {"zero", "string", "cross", "unclassified"}
 
 
 def test_index1_derivatives_do_not_classify():

@@ -237,6 +237,9 @@ def test_eigenvalue_index_none_when_not_integral():
     assert cert.eigenvalue_index is None
     with pytest.raises(ValueError):
         CrcCertificate(3, 3, 2, 9, (4, 1), (1, 4)).gamma
+    # covering radius 2: no eigenvalue index, and no error
+    rho2 = check_crc(code_of(Space(5, 2), [(0,) * 5, (1,) * 5]))
+    assert (rho2.rho, rho2.eigenvalue_index) == (2, None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,21 +409,37 @@ def test_spectral_support_is_the_eigenvalue_index():
 
 
 def test_check_crc_matches_reference_for_covering_radius_above_one(monkeypatch):
-    # the layered path takes one neighbor_counts pass per layer C_0..C_rho
+    # the layered path takes one neighbor_counts pass per layer C_1..C_rho;
+    # C_0's counts are read off the line sums the rho = 1 step holds
     passes = []
     count = verifier.neighbor_counts
     monkeypatch.setattr(verifier, "neighbor_counts", lambda *a: passes.append(a) or count(*a))
     rep = code_of(Space(5, 2), [(0,) * 5, (1,) * 5])
     cert = assert_same_check(rep)
-    assert (cert.rho, cert.betas, cert.gammas, len(passes)) == (2, (5, 4), (1, 2), 3)
+    assert (cert.rho, cert.betas, cert.gammas, len(passes)) == (2, (5, 4), (1, 2), 2)
     passes.clear()
     single = assert_same_check(code_of(Space(3, 3), [(0, 0, 0)]))
-    assert (single.rho, single.betas, single.gammas, len(passes)) == (3, (6, 4, 2), (1, 2, 3), 4)
+    assert (single.rho, single.betas, single.gammas, len(passes)) == (3, (6, 4, 2), (1, 2, 3), 3)
     passes.clear()
     # a set at covering radius 3 whose first failure points away from it, from layer 1
     res = assert_same_check(code_of(Space(3, 3), [(0, 0, 0), (1, 1, 1)]))
     assert (res.witness_vertex, res.class_index, res.target_class) == ((0, 0, 2), 1, 2)
-    assert len(passes) == 4
+    assert len(passes) == 3
+
+
+def test_layered_check_keeps_one_count_array():
+    # a single vertex in H(3,128) has rho = 3; count arrays over its 2^21
+    # vertices take 4 MiB each in uint16, and all four held at once with the
+    # layers come to about 46 MiB
+    sp = Space(3, 128)
+    tracemalloc.start()
+    try:
+        cert = check_crc(code_of(sp, [(0, 0, 0)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cert.rho, cert.gammas) == (3, (1, 2, 3))
+    assert peak < 32 << 20, peak
 
 
 # ------------------------------------------ line totals against whole count arrays
