@@ -185,21 +185,26 @@ def assert_kinds_match_reference(code, want=None):
     return set(got.values())
 
 
-def test_derivative_kinds_match_reference():
-    # every build_feasible code of H(3,q<=8), and its one-vertex flips at 4
-    # evenly spread vertices: derivative_kinds and classify_all against one
-    # reference per code
-    kinds, class_kinds = set(), set()
+@pytest.fixture(scope="module")
+def feasible_codes_and_flips():
+    """Every build_feasible code of H(3,q<=8), and its one-vertex flips at 4
+    evenly spread vertices, each with its reference_classify_all (computed
+    once for the module)."""
+    cases = []
     for q, gamma, index in h3q_table_entries(8):
         code = build_feasible(q, gamma, index)[0]
         flips = np.unique(np.linspace(0, code.space.size - 1, 4).astype(int))
         for mask in [code.mask] + [code.mask ^ (np.arange(code.space.size) == v) for v in flips]:
             c = Code(code.space, mask)
-            want = reference_classify_all(c)
-            kinds |= assert_kinds_match_reference(c, want)
-            class_kinds |= {x.kind for x in assert_classes_match_reference(c, want).values()}
+            cases.append((c, reference_classify_all(c)))
+    return cases
+
+
+def test_derivative_kinds_match_reference(feasible_codes_and_flips):
+    kinds = set()
+    for code, want in feasible_codes_and_flips:
+        kinds |= assert_kinds_match_reference(code, want)
     assert kinds == set(KINDS)
-    assert class_kinds == {"zero", "string", "cross", "unclassified"}
     # two 64-bit words per row
     assert assert_kinds_match_reference(build_c(66, 34)) == {"zero", "string", "cross"}
     assert assert_kinds_match_reference(build_index1(66, 33)) == {"zero", "unclassified"}
@@ -253,6 +258,13 @@ def test_classify_all_matches_reference_on_random_codes(q, seed, density):
     for i in (1, 2, 3):
         f = derivative(code, i, 0, q - 1)
         assert classify(f) == reference_classify(f)
+
+
+def test_classify_all_matches_reference_on_feasible_codes_and_flips(feasible_codes_and_flips):
+    kinds = set()
+    for code, want in feasible_codes_and_flips:
+        kinds |= {c.kind for c in assert_classes_match_reference(code, want).values()}
+    assert kinds == {"zero", "string", "cross", "unclassified"}
 
 
 def test_index1_derivatives_do_not_classify():
