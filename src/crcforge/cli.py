@@ -19,7 +19,7 @@ from . import constructions, parameters, search, structure, verifier
 from .codefile import CodeFileError, dumps_code, read_code, write_code
 from .hamming import Code
 from .parameters import ConditionOneWitness
-from .verifier import CrcCertificate, CrcFailure
+from .verifier import CheckResult, CrcCertificate, CrcFailure
 
 
 def certificate_dict(cert: CrcCertificate) -> dict:
@@ -51,19 +51,25 @@ def _emit(code: Code, meta: dict, output: Optional[str]) -> None:
         sys.stdout.write(dumps_code(code, meta))
 
 
-def _certificate_report(cert: CrcCertificate) -> list[str]:
-    lines = [f"completely regular, covering radius {cert.rho}"]
-    if cert.rho == 1:
-        ev = cert.code_eigenvalues
-        idx = cert.eigenvalue_index
-        lines.append(f"gamma={cert.gamma} beta={cert.beta} "
-                     f"alpha0={cert.alpha0} alpha1={cert.alpha1}")
-        lines.append(f"code eigenvalues ({ev[0]}, {ev[1]}), eigenvalue index "
-                     f"{idx if idx is not None else 'none'}")
+def _check_report(code: Code) -> CheckResult:
+    """Print the code's space and size, then its certificate or first
+    failure; return the check's result."""
+    sp = code.space
+    print(f"H({sp.n},{sp.q}), {code.size} codewords")
+    res = verifier.check_crc(code)
+    if isinstance(res, CrcFailure):
+        lines = _failure_report(res)
+    elif res.rho == 1:
+        ev, idx = res.code_eigenvalues, res.eigenvalue_index
+        lines = ["completely regular, covering radius 1",
+                 f"gamma={res.gamma} beta={res.beta} alpha0={res.alpha0} alpha1={res.alpha1}",
+                 f"code eigenvalues ({ev[0]}, {ev[1]}), eigenvalue index "
+                 f"{idx if idx is not None else 'none'}"]
     else:
-        lines.append(f"betas={list(cert.betas)} gammas={list(cert.gammas)} "
-                     f"alphas={list(cert.alphas)}")
-    return lines
+        lines = [f"completely regular, covering radius {res.rho}",
+                 f"betas={list(res.betas)} gammas={list(res.gammas)} alphas={list(res.alphas)}"]
+    print("\n".join(lines))
+    return res
 
 
 def _failure_report(fail: CrcFailure) -> list[str]:
@@ -86,22 +92,12 @@ def _parse_witness(text: str) -> ConditionOneWitness:
     return ConditionOneWitness(*vals)
 
 
-# Each construction kind's flag, named after the ConstructionSpec parameter
-# it sets.
-CONSTRUCT_FLAGS = {"a": "gamma", "b": "variant", "c": "t", "d": "witness",
-                   "index1": "m", "index3": "m"}
-
-
 def cmd_construct(args) -> int:
-    q, kind = args.q, args.kind
-    flag = CONSTRUCT_FLAGS[kind]
+    kind, flag = args.kind, constructions.PARAMETER[args.kind]
     value = getattr(args, flag)
     if value is None:
         raise ValueError(f"construct {kind} needs --{flag}")
-    if kind == "d":
-        spec = constructions.spec_for_witness(q, _parse_witness(value))
-    else:
-        spec = constructions.ConstructionSpec(kind, (("q", q), (flag, value)))
+    spec = constructions.spec_for(kind, args.q, _parse_witness(value) if kind == "d" else value)
     code = constructions.build_from_spec(spec)
     cert = verifier.check_crc(code)
     if not isinstance(cert, CrcCertificate):
@@ -115,16 +111,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    code, _meta = read_code(args.file)
-    sp = code.space
-    print(f"H({sp.n},{sp.q}), {code.size} codewords")
-    res = verifier.check_crc(code)
+    res = _check_report(read_code(args.file)[0])
     if isinstance(res, CrcFailure):
-        for line in _failure_report(res):
-            print(line)
         return 1
-    for line in _certificate_report(res):
-        print(line)
     ok = True
     if args.expect_gamma is not None or args.expect_beta is not None or args.expect_index is not None:
         if res.rho != 1:
@@ -193,14 +182,7 @@ def cmd_params(args) -> int:
 def cmd_analyze(args) -> int:
     code, _ = read_code(args.file)
     sp = code.space
-    print(f"H({sp.n},{sp.q}), {code.size} codewords")
-    res = verifier.check_crc(code)
-    if isinstance(res, CrcCertificate):
-        for line in _certificate_report(res):
-            print(line)
-    else:
-        for line in _failure_report(res):
-            print(line)
+    _check_report(code)
     ess = verifier.essential_positions(code)
     print(f"essential positions: {list(ess) if ess else 'none'}")
     hp = verifier.hyperface_profile(code)
@@ -306,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("construct", help="build a code and write it as JSON")
-    c.add_argument("kind", choices=list(CONSTRUCT_FLAGS))
+    c.add_argument("kind", choices=list(constructions.PARAMETER))
     c.add_argument("--q", type=int, required=True, help="alphabet size")
     c.add_argument("--gamma", type=int, help="total degree (kind a)")
     c.add_argument("--variant", type=int, choices=[1, 2], help="seed variant (kind b)")

@@ -140,29 +140,29 @@ def build_d(q: int, w: ConditionOneWitness) -> Code:
     return Code(sp, g)
 
 
+# Each construction kind's parameter besides q, and its builder build_<kind>.
+# Kind d's parameter is a witness, spelled out in its spec as r, s, t, a, b, c.
+PARAMETER = {"a": "gamma", "b": "variant", "c": "t", "d": "witness",
+             "index1": "m", "index3": "m"}
+
+
 def build_from_spec(spec: ConstructionSpec) -> Code:
-    """Build the code a spec names; the one map from construction kind to
-    builder.  Builders are looked up as module globals at call time, so a
-    wrapper installed on this module sees every build."""
+    """Build the code a spec names.  Builders are looked up as module globals
+    at call time, so a wrapper installed on this module sees every build."""
     p = spec.as_dict()
-    kind = spec.kind
-    if kind == "index1":
-        return build_index1(p["q"], p["m"])
-    if kind == "index3":
-        return build_index3(p["q"], p["m"])
-    if kind == "a":
-        return build_a(p["q"], p["gamma"])
-    if kind == "b":
-        return build_b(p["q"], p["variant"])
-    if kind == "c":
-        return build_c(p["q"], p["t"])
-    if kind == "d":
+    if spec.kind == "d":
         return build_d(p["q"], ConditionOneWitness(*(p[k] for k in "rstabc")))
-    raise ValueError(f"unknown construction kind {kind!r}")
+    if spec.kind not in PARAMETER:
+        raise ValueError(f"unknown construction kind {spec.kind!r}")
+    return globals()[f"build_{spec.kind}"](p["q"], p[PARAMETER[spec.kind]])
 
 
-def spec_for_witness(q: int, w: ConditionOneWitness) -> ConstructionSpec:
-    return ConstructionSpec("d", (("q", q),) + tuple(zip("rstabc", w.as_tuple())))
+def spec_for(kind: str, q: int, value) -> ConstructionSpec:
+    """The spec of a kind over q whose parameter, ``PARAMETER[kind]``, is
+    ``value``: a ConditionOneWitness for kind d, an int for the rest."""
+    if kind == "d":
+        return ConstructionSpec("d", (("q", q),) + tuple(zip("rstabc", value.as_tuple())))
+    return ConstructionSpec(kind, (("q", q), (PARAMETER[kind], value)))
 
 
 def build_feasible(q: int, gamma: int, index: int) -> tuple[Code, ConstructionSpec]:
@@ -170,16 +170,15 @@ def build_feasible(q: int, gamma: int, index: int) -> tuple[Code, ConstructionSp
     verdict = feasible_h3q(q, gamma, index)
     if not verdict.feasible:
         raise ValueError(f"no code with gamma={gamma}, index={index} in H(3,{q}): {verdict.rule}")
-    if index == 1:
-        spec = ConstructionSpec("index1", (("q", q), ("m", gamma)))
-    elif index == 3:
-        spec = ConstructionSpec("index3", (("q", q), ("m", gamma // 3)))
+    if index in (1, 3):
+        kind, value = f"index{index}", gamma // index
     elif gamma % 2 == 0:
-        spec = ConstructionSpec("a", (("q", q), ("gamma", gamma)))
+        kind, value = "a", gamma
     elif 2 * gamma == q:
-        spec = ConstructionSpec("b", (("q", q), ("variant", 1)))
+        kind, value = "b", 1
     elif 2 * gamma > q:
-        spec = ConstructionSpec("c", (("q", q), ("t", gamma)))
+        kind, value = "c", gamma
     else:
-        spec = spec_for_witness(q, verdict.witness)
+        kind, value = "d", verdict.witness
+    spec = spec_for(kind, q, value)
     return build_from_spec(spec), spec

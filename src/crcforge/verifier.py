@@ -46,9 +46,17 @@ def neighbor_counts(space: Space, indicator: np.ndarray) -> np.ndarray:
     line sums total.
     """
     g = np.asarray(indicator, dtype=bool).reshape((1,) + space.shape)
-    sums = _line_sums(space, g)
-    n = sums[0].dtype.type(space.n)
-    return (sum(sums[1:], sums[0]) - n * g).reshape(space.size)
+    return _counts_from_sums(space, _line_sums(space, g), g)
+
+
+def _counts_from_sums(space: Space, sums: list[np.ndarray], grid: np.ndarray) -> np.ndarray:
+    """Flat neighbor counts of one set from its line sums and its bool grid:
+    the line totals, added up in one array, less n on the members."""
+    counts = np.zeros((1,) + space.shape, dtype=sums[0].dtype)
+    for s in sums:
+        counts += s
+    np.subtract(counts, counts.dtype.type(space.n), out=counts, where=grid)
+    return counts.reshape(space.size)
 
 
 @dataclass(frozen=True)
@@ -204,15 +212,15 @@ def _line_sums(space: Space, masks: np.ndarray) -> list[np.ndarray]:
             for ax in axes[1:]]
 
 
-def _line_totals(space: Space, sums: list[np.ndarray], first_row: int = 0):
-    """Yield (start, stop, totals) slab by slab, from first-position row
-    ``first_row`` on: ``totals`` is the (L, stop - start) array (broadcast from
-    (L, 1) when n = 1) of the line totals of vertices start:stop.  A vertex's
-    line total is the sum of the n line sums through it: its number of
-    neighbors in the set, plus n if it is a member."""
+def _line_totals(space: Space, sums: list[np.ndarray]):
+    """Yield (start, stop, totals) slab by slab: ``totals`` is the
+    (L, stop - start) array (broadcast from (L, 1) when n = 1) of the line
+    totals of vertices start:stop.  A vertex's line total is the sum of the
+    n line sums through it: its number of neighbors in the set, plus n if it
+    is a member."""
     per_row = space.size // space.q
     rows = max(1, SLAB // per_row)
-    for a in range(first_row, space.q, rows):
+    for a in range(0, space.q, rows):
         b = min(a + rows, space.q)
         tot = sum((s[:, a:b] for s in sums[1:]), sums[0])
         yield a * per_row, b * per_row, tot.reshape(len(tot), math.prod(tot.shape[1:]))
@@ -229,11 +237,13 @@ def _rho1_rule(space: Space, masks: np.ndarray, sums: list[np.ndarray]):
     """The rho = 1 rule on the rows of an (L, V) bool array, given their line
     sums: a row's first codeword fixes the line total ``inner_total`` of every
     codeword, and its first non-codeword the total ``gamma`` of every
-    non-codeword.  Returns (inner_total, gamma, proper, bad): ``proper`` tells
-    whether the row is a nonempty, non-full set, and ``bad`` yields, slab by
-    slab and only as it is read, the slab's first vertex, its totals as
-    ``_line_totals`` gives them and an (L, slab) bool array marking each
-    vertex whose total differs from its side's."""
+    non-codeword.  Returns (inner_total, gamma, proper, slabs, bad):
+    ``proper`` tells whether the row is a nonempty, non-full set, ``slabs`` is
+    the ``_line_totals`` stream, and ``bad`` reads it and yields, slab by slab
+    and only as it is read, the slab's first vertex, its totals and an
+    (L, slab) bool array marking each vertex whose total differs from its
+    side's.  A slab read through ``bad`` is gone from ``slabs``, and the
+    reverse."""
     # ends[r] = (first codeword, first non-codeword): the first vertex of its
     # side on the first line along the last position that holds one, that
     # is whose line sum is not 0, respectively not q.  An argmax over the
@@ -249,9 +259,9 @@ def _rho1_rule(space: Space, masks: np.ndarray, sums: list[np.ndarray]):
     # membership is gamma; unsigned totals wrap alike on both sides
     step, b = (inner_total - gamma)[:, None], gamma[:, None]
     member = masks.view(np.uint8)
-    bad = ((start, tot, tot - member[:, start:stop] * step != b)
-           for start, stop, tot in _line_totals(space, sums))
-    return inner_total, gamma, sides[:, 0] > sides[:, 1], bad
+    slabs = _line_totals(space, sums)
+    bad = ((start, tot, tot - member[:, start:stop] * step != b) for start, stop, tot in slabs)
+    return inner_total, gamma, sides[:, 0] > sides[:, 1], slabs, bad
 
 
 def certify_rho1(space: Space, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,7 +272,7 @@ def certify_rho1(space: Space, masks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     and beta are the certificate's; on other rows (including the empty and
     the full set) they mean nothing.  One stacked line-sum pass.
     """
-    inner_total, gamma, proper, bad = _rho1_rule(space, masks, _line_sums(space, masks))
+    inner_total, gamma, proper, _, bad = _rho1_rule(space, masks, _line_sums(space, masks))
     ok = proper & (gamma > 0)
     for _, _, slab in bad:
         ok &= ~slab.any(axis=1)
@@ -280,7 +290,7 @@ def check_crc(code: Code) -> CheckResult:
     mask = code.mask
     k = sp.valency
     sums = _line_sums(sp, mask[None])
-    inner_total, gamma, _, bad = _rho1_rule(sp, mask[None], sums)
+    inner_total, gamma, _, slabs, bad = _rho1_rule(sp, mask[None], sums)
     inner, gamma = int(inner_total[0]) - sp.n, int(gamma[0])
     if gamma > 0:
         hit = next((h for h in bad if h[2].any()), None)
@@ -291,11 +301,11 @@ def check_crc(code: Code) -> CheckResult:
         v, total = start + i, int(tot[0, i % tot.shape[1]])   # tot is (1, 1) when n = 1
         # rho = 1 unless some non-codeword has no neighbor in C, that is a
         # line total of 0 (a codeword's is at least n).  A direction whose
-        # every line meets C rules that out; else the slabs from v's on are
-        # scanned, since every vertex before v has its side's positive total.
+        # every line meets C rules that out; else v's slab and the slabs
+        # not yet read are, since every vertex before v has its side's
+        # positive total.
         if (any(s.all() for s in sums)
-                or not any((tot == 0).any()
-                           for _, _, tot in _line_totals(sp, sums, v // (sp.size // sp.q)))):
+                or not ((tot == 0).any() or any((t == 0).any() for _, _, t in slabs))):
             if mask[v]:
                 return CrcFailure(sp.vertex(v), 0, 1, k - (total - sp.n), k - inner)
             return CrcFailure(sp.vertex(v), 1, 0, total, gamma)
@@ -304,8 +314,7 @@ def check_crc(code: Code) -> CheckResult:
     # C_t, grows C_{t+1} from them and checks C_{t+1} toward C_t (its gamma)
     # and C_{t-1} away, toward C_t (its beta).  C_0's counts are read off the
     # line sums held; one count array is alive at a time.
-    n = sums[0].dtype.type(sp.n)
-    counts = (sum(sums[1:], sums[0]) - n * code.grid).reshape(sp.size)
+    counts = _counts_from_sums(sp, sums, code.grid)
     seen, prev, layer, t = mask.copy(), None, mask, 0
     best, betas, gammas = None, [], []  # best: ((vertex index, direction), failure)
     while True:

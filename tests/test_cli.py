@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crcforge import constructions
 from crcforge.cli import build_parser, certificate_dict, run
 from crcforge.codefile import CodeFileError, _read_rows, _rows, dumps_code, read_code, write_code
 from crcforge.constructions import (ConstructionSpec, build_a, build_b, build_c, build_from_spec,
-                                    spec_for_witness)
+                                    spec_for)
 from crcforge.hamming import SPACE_CAP, Code, Space
 from crcforge.parameters import ConditionOneWitness
 from crcforge.verifier import check_crc
@@ -290,6 +291,22 @@ def test_construct_d_and_index_kinds(tmp_path):
                 "-o", str(tmp_path / "i3.json")]) == 0
 
 
+def test_construct_self_check_failure(monkeypatch, capsys):
+    # build_from_spec looks its builder up at call time, so a builder that
+    # returns a non-CRC reaches the self-check: the code with its first
+    # codeword dropped
+    good = constructions.build_index1(6, 2)
+    mask = good.mask.copy()
+    mask[0] = False
+    monkeypatch.setattr(constructions, "build_index1", lambda q, m: Code(good.space, mask))
+    assert run(["construct", "index1", "--q", "6", "--m", "2"]) == 1
+    assert capsys.readouterr() == ("", (
+        "construction self-check failed:\n"
+        "  not completely regular\n"
+        "  vertex [0, 1, 1] in layer 0 has 4 neighbors in layer 1; "
+        "the layer's first vertex has 5\n"))
+
+
 def test_construct_errors(capsys):
     assert run(["construct", "a", "--q", "5"]) == 2  # missing --gamma
     for kind, flag in (("b", "variant"), ("c", "t"), ("d", "witness"),
@@ -372,7 +389,7 @@ def test_unwritable_search_index_is_a_one_line_error(tmp_path, capsys):
     (["b", "--variant", "2"], ConstructionSpec("b", (("q", 6), ("variant", 2)))),
     (["c", "--t", "5"], ConstructionSpec("c", (("q", 6), ("t", 5)))),
     (["d", "--witness", "2,4,6,2,3,2"],
-     spec_for_witness(8, ConditionOneWitness(2, 4, 6, 2, 3, 2))),
+     spec_for("d", 8, ConditionOneWitness(2, 4, 6, 2, 3, 2))),
     (["index1", "--m", "2"], ConstructionSpec("index1", (("q", 6), ("m", 2)))),
     (["index3", "--m", "2"], ConstructionSpec("index3", (("q", 6), ("m", 2)))),
 ], ids=["a", "b", "c", "d", "index1", "index3"])
@@ -409,6 +426,16 @@ def test_verify_rejects_non_crc(tmp_path, capsys):
     write_code(bad, str(path))
     assert run(["verify", str(path)]) == 1
     assert "not completely regular" in capsys.readouterr().out
+
+
+def test_verify_expectations_on_covering_radius_2(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    write_code(Code.from_vertices(Space(5, 2), [(0,) * 5, (1,) * 5]), str(path))
+    assert run(["verify", str(path), "--expect-gamma", "1"]) == 1
+    assert capsys.readouterr() == ("H(5,2), 2 codewords\n"
+                                   "completely regular, covering radius 2\n"
+                                   "betas=[5, 4] gammas=[1, 2] alphas=[0, 0, 3]\n"
+                                   "expected rho=1 parameters but covering radius is 2\n", "")
 
 
 def test_verify_malformed_file(tmp_path, capsys):
@@ -597,6 +624,24 @@ def test_analyze_non_crc_and_profiles(tmp_path, capsys):
     assert "completely regular" in text
     assert "hyperface counts: all 1" in text
     assert "not-clique-partition" in text
+    # every maximal clique of a diagonal class holds one codeword
+    diag = tmp_path / "i3.json"
+    run(["construct", "index3", "--q", "4", "--m", "1", "-o", str(diag)])
+    capsys.readouterr()
+    assert run(["analyze", str(diag)]) == 0
+    assert "clique counts: all 1" in capsys.readouterr().out.splitlines()
+
+
+def test_analyze_skips_structure_below_n3(tmp_path, capsys):
+    full, reduced = tmp_path / "i6.json", tmp_path / "i6-red.json"
+    run(["construct", "index1", "--q", "6", "--m", "2", "-o", str(full)])
+    run(["reduce", str(full), "-o", str(reduced)])
+    capsys.readouterr()
+    assert run(["analyze", str(reduced), "--derivatives", "--cliques"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "H(1,6), 2 codewords" and err == ""
+    assert out.splitlines()[-2:] == ["derivative classification needs n=3; skipped",
+                                     "clique decomposition needs n=3; skipped"]
 
 
 # ---------------------------------------------------------------- search

@@ -6,7 +6,7 @@ import pytest
 from crcforge.constructions import (ConstructionSpec, build_a, build_b, build_c,
                                     build_d, build_feasible, build_from_spec,
                                     build_index1, build_index3,
-                                    construction_d_blocks, spec_for_witness)
+                                    construction_d_blocks, spec_for)
 from crcforge.hamming import Space
 from crcforge.parameters import ConditionOneWitness, solve_condition1
 from crcforge.stochastic import GridSet, profile
@@ -238,7 +238,7 @@ def test_builder_validation():
 def test_build_from_spec_round_trip():
     q = 8
     w = solve_condition1(q, 7)[0]
-    spec = spec_for_witness(q, w)
+    spec = spec_for("d", q, w)
     assert spec.as_dict() == {"kind": "d", "q": 8, "r": 2, "s": 4, "t": 6,
                               "a": 2, "b": 3, "c": 2}
     assert build_from_spec(spec) == build_d(q, w)
@@ -251,7 +251,7 @@ def test_build_from_spec_round_trip():
     ]
     for spec, code in pairs:
         assert build_from_spec(spec) == code
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown construction kind 'e'"):
         build_from_spec(ConstructionSpec("e", (("q", 4),)))
 
 

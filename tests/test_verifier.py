@@ -273,6 +273,22 @@ def test_neighbor_counts_dtype_boundary(q):
         assert (counts[~mask] == members).all()
 
 
+def test_neighbor_counts_peaks_at_its_result():
+    # the counts of a single vertex in H(3,128) take 4 MiB in uint16; one more
+    # array of that size alive beside them brings the peak to 8 MiB
+    sp = Space(3, 128)
+    mask = np.zeros(sp.size, dtype=bool)
+    mask[0] = True
+    tracemalloc.start()
+    try:
+        counts = neighbor_counts(sp, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (counts.dtype, int(counts[0]), int(counts.sum())) == (np.uint16, 0, 3 * 127)
+    assert peak < 6 << 20, peak
+
+
 CERTIFY_SPACES = [(3, 4), (2, 3), (3, 2), (2, 5), (1, 4), (4, 3)]
 
 
