@@ -3,9 +3,11 @@
 The canonical serialization sorts codewords lexicographically, one per line,
 and sorts meta keys, so writing the same code twice yields identical bytes.
 ``_rows`` is the one byte-level definition of the codeword lines: the writer
-fills fixed-width digit cells from the symbol array and drops the leading
-zeros in one compaction.  The reader decodes a file in the writer's frame
-from its digit runs and accepts it only if ``_rows`` re-encodes those symbols
+fills fixed-width digit cells from the symbol array, one ``divmod`` by 10 per
+digit place from the low digit up, and drops the leading zeros in one
+compaction.  The reader finds the meta at the last occurrence of its
+separator, since the writer's meta is one line, decodes the codewords from
+their digit runs and accepts the file only if ``_rows`` re-encodes those symbols
 to the very same bytes, every symbol is below q, no codeword repeats and the
 meta alone parses as a JSON object; the text is then exactly the JSON that
 ``json.loads`` would read to the same code and meta.  Any other text takes
@@ -60,14 +62,16 @@ def _rows(syms: np.ndarray, q: int) -> np.ndarray:
     cells = np.empty((count, len(line)), np.uint8)
     cells[:] = np.frombuffer(line, np.uint8)
     keep = np.ones(cells.shape, bool)
+    # one buffer per role, reused for every digit place
+    rest, d = np.empty(count, syms.dtype), np.empty(count, syms.dtype)
     for j in range(n):
         col = syms[:, j]
-        for k in range(w):
-            place = 10 ** (w - 1 - k)
-            at = len(start) + j * (w + len(", ")) + k
-            cells[:, at] = col // place % 10 + ord("0")
-            if k < w - 1:
-                keep[:, at] = col >= place
+        units = len(start) + j * (w + len(", ")) + w - 1
+        for p in range(w):  # from the low digit up
+            np.divmod(rest if p else col, 10, out=(rest, d))
+            np.add(d, ord("0"), out=cells[:, units - p], casting="unsafe")
+            if p:
+                np.greater_equal(col, 10 ** p, out=keep[:, units - p])
     return cells[keep][:-2]  # no ",\n" after the last line
 
 
@@ -122,7 +126,7 @@ def _read_canonical(text: str) -> Optional[tuple[Code, dict]]:
         space = Space(n, q)
     except ValueError:
         return None
-    end = text.find(_META, head.end())
+    end = text.rfind(_META, head.end())  # the meta is one line
     if end < 0:
         return None
     try:

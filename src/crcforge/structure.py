@@ -15,7 +15,9 @@ Two views of a code C in H(3,q):
   +1 and -1 sets of a string or cross off the derivative's own table.
 - Clique decompositions: when C is a disjoint union of maximal cliques, the
   partition is recovered as three (q, q) line masks, one per codirection j,
-  marking the fixed symbols of the chosen codirection-j cliques.  If all
+  marking the fixed symbols of the chosen codirection-j cliques.  A cover
+  that is not forced is searched over one bytearray of the codewords not yet
+  covered, scanned and sliced at C speed.  If all
   three masks are nonempty, their row and column supports give the symbol
   sets R, S, T, and slicing each mask to its block gives the stochastic grid
   blocks whose sizes and degrees form a three-block system witness.
@@ -311,42 +313,45 @@ def clique_cover(code: Code) -> CoverResult:
 def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[np.ndarray, None]:
     """Deterministic backtracking: cover the first uncovered codeword by the
     least clique (codirection order) disjoint from the cover so far.  The
-    search keeps its own stack, since a cover can hold thousands of cliques.
-    The cover comes back as line masks in the form of ``fc``."""
+    state is one bytearray over the flat vertices, 1 on the codewords not yet
+    covered: ``find`` gives the next one, a full line is disjoint from the
+    cover when its strided slice holds no 0, and slice assignment covers it
+    or, on backtracking, uncovers it.  The search keeps its own stack, since
+    a cover can hold thousands of cliques.  The cover comes back as line
+    masks in the form of ``fc``."""
     q = code.space.q
-    members = [tuple(x) for x in np.argwhere(code.grid).tolist()]
-    covered = np.zeros((q, q, q), dtype=bool)
-    chosen: list[tuple[int, tuple]] = []  # (codirection axis j, fixed)
-
-    def line(j: int, fixed: tuple) -> tuple:
-        return fixed[:j] + (slice(None),) + fixed[j:]
-
-    # One frame per chosen clique: the cursor position of the codeword it
-    # covers and the next candidate to try there on backtracking.
-    stack: list[tuple[int, int]] = []
+    qq = q * q
+    left = bytearray(code.mask.tobytes())
+    full = b"".join(m.tobytes() for m in fc)  # j * q^2 + flat index into fc[j]
+    zeros, ones = bytes(q), b"\x01" * q
+    # One frame per chosen clique: the position of the codeword it covers,
+    # the next candidate to try there on backtracking, its key into ``full``
+    # and its line as a slice of the flat vertices.
+    stack: list[tuple[int, int, int, slice]] = []
     pos, k = 0, 0
     while True:
-        while pos < len(members) and covered[members[pos]]:
-            pos += 1
-        if pos == len(members):
-            lines = np.zeros((3, q, q), dtype=bool)
-            for j, fixed in chosen:
-                lines[(j, *fixed)] = True
-            return lines
-        x = members[pos]
-        cands = [(j, x[:j] + x[j + 1:]) for j in range(3) if fc[j][x[:j] + x[j + 1:]]]
-        while k < len(cands) and covered[line(*cands[k])].any():
+        pos = left.find(1, pos)
+        if pos < 0:
+            lines = np.zeros(3 * qq, dtype=bool)
+            lines[[key for _, _, key, _ in stack]] = True
+            return lines.reshape(3, q, q)
+        x1, rest = divmod(pos, qq)
+        x2, x3 = divmod(rest, q)
+        cands = [c for c in ((rest, slice(rest, None, qq)),
+                             (qq + x1 * q + x3, slice(pos - x2 * q, pos - x2 * q + qq, q)),
+                             (2 * qq + pos // q, slice(pos - x3, pos - x3 + q)))
+                 if full[c[0]]]
+        while k < len(cands) and 0 in left[cands[k][1]]:
             k += 1
         if k < len(cands):
-            covered[line(*cands[k])] = True
-            chosen.append(cands[k])
-            stack.append((pos, k + 1))
+            left[cands[k][1]] = zeros
+            stack.append((pos, k + 1, *cands[k]))
             k = 0
             continue
         if not stack:
             return None
-        pos, k = stack.pop()
-        covered[line(*chosen.pop())] = False
+        pos, k, _, line = stack.pop()
+        left[line] = ones
 
 
 def _decompose(code: Code, lines: Sequence[np.ndarray]) -> CoverResult:

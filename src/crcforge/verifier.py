@@ -313,12 +313,17 @@ def check_crc(code: Code) -> CheckResult:
     # covering radius >= 2: step t counts every vertex's neighbors in layer
     # C_t, grows C_{t+1} from them and checks C_{t+1} toward C_t (its gamma)
     # and C_{t-1} away, toward C_t (its beta).  C_0's counts are read off the
-    # line sums held; one count array is alive at a time.
+    # line sums held; one count array is alive at a time.  Masks are written
+    # in place: each new layer into the buffer of the layer two below it,
+    # which is no longer needed (C_0 is the caller's), and every scratch mask
+    # into ``bad``.
     counts = _counts_from_sums(sp, sums, code.grid)
     seen, prev, layer, t = mask.copy(), None, mask, 0
+    grown, bad = np.empty_like(seen), np.empty_like(seen)
     best, betas, gammas = None, [], []  # best: ((vertex index, direction), failure)
     while True:
-        grown = (counts > 0) & ~seen
+        np.greater(counts, 0, out=grown)
+        grown &= np.invert(seen, out=bad)
         seen |= grown
         # direction 0 = toward the code, direction 1 = away from it
         for direction, i, side, out in ((0, t + 1, grown, gammas), (1, t - 1, prev, betas)):
@@ -326,7 +331,8 @@ def check_crc(code: Code) -> CheckResult:
                 continue
             expected = counts[side.argmax()]
             out.append(int(expected))
-            bad = side & (counts != expected)
+            np.not_equal(counts, expected, out=bad)
+            bad &= side
             if bad.any():
                 v = int(bad.argmax())
                 if best is None or (v, direction) < best[0]:
@@ -334,7 +340,8 @@ def check_crc(code: Code) -> CheckResult:
                                                        int(expected)))
         if not grown.any():
             break
-        prev, layer, t, counts = layer, grown, t + 1, None
+        spare = prev if prev is not None and prev is not mask else np.empty_like(seen)
+        prev, layer, grown, t, counts = layer, grown, spare, t + 1, None
         counts = neighbor_counts(sp, layer)
     if best is not None:
         return best[1]

@@ -215,6 +215,9 @@ def test_other_layouts_read_like_reference():
             good.replace('\n  "meta": ', '\n  "meta": {"first": 1},\n  "meta": '),
             good.replace('\n  "meta": ', '\n  "meta": 5,\n  "meta": '),
             good.replace("\n}\n", ',\n  "meta": []\n}\n'),
+            # a meta holding the meta separator as whitespace: its last
+            # occurrence is not the frame's
+            good[:good.rindex('\n  ],\n  "meta": ')] + '\n  ],\n  "meta": {"x": [1\n  ],\n  "meta": 2}\n}\n',
         ]
     for text in texts:
         want = read_outcome(reference_read_code, text)

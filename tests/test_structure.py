@@ -354,9 +354,21 @@ def test_clique_cover_deep_exact_cover():
     res = clique_cover(code)
     assert isinstance(res, CliqueDecomposition)
     assert len(res.cliques) == 1152
+    assert [len(res.by_codirection(j)) for j in (1, 2, 3)] == [0, 1152, 0]
     covered = [v for cl in res.cliques for v in clique_vertices(code.space, cl)]
     assert len(covered) == len(set(covered)) == code.size
     assert set(covered) == set(code.vertices())
+
+
+def test_clique_cover_backtracks():
+    # 000 lies in two full cliques; the first tried, the codirection-2
+    # clique {000, 010}, leaves 001 in no clique disjoint from the cover, so
+    # the search must undo it and take {000, 001}
+    sp = Space(3, 2)
+    code = code_of(sp, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0)])
+    res = assert_cover_matches_reference(code)
+    assert isinstance(res, CliqueDecomposition) and not res.strong
+    assert res.cliques == (Clique(1, (1, 0)), Clique(3, (0, 0)))
 
 
 def test_clique_cover_lemma_violations():
