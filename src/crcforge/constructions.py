@@ -55,8 +55,8 @@ def build_index3(q: int, m: int) -> Code:
     if not 1 <= m <= q - 1:
         raise ValueError(f"class count m={m} must be in 1..{q - 1}")
     i = np.arange(q)
-    tot = (i[:, None, None] + i[None, :, None] + i[None, None, :]) % q
-    return Code(sp, tot < m)
+    row = (i[:, None] + i) % q < m   # row[d, x3] for d = (x1 + x2) % q
+    return Code(sp, row[(i[:, None] + i) % q])
 
 
 def build_a(q: int, gamma: int) -> Code:

@@ -278,7 +278,8 @@ def clique_cover(code: Code) -> CoverResult:
 
     Codewords covered by no full clique refute immediately.  If every
     codeword lies in exactly one full clique the partition is forced;
-    otherwise an exact-cover backtracking over the full cliques decides.
+    otherwise, unless q does not divide the code's size, an exact-cover
+    backtracking over the full cliques decides.
     """
     sp = code.space
     if sp.n != 3:
@@ -300,7 +301,8 @@ def clique_cover(code: Code) -> CoverResult:
     if (cnt[g] == 1).all():
         chosen = fc
     else:
-        chosen = _exact_cover(code, fc)
+        # every clique holds q codewords, so no cover exists unless q | |C|
+        chosen = _exact_cover(code, fc) if code.size % sp.q == 0 else None
         if chosen is None:
             over = g & (cnt >= 2)
             v = tuple(int(c) for c in np.argwhere(over)[0])

@@ -12,18 +12,19 @@ essential positions are read off the line sums themselves.
 ``check_crc`` decides rho = 1 from line totals in slabs.  The n line-sum
 arrays (q^(n-1) entries each, in the narrowest dtype that holds n*q) are
 added up one slab of first-position rows at a time, ``SLAB`` vertices or
-one row, and each slab is compared with its expected totals: the first
-codeword's total for codewords, the first non-codeword's, gamma, for the
-rest.  When gamma > 0 and no slab disagrees, rho = 1 and the two totals are
-the certificate; the first vertex that disagrees is the failure witness,
-unless some non-codeword has no neighbor in C (a line total of 0).  Only then,
-or when gamma = 0, does the layered path run.  It walks the layers t = 0..rho
-once, with one count array alive: step t counts every vertex's neighbors in
-layer t, grows layer t+1 from them and checks layers t+1 and t-1 toward t.
-Layer 0's counts are read off the line sums held, so a layered check takes
-rho ``neighbor_counts`` passes.  ``certify_rho1`` applies the same rule to a
-stack of sets at once and answers only whether each one is a rho = 1 code,
-with its gamma and beta.  Both read the rule from one helper, ``_rho1_rule``.
+one row, and each slab is compared with its side's total, read at vertex 0
+and at the first vertex of the other side by n scalar reads each.  When
+gamma > 0 (the non-codewords' total) and no slab disagrees, rho = 1 and the
+two totals are the certificate; else the first vertex that disagrees is the
+failure, unless some non-codeword has no neighbor in C (a total of 0).  Only
+then, or when gamma = 0, does the layered path run.  It walks the layers
+t = 0..rho once, with one count array alive: step t counts every vertex's
+neighbors in layer t, grows layer t+1 from them and checks layers t+1 and
+t-1 toward t.  Layer 0's counts are read off the line sums held, so a
+layered check takes rho ``neighbor_counts`` passes.  ``certify_rho1`` reads
+the same two vertices of every row of a stack with one gather, and answers
+only whether each row is a rho = 1 code, with its gamma and beta; both
+compare the slabs through one helper, ``_rho1_rule``.
 """
 
 from __future__ import annotations
@@ -222,7 +223,8 @@ def _line_totals(space: Space, sums: list[np.ndarray]):
     rows = max(1, SLAB // per_row)
     for a in range(0, space.q, rows):
         b = min(a + rows, space.q)
-        tot = sum((s[:, a:b] for s in sums[1:]), sums[0])
+        *rest, tot = [sums[0]] + [s[:, a:b] for s in sums[1:]]
+        tot = sum(reversed(rest), tot)   # last position first: no inner-axis broadcast
         yield a * per_row, b * per_row, tot.reshape(len(tot), math.prod(tot.shape[1:]))
 
 
@@ -233,17 +235,33 @@ def _totals_at(space: Space, sums: list[np.ndarray], idx: np.ndarray) -> np.ndar
     return sum(s[(rows,) + at[:j] + (zero,) + at[j + 1:]] for j, s in enumerate(sums))
 
 
-def _rho1_rule(space: Space, masks: np.ndarray, sums: list[np.ndarray]):
+def _rho1_rule(space: Space, masks: np.ndarray, sums: list[np.ndarray], inner_total, gamma):
     """The rho = 1 rule on the rows of an (L, V) bool array, given their line
-    sums: a row's first codeword fixes the line total ``inner_total`` of every
-    codeword, and its first non-codeword the total ``gamma`` of every
-    non-codeword.  Returns (inner_total, gamma, proper, slabs, bad):
-    ``proper`` tells whether the row is a nonempty, non-full set, ``slabs`` is
-    the ``_line_totals`` stream, and ``bad`` reads it and yields, slab by slab
-    and only as it is read, the slab's first vertex, its totals and an
-    (L, slab) bool array marking each vertex whose total differs from its
-    side's.  A slab read through ``bad`` is gone from ``slabs``, and the
-    reverse."""
+    sums and the totals that a row's codewords (``inner_total``) and
+    non-codewords (``gamma``) must have, as scalars for one row or (L, 1)
+    arrays, in the sums' dtype.  Returns (slabs, bad): ``slabs`` is the
+    ``_line_totals`` stream, and ``bad`` reads it and yields, slab by slab and
+    only as it is read, the slab's first vertex, its totals and an (L, slab)
+    bool array marking each vertex whose total differs from its side's.  A
+    slab read through ``bad`` is gone from ``slabs``, and the reverse."""
+    # a total is its side's when it minus (inner_total - gamma) times
+    # membership is gamma; unsigned totals wrap alike on both sides, and
+    # np.subtract wraps scalars without the warning of ``-``
+    step, member = np.subtract(inner_total, gamma), masks.view(np.uint8)
+    slabs = _line_totals(space, sums)
+    bad = ((start, tot, tot - member[:, start:stop] * step != gamma) for start, stop, tot in slabs)
+    return slabs, bad
+
+
+def certify_rho1(space: Space, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched rho = 1 certifier for the rows of an (L, V) bool array.
+
+    Returns (gamma, beta, ok), one entry per row.  ``ok`` holds exactly when
+    ``check_crc`` of the row would certify covering radius 1, and then gamma
+    and beta are the certificate's; on other rows (including the empty and
+    the full set) they mean nothing.  One stacked line-sum pass.
+    """
+    sums = _line_sums(space, masks)
     # ends[r] = (first codeword, first non-codeword): the first vertex of its
     # side on the first line along the last position that holds one, that
     # is whose line sum is not 0, respectively not q.  An argmax over the
@@ -255,26 +273,8 @@ def _rho1_rule(space: Space, masks: np.ndarray, sums: list[np.ndarray]):
     ends = line * q + (on_line != _OTHER).argmax(axis=2)
     inner_total, gamma = _totals_at(space, sums, ends).T
     sides = masks[rows[:, None], ends]
-    # a total is its side's when it minus (inner_total - gamma) times
-    # membership is gamma; unsigned totals wrap alike on both sides
-    step, b = (inner_total - gamma)[:, None], gamma[:, None]
-    member = masks.view(np.uint8)
-    slabs = _line_totals(space, sums)
-    bad = ((start, tot, tot - member[:, start:stop] * step != b) for start, stop, tot in slabs)
-    return inner_total, gamma, sides[:, 0] > sides[:, 1], slabs, bad
-
-
-def certify_rho1(space: Space, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched rho = 1 certifier for the rows of an (L, V) bool array.
-
-    Returns (gamma, beta, ok), one entry per row.  ``ok`` holds exactly when
-    ``check_crc`` of the row would certify covering radius 1, and then gamma
-    and beta are the certificate's; on other rows (including the empty and
-    the full set) they mean nothing.  One stacked line-sum pass.
-    """
-    inner_total, gamma, proper, _, bad = _rho1_rule(space, masks, _line_sums(space, masks))
-    ok = proper & (gamma > 0)
-    for _, _, slab in bad:
+    ok = (sides[:, 0] > sides[:, 1]) & (gamma > 0)
+    for _, _, slab in _rho1_rule(space, masks, sums, inner_total[:, None], gamma[:, None])[1]:
         ok &= ~slab.any(axis=1)
         if not ok.any():
             break
@@ -290,8 +290,18 @@ def check_crc(code: Code) -> CheckResult:
     mask = code.mask
     k = sp.valency
     sums = _line_sums(sp, mask[None])
-    inner_total, gamma, _, slabs, bad = _rho1_rule(sp, mask[None], sums)
-    inner, gamma = int(inner_total[0]) - sp.n, int(gamma[0])
+    # the reference totals, summed from the first of n scalar reads to keep
+    # the dtype: vertex 0's and that of the other side's first vertex, on the
+    # first line along the last position not wholly on vertex 0's side
+    first = mask[0]
+    line = int((sums[-1].reshape(-1) != (sp.q if first else 0)).argmax())
+    other = line * sp.q + int((mask[line * sp.q:(line + 1) * sp.q] != first).argmax())
+    x = np.unravel_index(other, sp.shape)
+    refs = ([s.flat[0] for s in sums],
+            [s[(0,) + x[:j] + (0,) + x[j + 1:]] for j, s in enumerate(sums)])
+    inner_total, gamma = (sum(r[1:], r[0]) for r in (refs if first else refs[::-1]))
+    slabs, bad = _rho1_rule(sp, mask[None], sums, inner_total, gamma)
+    inner, gamma = int(inner_total) - sp.n, int(gamma)
     if gamma > 0:
         hit = next((h for h in bad if h[2].any()), None)
         if hit is None:

@@ -44,6 +44,14 @@ def test_build_index3():
     assert cert2.eigenvalue_index == 3
 
 
+def test_build_index3_is_the_union_of_diagonal_classes():
+    for q in range(2, 42):
+        i = np.arange(q)
+        tot = (i[:, None, None] + i[None, :, None] + i) % q
+        for m in range(1, q):
+            assert np.array_equal(build_index3(q, m).grid, tot < m), (q, m)
+
+
 def test_build_a():
     c = build_a(5, 4)
     cert = cert_of(c)

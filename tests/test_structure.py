@@ -371,6 +371,22 @@ def test_clique_cover_backtracks():
     assert res.cliques == (Clique(1, (1, 0)), Clique(3, (0, 0)))
 
 
+@pytest.mark.parametrize("q", [16, 32])
+def test_clique_cover_of_an_uncoverable_cylinder(monkeypatch, q):
+    # the index-1 cylinder less one codeword: every codeword still lies in a
+    # full clique, but no cover exists, since q does not divide |C|.  The
+    # exact-cover search would backtrack through every partial cover (q = 16
+    # takes it 0.03 s, q = 32 does not finish in 20 s), so at q = 32 it must
+    # not run, and the failure is the one it returns at q = 16
+    code = build_index1(q, q // 2)
+    grid = code.grid.copy()
+    grid[q // 2 - 1, q - 1, q - 1] = False
+    if q == 32:
+        monkeypatch.setattr(structure, "_exact_cover", lambda *a: pytest.fail("search ran"))
+    assert clique_cover(Code(code.space, grid)) == CliqueCoverFailure(
+        "not-clique-partition", (0, 0, 0), 2, "full cliques overlap and admit no exact cover")
+
+
 def test_clique_cover_lemma_violations():
     # three disjoint cliques, one per codirection, with the wrong symbol sets:
     # codirection-2 x3-symbols fail to complement the codirection-1 x3-set

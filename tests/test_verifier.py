@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crcforge import verifier
-from crcforge.constructions import build_c, build_feasible
+from crcforge.constructions import build_c, build_feasible, build_index1
 from crcforge.hamming import Code, Space
 from crcforge.parameters import feasible_table
 from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
@@ -19,7 +19,8 @@ from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
 
 from helpers import (SMALL_SPACES, all_cliques, brute_count_in, brute_crc1_params,
                      brute_layer_sizes, code_of, h3q_table_entries, reference_certify_rho1,
-                     reference_check_crc, reference_one_pass_check, spectral_support)
+                     reference_check_crc, reference_neighbor_counts, reference_one_pass_check,
+                     spectral_support)
 
 
 def test_neighbor_counts_matches_brute_force():
@@ -403,6 +404,43 @@ def test_check_crc_matches_reference_on_feasible_codes_and_flips():
                 kinds.add((type(res).__name__, getattr(res, "class_index", None)))
     # failures at codewords and at non-codewords, plus the H(3,2) singleton (rho 3)
     assert {("CrcFailure", 0), ("CrcFailure", 1), ("CrcCertificate", None)} <= kinds
+
+
+def test_check_crc_reads_both_reference_vertices():
+    # check_crc reads the totals of vertex 0 and of the first vertex of the
+    # other side: here that vertex lies in the second slab (the complement of
+    # an index-1 cylinder) or on a later line, in spaces of one and two
+    # positions too, and vertex 0 is a codeword in some sets and not in others
+    comp = build_index1(48, 30).complement()
+    assert comp.mask.argmax() >= verifier.SLAB // 48**2 * 48**2
+    codes = [comp, flipped(comp, 12345)]
+    for n, q in [(1, 2), (1, 5), (1, 300), (2, 2), (2, 4), (2, 40)]:
+        sp = Space(n, q)
+        last = sp.size - 1
+        for members in ([0], [last], [1, last], range(q), range(q, sp.size), range(0, sp.size, 3)):
+            mask = np.zeros(sp.size, dtype=bool)
+            mask[list(members)] = True
+            if mask.any() and not mask.all():
+                codes += [Code(sp, mask), Code(sp, ~mask)]
+    assert {bool(c.mask[0]) for c in codes} == {False, True}
+    for code in codes:
+        assert_same_check(code)
+
+
+def test_check_crc_wraps_uint16_totals():
+    # In H(3,128) totals are uint16 (n*q = 384).  Vertex 0 is a codeword
+    # with no neighbor in C, total 3, and the first non-codeword (0, 0, 1)
+    # has 255; in the complement vertex 0 has 381 and the first codeword
+    # 129.  Either way the first codeword's total is the smaller, and the
+    # rule's step wraps
+    sp = Space(3, 128)
+    code = code_of(sp, [(0, 0, 0)] + [(a, 0, 1) for a in range(1, 128)]
+                   + [(0, b, 1) for b in range(1, 128)])
+    assert verifier._line_sums(sp, code.mask[None])[0].dtype == np.uint16
+    for c, first_in, first_out in ((code, 0, 1), (code.complement(), 1, 0)):
+        totals = reference_neighbor_counts(sp, c.mask) + sp.n * c.mask
+        assert totals[first_in] < totals[first_out]
+        assert_same_check(c)
 
 
 def test_spectral_support_is_the_eigenvalue_index():
