@@ -203,9 +203,10 @@ def cmd_analyze(args) -> int:
             # the diagonal u = v is no derivative of the code
             tally = np.bincount(kinds[:, ~np.eye(sp.q, dtype=bool)].ravel(),
                                 minlength=len(structure.KINDS)).tolist()
-            print("derivatives: " + " ".join(f"{k}={v}" for k, v in zip(structure.KINDS, tally)))
-            for i, u, v in np.argwhere(kinds == structure.UNCLASSIFIED).tolist():
-                print(f"  unclassified: position {i + 1}, symbols {u},{v}")
+            lines = ["derivatives: " + " ".join(f"{k}={v}" for k, v in zip(structure.KINDS, tally))]
+            lines += [f"  unclassified: position {i + 1}, symbols {u},{v}"
+                      for i, u, v in np.argwhere(kinds == structure.UNCLASSIFIED).tolist()]
+            print("\n".join(lines))
 
     if args.cliques:
         if sp.n != 3:

@@ -2,21 +2,30 @@
 
 The canonical serialization sorts codewords lexicographically, one per line,
 and sorts meta keys, so writing the same code twice yields identical bytes.
-``_rows`` is the one byte-level definition of the codeword lines: the writer
-fills fixed-width digit cells from the symbol array, one ``divmod`` by 10 per
-digit place from the low digit up, and drops the leading zeros in one
-compaction.  The reader finds the meta at the last occurrence of its
-separator, since the writer's meta is one line, decodes the codewords from
-their digit runs and accepts the file only if ``_rows`` re-encodes those symbols
-to the very same bytes, every symbol is below q, no codeword repeats and the
-meta alone parses as a JSON object; the text is then exactly the JSON that
-``json.loads`` would read to the same code and meta.  Any other text takes
-the general path: ``json.loads``, then whole-array type, length and range
-checks, and a word-by-word scan only to name the first bad codeword.
+``_rows`` is the one byte-level definition of the codeword lines.  It repeats
+one template line per codeword, with a NUL-filled cell of w = len(str(q-1))
+bytes per symbol, and fills each cell by one token gather per symbol column:
+a small cached table holds every value of up to four digits as a NUL-padded
+ASCII token.  Wider symbols are split into four-digit limbs, and a limb takes
+its zero-padded token whenever a higher limb is nonzero.  One
+``bytes.replace`` then drops the NULs, which stand for the leading zeros.
+
+Files are written and read as bytes (a text stream's text is encoded as
+UTF-8 first); ``json.dumps`` escapes the meta, so the writer's output is
+ASCII.  The reader finds the meta at the last occurrence of its separator,
+since the writer's meta is one line, decodes the codewords from their digit
+runs and accepts the file only if ``_rows`` re-encodes those symbols to the
+very same bytes, every symbol is below q, no codeword repeats and the meta
+alone decodes as UTF-8 to a JSON object; the file is then exactly the JSON
+that ``json.loads`` would read to the same code and meta.  Any other file is
+decoded as a text-mode open would decode it (UTF-8, universal newlines) and
+takes the general path: ``json.loads``, then whole-array type, length and
+range checks, and a word-by-word scan only to name the first bad codeword.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -29,19 +38,20 @@ from .hamming import Code, Space
 FORMAT = "crc-code.v1"
 
 # The frame around the codeword lines; _HEAD captures n and q as written.
-_HEAD = re.compile(r'\{\n  "format": "crc-code\.v1",\n  "n": ([0-9]{1,20}),\n  "q": ([0-9]{1,20}),\n'
-                   r'  "codewords": \[\n')
-_META = '\n  ],\n  "meta": '
-_TAIL = "\n}\n"
+_HEAD = re.compile(rb'\{\n  "format": "crc-code\.v1",\n  "n": ([0-9]{1,20}),\n  "q": ([0-9]{1,20}),\n'
+                   rb'  "codewords": \[\n')
+_META = b'\n  ],\n  "meta": '
+_TAIL = b"\n}\n"
+_LIMB = 4  # digits per token
 
 
 class CodeFileError(ValueError):
     """Malformed code file (bad JSON, wrong tag, invalid codewords)."""
 
 
-def _header(n: int, q: int) -> str:
+def _header(n: int, q: int) -> bytes:
     return (f'{{\n  "format": {json.dumps(FORMAT)},\n  "n": {n},\n  "q": {q},\n'
-            f'  "codewords": [\n')
+            f'  "codewords": [\n').encode("ascii")
 
 
 def _symbol_dtype(q: int) -> type:
@@ -50,74 +60,93 @@ def _symbol_dtype(q: int) -> type:
     return np.int32 if 10 ** len(str(q - 1)) <= 2**31 else np.int64
 
 
-def _rows(syms: np.ndarray, q: int) -> np.ndarray:
-    """The codeword lines of the canonical layout as ASCII bytes (uint8):
+@functools.lru_cache(maxsize=None)
+def _tokens(width: int, units: bool) -> np.ndarray:
+    """The tokens of the limb values 0 .. 10**width - 1 as ``width``-byte
+    cells: first NUL-padded, then zero-padded.  The NUL-padded 0 is "0" in
+    the units limb and empty in any higher limb."""
+    value = np.arange(10 ** width)[:, None]
+    place = 10 ** np.arange(width - 1, -1, -1)
+    digits = (value // place % 10 + ord("0")).astype(np.uint8)
+    padded = np.where(value >= place, digits, 0).astype(np.uint8)
+    padded[0, -1] = ord("0") if units else 0
+    tokens = np.concatenate([padded, digits]).view(f"V{width}")[:, 0]
+    tokens.setflags(write=False)  # one array serves every caller
+    return tokens
+
+
+def _rows(syms: np.ndarray, q: int) -> bytes:
+    """The codeword lines of the canonical layout as ASCII bytes:
     "    [a, b, c]" per row of the (N, n) symbol array, joined by ",\n",
-    exactly as json.dumps writes each row.  Each symbol fills a cell of
-    w = len(str(q-1)) digits, and one compaction drops the leading zeros."""
+    exactly as json.dumps writes each row.  Each symbol's cell is split into
+    limbs of _LIMB digits from the low end, and each limb is one token
+    gather; see the module docstring."""
     count, n = syms.shape
     w = len(str(q - 1))
-    start = "    ["
-    line = (start + ", ".join(["0" * w] * n) + "],\n").encode("ascii")
-    cells = np.empty((count, len(line)), np.uint8)
-    cells[:] = np.frombuffer(line, np.uint8)
-    keep = np.ones(cells.shape, bool)
-    # one buffer per role, reused for every digit place
-    rest, d = np.empty(count, syms.dtype), np.empty(count, syms.dtype)
+    limbs = [min(_LIMB, w - k) for k in range(0, w, _LIMB)]  # widths, low limb first
+    start, sep = "    [", ", "
+    line = (start + sep.join(["\0" * w] * n) + "],\n").encode("ascii")
+    # one field per (column j, limb k), limbs counted from the units digit of the cell
+    cells = np.dtype({
+        "names": [f"{j}.{k}" for j in range(n) for k in range(len(limbs))],
+        "formats": [f"V{width}" for width in limbs] * n,
+        "offsets": [len(start) + j * (w + len(sep)) + w - k * _LIMB - width
+                    for j in range(n) for k, width in enumerate(limbs)],
+        "itemsize": len(line)})
+    lines = bytearray(line) * count
+    view = np.frombuffer(lines, cells)
     for j in range(n):
-        col = syms[:, j]
-        units = len(start) + j * (w + len(", ")) + w - 1
-        for p in range(w):  # from the low digit up
-            np.divmod(rest if p else col, 10, out=(rest, d))
-            np.add(d, ord("0"), out=cells[:, units - p], casting="unsafe")
-            if p:
-                np.greater_equal(col, 10 ** p, out=keep[:, units - p])
-    return cells[keep][:-2]  # no ",\n" after the last line
-
-
-def _symbols(code: Code) -> np.ndarray:
-    """The (N, n) symbols of the codewords, in lexicographic order.  Its own
-    frame frees the int64 indices before ``_rows`` allocates its cells."""
-    idx = code.indices()
-    syms = np.empty((len(idx), code.space.n), _symbol_dtype(code.space.q))
-    for j, col in enumerate(np.unravel_index(idx, code.space.shape)):
-        syms[:, j] = col
-    return syms
+        value = syms[:, j]
+        for k, width in enumerate(limbs):
+            if k + 1 < len(limbs):
+                value, low = np.divmod(value, 10 ** _LIMB)
+                index = low + (value != 0) * 10 ** _LIMB  # zero-padded below a nonzero limb
+            else:
+                index = value
+            view[f"{j}.{k}"] = _tokens(width, k == 0).take(index)
+    return bytes(memoryview(lines)[:-2]).replace(b"\0", b"")  # no ",\n" after the last line
 
 
 def dumps_code(code: Code, meta: Optional[dict] = None) -> str:
     sp = code.space
-    rows = str(_rows(_symbols(code), sp.q), "ascii")
-    meta_json = json.dumps(meta or {}, sort_keys=True, separators=(", ", ": "))
-    return _header(sp.n, sp.q) + rows + _META + meta_json + _TAIL
+    rows = _rows(np.argwhere(code.grid), sp.q)  # the grid's C order is lexicographic
+    meta_json = json.dumps(meta or {}, sort_keys=True, separators=(", ", ": ")).encode("ascii")
+    return b"".join((_header(sp.n, sp.q), rows, _META, meta_json, _TAIL)).decode("ascii")
 
 
 def write_code(code: Code, path: str, meta: Optional[dict] = None) -> None:
+    data = dumps_code(code, meta).encode("ascii")  # before the file is truncated
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(dumps_code(code, meta))
+        with open(path, "wb") as fp:
+            fp.write(data)
     except OSError as e:
         raise CodeFileError(f"cannot write {path}: {e}") from e
 
 
 def read_code(source: Union[str, TextIO]) -> tuple[Code, dict]:
+    """The code and meta of a file path or a text stream."""
     if hasattr(source, "read"):
-        text = source.read()
+        data = source.read()
     else:
         try:
-            with open(source, "r", encoding="utf-8") as fp:
-                text = fp.read()
+            with open(source, "rb") as fp:
+                data = fp.read()
         except OSError as e:
             raise CodeFileError(f"cannot read {source}: {e}") from e
-    canonical = _read_canonical(text)
-    return canonical if canonical is not None else _read_json(text)
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    canonical = _read_canonical(raw)
+    if canonical is not None:
+        return canonical
+    if isinstance(data, bytes):  # a path: decoded as a text-mode open decodes it
+        data = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return _read_json(data)
 
 
-def _read_canonical(text: str) -> Optional[tuple[Code, dict]]:
+def _read_canonical(raw: bytes) -> Optional[tuple[Code, dict]]:
     """The code and meta of a file in the writer's layout, or None for any
-    other text, which the general path then reads or rejects."""
-    head = _HEAD.match(text)
-    if head is None or not text.endswith(_TAIL):
+    other bytes, which the general path then reads or rejects."""
+    head = _HEAD.match(raw)
+    if head is None or not raw.endswith(_TAIL):
         return None
     n, q = int(head[1]), int(head[2])
     if head[0] != _header(n, q):  # leading zeros
@@ -126,20 +155,16 @@ def _read_canonical(text: str) -> Optional[tuple[Code, dict]]:
         space = Space(n, q)
     except ValueError:
         return None
-    end = text.rfind(_META, head.end())  # the meta is one line
+    end = raw.rfind(_META, head.end())  # the meta is one line
     if end < 0:
         return None
-    try:
-        meta = json.loads(text[end + len(_META):-len(_TAIL)])
+    try:  # a UnicodeDecodeError is a ValueError
+        meta = json.loads(raw[end + len(_META):-len(_TAIL)].decode("utf-8"))
     except (ValueError, RecursionError):
         return None
     if type(meta) is not dict:
         return None
-    try:
-        block = text[head.end():end].encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    syms = _read_rows(block, n, q)
+    syms = _read_rows(raw[head.end():end], n, q)
     if syms is None:
         return None
     mask = np.zeros(space.size, dtype=bool)
@@ -181,7 +206,7 @@ def _read_rows(raw: bytes, n: int, q: int) -> Optional[np.ndarray]:
     if syms.size and syms.max() >= q:
         return None
     syms = syms.reshape(-1, n)
-    return syms if np.array_equal(_rows(syms, q), u8) else None
+    return syms if _rows(syms, q) == raw else None
 
 
 def _read_json(text: str) -> tuple[Code, dict]:

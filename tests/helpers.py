@@ -390,8 +390,13 @@ def reference_one_pass_check(code: Code) -> CheckResult:
 # the whole-array ``dumps_code`` and ``read_code`` must match byte for byte
 # and error message for error message.
 
+def reference_rows(words) -> str:
+    """The codeword lines of a code file, one json.dumps per word."""
+    return ",\n".join("    " + json.dumps(list(w)) for w in words)
+
+
 def reference_dumps_code(code: Code, meta: Optional[dict] = None) -> str:
-    rows = ",\n".join("    " + json.dumps(list(v)) for v in code.vertices())
+    rows = reference_rows(code.vertices())
     meta_json = json.dumps(meta or {}, sort_keys=True, separators=(", ", ": "))
     return (
         "{\n"

@@ -15,14 +15,16 @@ from hypothesis import strategies as st
 
 from crcforge import constructions
 from crcforge.cli import build_parser, certificate_dict, run
-from crcforge.codefile import CodeFileError, _read_rows, _rows, dumps_code, read_code, write_code
+from crcforge.codefile import (CodeFileError, _read_rows, _rows, _symbol_dtype, _tokens, dumps_code,
+                               read_code, write_code)
 from crcforge.constructions import (ConstructionSpec, build_a, build_b, build_c, build_from_spec,
                                     spec_for)
 from crcforge.hamming import SPACE_CAP, Code, Space
 from crcforge.parameters import ConditionOneWitness
 from crcforge.verifier import check_crc
 
-from helpers import SMALL_SPACES, reference_dumps_code, reference_read_code, run_python
+from helpers import (SMALL_SPACES, reference_dumps_code, reference_read_code, reference_rows,
+                     run_python)
 
 
 # ---------------------------------------------------------------- code files
@@ -182,10 +184,95 @@ def test_rows_round_trip_symbols_beyond_int32():
     # Space admits H(1, q) up to q = 2^32, too large to build a code of here;
     # its symbols need int64 cells both ways
     syms = np.array([[0], [9], [2**31 - 1], [2**31], [2**32 - 1]], dtype=np.int64)
-    block = _rows(syms, 2**32).tobytes()
+    block = _rows(syms, 2**32)
     assert block.decode() == ",\n".join("    " + json.dumps(row) for row in syms.tolist())
     assert np.array_equal(_read_rows(block, 1, 2**32), syms)
     assert _read_rows(block, 1, 2**32 - 1) is None  # 2^32 - 1 is out of range
+
+
+# the edges of the four-digit limbs that _rows splits wider symbols into
+LIMB_EDGES = (9, 10, 9999, 10**4, 10**8, 2**32 - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("w", range(1, 11))
+def test_rows_match_reference_at_every_width(w, n):
+    # the least and the greatest q whose symbols have w digits
+    for q in (max(2, 10 ** (w - 1) + 1), min(10**w, 2**32)):
+        edges = {0, *LIMB_EDGES, *(10**p + d for p in range(11) for d in (-1, 0))}
+        values = sorted(v for v in edges if 0 <= v < q)
+        rng = np.random.default_rng([w, n])
+        rows = [[values[(i + j) % len(values)] for j in range(n)] for i in range(len(values))]
+        syms = np.concatenate([np.array(rows, _symbol_dtype(q)).reshape(-1, n),
+                               rng.integers(0, q, (50, n), dtype=_symbol_dtype(q))])
+        block = _rows(syms, q)
+        assert block == reference_rows(syms.tolist()).encode()
+        assert np.array_equal(_read_rows(block, n, q), syms)
+        if q**n <= 2**22:  # small enough to hold as a code
+            code = Code.from_vertices(Space(n, q), syms.tolist())
+            assert dumps_code(code, TRICKY_META) == reference_dumps_code(code, TRICKY_META)
+
+
+def test_rows_build_no_table_of_q():
+    # tokens hold at most four digits, so the widest q needs no table of q entries
+    syms = np.array([[v] for v in sorted({0, *LIMB_EDGES, 2**31})], np.int64)
+    _tokens.cache_clear()
+    tracemalloc.start()
+    try:
+        block = _rows(syms, 2**32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block == reference_rows(syms.tolist()).encode()
+    assert peak < 2**22  # a table of q entries would take at least 2^32 bytes
+    assert max(len(_tokens(width, units)) for width in (2, 4) for units in (False, True)) == 2 * 10**4
+
+
+def disk_outcome(reader, path):
+    try:
+        return reader(str(path))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_files_on_disk_read_like_reference(tmp_path):
+    # read_code reads a path as bytes, the reference in text mode: both
+    # read each file to the same value, or fail with the same error
+    code = build_a(4, 2)
+    good = dumps_code(code, {"k": 1}).encode()
+    meta_at = good.rindex(b'"meta": ') + len(b'"meta": ')
+    block_at = good.index(b"    [") + len(b"    [")
+    crlf = good.replace(b"\n", b"\r\n")
+    files = {
+        "crlf": (crlf, (code, {"k": 1})),
+        "cr": (good.replace(b"\n", b"\r"), (code, {"k": 1})),
+        "crlf, bad codeword": (crlf.replace(b"[0, 0, 0]", b"[0, 0, 9]", 1), None),
+        "crlf, cut short": (crlf[:-9], None),
+        "crlf, bad meta": (crlf.replace(b'"meta": {', b'"meta": {\r\n,', 1), None),
+        "bom": (b"\xef\xbb\xbf" + good, None),
+        "invalid utf-8 in the meta": (good[:meta_at] + b'{"k": "\xff"}\n}\n', None),
+        "invalid utf-8 in the codewords": (good[:block_at] + b"\xc3" + good[block_at + 1:], None),
+        "non-ascii meta": (good[:meta_at] + '{"note": "caf\u00e9 \u2713"}\n}\n'.encode(),
+                           (code, {"note": "caf\u00e9 \u2713"})),
+    }
+    path = tmp_path / "code.json"
+    for name, (data, value) in files.items():
+        path.write_bytes(data)
+        got = disk_outcome(read_code, path)
+        assert got == disk_outcome(reference_read_code, path), name
+        if value is not None:
+            assert got == value, name
+        else:
+            assert isinstance(got[0], type) and issubclass(got[0], ValueError), name
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "code.json"
+    write_code(build_a(4, 2), str(path), {"k": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_code(build_a(4, 2), str(path), {"k": {1, 2}})  # a set is no JSON
+    assert path.read_bytes() == before
 
 
 def read_outcome(reader, text):
@@ -616,6 +703,24 @@ def test_analyze_derivatives_text_is_pinned(tmp_path, capsys, source, tally, unc
         count, first, last, sha = unclassified
         assert (len(got), got[0], got[-1]) == (count, first, last)
         assert hashlib.sha256("\n".join(got).encode()).hexdigest() == sha
+
+
+def test_analyze_derivatives_text_matches_one_print_per_line(tmp_path, capsys):
+    # every derivative of this index-3 code is unclassified; the section is
+    # written in one call and reads as one print per line would write it
+    path = tmp_path / "i3.json"
+    run(["construct", "index3", "--q", "5", "--m", "2", "-o", str(path)])
+    capsys.readouterr()
+    assert run(["analyze", str(path), "--derivatives"]) == 0
+    out = capsys.readouterr().out
+    want = io.StringIO()
+    print("derivatives: zero=0 string=0 cross=0 unclassified=60", file=want)
+    for i in range(3):
+        for u in range(5):
+            for v in range(5):
+                if u != v:
+                    print(f"  unclassified: position {i + 1}, symbols {u},{v}", file=want)
+    assert out.endswith("\nclique counts: all 2\n" + want.getvalue())
 
 
 def test_analyze_non_crc_and_profiles(tmp_path, capsys):
