@@ -269,6 +269,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.q_max < 2:
+        raise ValueError(f"--q-max {args.q_max} is below the least alphabet size 2")
     for q in range(2, args.q_max + 1):
         cells = []
         for index, entries in parameters.feasible_table(3, q).items():

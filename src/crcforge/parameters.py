@@ -107,6 +107,8 @@ def solve_condition1(q: int, gamma: Union[int, None] = None) -> list[ConditionOn
     """
     if q < 2:
         raise ValueError(f"invalid alphabet size q={q}")
+    if gamma is not None and gamma < 1:
+        raise ValueError(f"gamma={gamma} must be positive")
     out: list[ConditionOneWitness] = []
     for r, s, t in _identity_triples(q):
         a0, b0, c0 = r * s, r * t, s * (q - t)

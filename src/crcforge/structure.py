@@ -6,13 +6,11 @@ Two views of a code C in H(3,q):
   two restrictions gives a {-1,0,+1} function on the remaining q x q square.
   For well-behaved codes each derivative is zero, a "string" (depends on one
   coordinate, +1 on X, -1 on Y with |X| = |Y|), or a "cross" (+1 on
-  X x (A-Y), -1 on (A-X) x Y).  One kernel decides the shapes: it packs the
-  +1 and -1 cells of each row into 64-bit words and runs each test as a few
-  word operations per row, on whole slabs of derivatives at once.
-  ``derivative_kinds`` is the one pass over every derivative and returns the
-  kind codes as one array.  ``classify`` runs the kernel on one table, and
-  ``classify_all`` takes its kinds from ``derivative_kinds``; both read the
-  +1 and -1 sets of a string or cross off the derivative's own table.
+  X x (A-Y), -1 on (A-X) x Y).  One rule decides the kind from line counts
+  (``_kind``): ``classify`` counts one table, and ``derivative_kinds``
+  counts every derivative at once from batched products over slabs of
+  lines.  ``classify_all`` takes its kinds from ``derivative_kinds``; both
+  read the +1 and -1 sets of a string or cross off the derivative's table.
 - Clique decompositions: when C is a disjoint union of maximal cliques, the
   partition is recovered as three (q, q) line masks, one per codirection j,
   marking the fixed symbols of the chosen codirection-j cliques.  A cover
@@ -25,9 +23,8 @@ Two views of a code C in H(3,q):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -86,93 +83,33 @@ class DerivativeClass:
 KINDS = ("zero", "string", "cross", "unclassified")
 ZERO, STRING, CROSS, UNCLASSIFIED = range(len(KINDS))
 
-# At most this many 64-bit words in one packed (word, u, v, row) array of the
-# kernel, so that its memory stays bounded at any q.
-_SLAB_WORDS = 1 << 16
-# set bits per byte value, to count the columns in a packed mask
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+# Entries of G in one slab of lines, so that memory stays bounded at any q.
+_SLAB_ENTRIES = 1 << 16
 
 
-def _pack(cells: np.ndarray) -> np.ndarray:
-    """A (..., q) bool array packed along its last axis into 64-bit words,
-    word index first: (W, ...) with W = ceil(q/64), and cell c is bit c % 64
-    of word c // 64."""
-    q = cells.shape[-1]
-    out = np.zeros(cells.shape[:-1] + (8 * -(-q // 64),), dtype=np.uint8)
-    out[..., :-(-q // 8)] = np.packbits(cells, axis=-1, bitorder="little")
-    return np.ascontiguousarray(np.moveaxis(out.view("<u8"), -1, 0))
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each (W, ...) packed mask."""
-    words = np.ascontiguousarray(words)
-    return _POPCOUNT8[words.view(np.uint8)].reshape(words.shape + (8,)).sum(axis=(0, -1))
-
-
-def _shapes(plus: np.ndarray, minus: np.ndarray,
-            full: np.ndarray) -> np.ndarray:
-    """The classification kernel.  ``plus`` and ``minus`` mark the +1 and -1
-    cells of a stack of derivatives as (W, ..., q) words, entry [w, ..., r]
-    being word w of row r, and ``full`` is the packed all-ones row.  The tests are ``classify``'s, in its
-    order, each a few word operations per row; columns are read off the row
-    words by AND / OR over the rows.  Returns the KINDS codes."""
-    full = full.reshape(full.shape + (1,) * (plus.ndim - 1))
-    plus_rows = functools.reduce(np.bitwise_or, plus) != 0
-    minus_rows = functools.reduce(np.bitwise_or, minus) != 0
-    full_plus_rows, full_minus_rows = (plus == full).all(axis=0), (minus == full).all(axis=0)
-    # axis 1: every row all +1, all -1 or empty, with as many all-(+1) rows
-    # as all-(-1) rows, and some of them
-    n_plus, n_minus = full_plus_rows.sum(axis=-1), full_minus_rows.sum(axis=-1)
-    string1 = ((full_plus_rows | full_minus_rows | ~(plus_rows | minus_rows)).all(axis=-1)
-               & (n_plus > 0) & (n_plus == n_minus))
-    # axis 2 likewise for the columns
-    full_plus_cols = np.bitwise_and.reduce(plus, axis=-1)
-    full_minus_cols = np.bitwise_and.reduce(minus, axis=-1)
-    minus_cols = np.bitwise_or.reduce(minus, axis=-1)
-    used_cols = np.bitwise_or.reduce(plus, axis=-1) | minus_cols
-    n_plus, n_minus = _popcount(full_plus_cols), _popcount(full_minus_cols)
-    string2 = (((full_plus_cols | full_minus_cols) == used_cols).all(axis=0)
-               & (n_plus > 0) & (n_plus == n_minus))
-    # cross: +1 exactly on X x (A-Y) and -1 on (A-X) x Y, with X the rows
-    # holding a +1 and Y the columns holding a -1
-    nx, ny = plus_rows.sum(axis=-1), _popcount(minus_cols)
-    zero = (nx == 0) & (ny == 0)
-    cross = nx == ny
-    if cross.any():
-        # A row's -1 cells lie in Y, and only X rows hold +1 cells.  So the
-        # rows are as required iff the nonzero cells of each row are A-Y on X
-        # and Y off X: (+1 or -1 cells) xor Y is all of A on X, else empty.
-        # This also bounds |X| by q - 1, as an X row needs a +1 off Y; |X| = 0
-        # is the zero derivative, decided first.
-        off = (plus | minus) ^ minus_cols[..., None] ^ (full * plus_rows)
-        cross &= ~off.any(axis=(0, -1))
-    return np.select([zero, string1 | string2, cross], [ZERO, STRING, CROSS],
-                     UNCLASSIFIED).astype(np.int8)
-
-
-def _derivative_slabs(code: Code) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The derivatives (i, u, v) with u < v as packed kernel input, a slab of
-    u at a time.  Yields (i, a, plus, minus) where the (W, k, q - a, q) words
-    cover u in [a, a + k) and v in [a, q); k keeps each array under
-    _SLAB_WORDS words."""
-    q = code.space.q
-    step = max(1, _SLAB_WORDS // (q * q * -(-q // 64)))
-    for i in (1, 2, 3):
-        # rows[:, u] is the restriction to symbol u in position i, packed by row
-        rows = _pack(np.moveaxis(code.grid, i - 1, 0))
-        nots = ~rows
-        for a in range(0, q - 1, step):
-            b = min(a + step, q - 1)
-            yield (i, a, rows[:, a:b, None] & nots[:, None, a:],
-                   rows[:, None, a:] & nots[:, a:b, None])
+def _kind(q: int, p, m, rows_p, rows_m, cols_p, cols_m, row_both, col_both) -> np.ndarray:
+    """The KINDS codes of derivatives with p +1 and m -1 cells, rows_p rows
+    and cols_p columns holding a +1 (rows_m, cols_m a -1), and row_both /
+    col_both true where some row / column holds both; elementwise over any
+    shape.  A string along rows has each row that holds a sign full of it,
+    and as many +1 rows as -1 rows; along columns likewise.  A cross, +1 on
+    X x (A-Y) and -1 on (A-X) x Y with X the +1 rows and Y the -1 columns,
+    has no line holding both signs, so P and M lie within those products
+    and their sizes decide."""
+    zero = (p == 0) & (m == 0)
+    string = (((p == q * rows_p) & (m == q * rows_m) & (rows_p == rows_m))
+              | ((p == q * cols_p) & (m == q * cols_m) & (cols_p == cols_m)))
+    cross = ((rows_p == cols_m) & (p == rows_p * (q - cols_m)) & (m == (q - rows_p) * cols_m)
+             & ~row_both & ~col_both)
+    return np.select([zero, string, cross], [ZERO, STRING, CROSS], UNCLASSIFIED).astype(np.int8)
 
 
 def _class(table: Union[np.ndarray, None], kind: int) -> DerivativeClass:
-    """The ``DerivativeClass`` of a (q, q) table whose kind the kernel found;
-    zero and unclassified carry no sets and need no table.  A string's +1 and -1 sets are read off one column if its rows are
-    constant (axis 1), else off one row (axis 2): no string is constant
-    along both axes.  A cross's are the rows holding a +1 and the columns
-    holding a -1."""
+    """The ``DerivativeClass`` of a (q, q) table of a known kind; zero and
+    unclassified carry no sets and need no table.  A string's +1 and -1
+    sets are read off one column if its rows are constant (axis 1), else off
+    one row (axis 2): no string is constant along both axes.  A cross's are
+    the rows holding a +1 and the columns holding a -1."""
     if kind == STRING:
         axis = 1 if (table == table[:, :1]).all() else 2
         line = table[:, 0] if axis == 1 else table[0]
@@ -187,26 +124,46 @@ def _class(table: Union[np.ndarray, None], kind: int) -> DerivativeClass:
 
 def classify(f: DerivativeFunction) -> DerivativeClass:
     """Try zero, then strings along each axis, then cross, else unclassified."""
-    v = f.values
-    kind = _shapes(_pack(v == 1)[:, None], _pack(v == -1)[:, None],
-                   _pack(np.ones(f.q, dtype=bool)))
-    return _class(v, int(kind[0]))
+    plus, minus = f.values == 1, f.values == -1
+    rows_p, rows_m, cols_p, cols_m = plus.any(1), minus.any(1), plus.any(0), minus.any(0)
+    kind = _kind(f.q, plus.sum(), minus.sum(), rows_p.sum(), rows_m.sum(), cols_p.sum(),
+                 cols_m.sum(), (rows_p & rows_m).any(), (cols_p & cols_m).any())
+    return _class(f.values, int(kind))
 
 
 def derivative_kinds(code: Code) -> np.ndarray:
     """The kind of every derivative, as a (3, q, q) int8 array: entry
     [i - 1, u, v] indexes KINDS for the derivative (i, u, v).  The diagonal
-    u = v is the zero function.  Builds no per-derivative objects."""
+    u = v is the zero function.  Builds no per-derivative objects.
+
+    A line of the square of position i is a (u, x) matrix over the symbol u
+    in position i; G[line, u, v], its cells in both C_u and C_v, is one
+    batched product per slab of lines.  P's cells on the line are
+    d[line, u] - G and M's are d[line, v] - G, so one array serves (u, v)
+    and (v, u)."""
     _require_n3(code)
     q = code.space.q
-    full = _pack(np.ones(q, dtype=bool))
-    out = np.zeros((3, q, q), dtype=np.int8)
-    for i, a, plus, minus in _derivative_slabs(code):
-        kind = _shapes(plus, minus, full)
-        # -f has the kind of f, so (i, v, u) mirrors (i, u, v)
-        out[i - 1, a:a + len(kind), a:] = kind
-        out[i - 1, a:, a:a + len(kind)] = kind.T
-    return out
+    squares = [np.moveaxis(code.grid, i, 0) for i in range(3)]  # [u, row, column]
+    size = np.zeros((3, q, q), dtype=np.float32)    # |P|
+    held = np.zeros((3, 2, q, q), dtype=np.int32)   # rows, columns holding a +1
+    both = np.zeros((3, 2, q, q), dtype=bool)       # some row, column holds +1 and -1
+    step = max(1, _SLAB_ENTRIES // (6 * q * q))
+    for k in (slice(a, a + step) for a in range(0, q, step)):
+        # [i, rows or columns, line, u, x] for the lines k of each kind
+        lines = np.array([(s[:, k].transpose(1, 0, 2), s[:, :, k].transpose(2, 0, 1))
+                          for s in squares], dtype=np.float32)
+        # exact in float32: q^3 <= 2^32 gives q <= 1625, so every sum is below 2^24.
+        # A contiguous right operand keeps the product on BLAS.
+        p = lines @ np.ascontiguousarray(lines.swapaxes(-1, -2))
+        d = p.diagonal(axis1=-2, axis2=-1).copy()   # d[..., u] = G[..., u, u]
+        np.subtract(d[..., None], p, out=p)
+        size += p[:, 0].sum(axis=1)
+        pos = p > 0
+        held += pos.sum(axis=2, dtype=held.dtype)
+        both |= (pos & pos.swapaxes(-1, -2)).any(axis=2)
+    rows, cols = held[:, 0], held[:, 1]
+    return _kind(q, size, size.swapaxes(-1, -2), rows, rows.swapaxes(-1, -2), cols,
+                 cols.swapaxes(-1, -2), both[:, 0], both[:, 1])
 
 
 def classify_all(code: Code) -> dict[tuple[int, int, int], DerivativeClass]:

@@ -626,6 +626,9 @@ def test_params_solve_c1(capsys):
     assert "r=2 s=4 t=6 a=2 b=3 c=2 gamma=7" in text
     assert run(["params", "solve-c1", "--q", "8", "--gamma", "1"]) == 1
     assert "0 witness(es)" in capsys.readouterr().out
+    for gamma in ("0", "-3"):
+        assert run(["params", "solve-c1", "--q", "4", "--gamma", gamma]) == 2
+        assert capsys.readouterr() == ("", f"error: gamma={gamma} must be positive\n")
 
 
 def test_params_lambda(capsys):
@@ -818,6 +821,10 @@ q=8   i=1: 1,2,3,4   i=2: 2,3*,4,5,6,7,8   i=3: 3,6,9,12
 def test_table_output(capsys):
     assert run(["table", "--q-max", "8"]) == 0
     assert capsys.readouterr() == (TABLE_Q8, "")
+    for q_max in ("1", "0"):
+        assert run(["table", "--q-max", q_max]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --q-max {q_max} is below the least alphabet size 2\n")
 
 
 def test_feasibility_report_output():

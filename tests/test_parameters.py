@@ -137,6 +137,12 @@ def test_no_witnesses_for_tiny_or_small_gamma_regimes():
     assert len(solve_condition1(12, 5)) == 3
 
 
+@pytest.mark.parametrize("gamma", [0, -3])
+def test_solve_condition1_rejects_nonpositive_gamma(gamma):
+    with pytest.raises(ValueError, match=f"gamma={gamma} must be positive"):
+        solve_condition1(4, gamma)
+
+
 def test_feasible_h3q_index2_cases():
     assert feasible_h3q(8, 7, 2).feasible  # gamma >= q/2: alphabet split
     assert feasible_h3q(8, 7, 2).witness is None

@@ -107,7 +107,7 @@ def test_classify_cross():
     assert classify(f2).kind == "cross"
 
 
-# one and two 64-bit words per packed row, and the edges of each
+# small tables, and tables on either side of q = 64
 TABLE_QS = (2, 3, 5, 8, 63, 64, 65, 70)
 TABLE_SHAPES = ("random", "string1", "string2", "cross", "plus", "minus")
 
@@ -205,7 +205,6 @@ def test_derivative_kinds_match_reference(feasible_codes_and_flips):
     for code, want in feasible_codes_and_flips:
         kinds |= assert_kinds_match_reference(code, want)
     assert kinds == set(KINDS)
-    # two 64-bit words per row
     assert assert_kinds_match_reference(build_c(66, 34)) == {"zero", "string", "cross"}
     assert assert_kinds_match_reference(build_index1(66, 33)) == {"zero", "unclassified"}
 
@@ -220,6 +219,44 @@ def test_derivative_kinds_memory_is_bounded_in_slabs():
         tracemalloc.stop()
     assert not (kinds == KINDS.index("unclassified")).any()
     assert peak < 8 * 2 ** 20
+
+
+def planted_code(q, seed):
+    """A code whose square at each symbol a of position 1 is R_a x A, R_a
+    one of three random sets of one size, except at two symbols, whose squares
+    are a cross pair +1 on X x (A-Y), -1 on (A-X) x Y with |X| = |Y| and the
+    cells off both shared: zero, string, cross and unclassified derivatives."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, q))
+    sets = [np.isin(np.arange(q), rng.permutation(q)[:k]) for _ in range(3)]
+    grid = np.stack([np.broadcast_to(sets[j][:, None], (q, q)) for j in rng.integers(0, 3, q)])
+    x, y = sets[0], np.isin(np.arange(q), rng.permutation(q)[:k])
+    rest = (rng.random((q, q)) < 0.5) & (x[:, None] == y[None, :])
+    u, v = rng.choice(q, 2, replace=False)
+    grid[u] = (x[:, None] & ~y[None, :]) | rest
+    grid[v] = (~x[:, None] & y[None, :]) | rest
+    return Code(Space(3, q), grid.ravel())
+
+
+@pytest.mark.parametrize("q", [67, 70])
+def test_derivative_kinds_match_reference_across_a_ragged_last_slab(monkeypatch, q):
+    rng = np.random.default_rng(q)
+    codes = [planted_code(q, q), Code(Space(3, q), rng.random(q ** 3) < 0.1)]
+    kinds = [derivative_kinds(code) for code in codes]
+    # slabs of 3 lines, so that the last slab holds only q % 3 = 1 line
+    monkeypatch.setattr(structure, "_SLAB_ENTRIES", 3 * 6 * q * q)
+    assert assert_kinds_match_reference(codes[0]) == set(KINDS)
+    assert assert_kinds_match_reference(codes[1]) == {"unclassified"}
+    for code, want in zip(codes, kinds):
+        assert np.array_equal(derivative_kinds(code), want)
+
+
+def test_classify_agrees_with_derivative_kinds_on_every_derivative():
+    for code in (planted_code(7, 1), build_c(6, 5), build_index1(5, 2)):
+        q = code.space.q
+        kinds = derivative_kinds(code)
+        for i, u, v in np.ndindex(kinds.shape):
+            assert classify(derivative(code, i + 1, u, v)).kind == KINDS[kinds[i, u, v]]
 
 
 def test_classify_all_counts_and_flagship():
