@@ -17,7 +17,7 @@ import sys
 import time
 
 from crcforge.parameters import feasible_table
-from crcforge.search import SearchConstraints, enumerate_crcs
+from crcforge.search import SearchConstraints, enumerate_crcs, resolve_workers
 
 DEFAULT_SPACES = [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3)]
 
@@ -75,8 +75,14 @@ def main() -> None:
             print(f"census: bad --spaces: {e}", file=sys.stderr)
             sys.exit(2)
 
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as e:
+        print(f"census: {e}", file=sys.stderr)
+        sys.exit(2)
+
     for n, q in spaces:
-        census(n, q, args.workers)
+        census(n, q, workers)
 
 
 if __name__ == "__main__":

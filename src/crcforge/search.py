@@ -26,7 +26,10 @@ Global rules on the two intervals, reading beta as k minus the codeword count:
   eigenvalue index i fixed it is q*i, which ties the two intervals by a shift;
 - with gamma and i both fixed, the code size q^n * gamma/(q*i) must be an
   integer (checked once, up front) and, for i >= 2, every hyperface must end
-  up with exactly |C|/q codewords.
+  up with exactly |C|/q codewords.  Index i means that the centred indicator
+  lives on the characters of weight i alone, so every face of codimension
+  j < i holds |C|/q^j codewords (Fon-Der-Flaass, Perfect 2-colorings of a
+  hypercube, 2007): q^(i-1) must divide |C|, also checked up front.
 
 Every rule only narrows, so the closed state of a branch and whether it dies
 do not depend on the order of the checks.  Propagation therefore applies
@@ -72,7 +75,6 @@ whole tree, mirrored half included.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 from itertools import product
 from multiprocessing import Pool
@@ -180,8 +182,10 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
             return 0, []  # code size q^n*gamma/(q*i) not an integer
         size_t = num // qi
         if index_t >= 2:
-            if size_t % q:
-                return 0, []  # balanced hyperfaces impossible
+            # Index i puts the centred indicator on the weight-i characters
+            # alone, so every face of codimension j < i holds |C|/q^j codewords.
+            if size_t % q ** (index_t - 1):
+                return 0, []  # balanced faces impossible
             face_t = size_t // q
     shift = None if index_t is None else k - q * index_t
 
@@ -362,14 +366,16 @@ def _complement_symmetric(c: SearchConstraints) -> bool:
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
+    """The worker count: ``workers`` if given, else a set CRC_FORGE_THREADS,
+    else min(4, cpus).  A set variable that is not a positive integer
+    raises ValueError."""
     if workers is not None:
         return max(1, workers)
     env = os.environ.get(WORKERS_ENV)
     if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring {WORKERS_ENV}={env!r}, not an integer", file=sys.stderr)
+        if not (env.strip().isdecimal() and int(env) > 0):
+            raise ValueError(f"{WORKERS_ENV}={env!r} is not a positive integer")
+        return int(env)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:

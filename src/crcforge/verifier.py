@@ -12,24 +12,25 @@ essential positions are read off the line sums themselves.
 ``check_crc`` decides rho = 1 from line totals in slabs.  The n line-sum
 arrays (q^(n-1) entries each, in the narrowest dtype that holds n*q) are
 added up one slab of first-position rows at a time, ``SLAB`` vertices or
-one row, and each slab is compared with its side's total, read at vertex 0
-and at the first vertex of the other side by n scalar reads each.  When
-gamma > 0 (the non-codewords' total) and no slab disagrees, rho = 1 and the
-two totals are the certificate; else the first vertex that disagrees is the
-failure, unless some non-codeword has no neighbor in C (a total of 0).  Only
-then, or when gamma = 0, does the layered path run.  It walks the layers
-t = 0..rho once, with one count array alive: step t counts every vertex's
-neighbors in layer t, grows layer t+1 from them and checks layers t+1 and
-t-1 toward t.  Layer 0's counts are read off the line sums held, so a
-layered check takes rho ``neighbor_counts`` passes.  ``certify_rho1`` reads
-the same two vertices of every row of a stack with one gather, and answers
-only whether each row is a rho = 1 code, with its gamma and beta; both
-compare the slabs through one helper, ``_rho1_rule``.
+one row, in one plain loop over the slabs.  Each slab is compared with its
+side's total, read at vertex 0 and at the first vertex of the other side by
+n scalar reads each.  When gamma > 0 (the non-codewords' total) and no slab
+disagrees, rho = 1 and the two totals are the certificate; else the first
+vertex that disagrees is the failure, unless some non-codeword has no
+neighbor in C (a total of 0), which the same loop looks for from that
+vertex's slab on.  Only then, or when gamma = 0, does the layered path run.
+It walks the layers t = 0..rho once, with one count array alive: step t
+counts every vertex's neighbors in layer t, grows layer t+1 from them and
+checks layers t+1 and t-1 toward t.  Layer 0's counts are read off the line
+sums held, so a layered check takes rho ``neighbor_counts`` passes.
+
+``certify_rho1`` holds the (L, V) totals of a stack of the search's leaves
+(at most 64 vertices each) in one array, and answers only whether each row
+is a rho = 1 code, with its gamma and beta.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -50,12 +51,19 @@ def neighbor_counts(space: Space, indicator: np.ndarray) -> np.ndarray:
     return _counts_from_sums(space, _line_sums(space, g), g)
 
 
+def _totals(space: Space, sums: list[np.ndarray]) -> np.ndarray:
+    """The (L,) + grid-shape line totals of L sets from their line sums: each
+    vertex's neighbors in its set, plus n if it is a member."""
+    totals = np.zeros((len(sums[0]),) + space.shape, dtype=sums[0].dtype)
+    for s in sums:
+        totals += s
+    return totals
+
+
 def _counts_from_sums(space: Space, sums: list[np.ndarray], grid: np.ndarray) -> np.ndarray:
     """Flat neighbor counts of one set from its line sums and its bool grid:
-    the line totals, added up in one array, less n on the members."""
-    counts = np.zeros((1,) + space.shape, dtype=sums[0].dtype)
-    for s in sums:
-        counts += s
+    the line totals less n on the members."""
+    counts = _totals(space, sums)
     np.subtract(counts, counts.dtype.type(space.n), out=counts, where=grid)
     return counts.reshape(space.size)
 
@@ -183,13 +191,9 @@ class CrcFailure:
 CheckResult = Union[CrcCertificate, CrcFailure]
 
 
-# Vertices whose line totals the rho = 1 rule holds at a time, in whole
+# Vertices whose line totals check_crc holds at a time, in whole
 # first-position rows (at least one), so that a slab stays in cache.
 SLAB = 2**16
-
-# For the two sides whose first vertices the rho = 1 rule reads, codewords
-# and non-codewords, the membership of the other side.
-_OTHER = np.array([[0], [1]])
 
 
 def _narrowest(bound: int) -> type:
@@ -213,71 +217,22 @@ def _line_sums(space: Space, masks: np.ndarray) -> list[np.ndarray]:
             for ax in axes[1:]]
 
 
-def _line_totals(space: Space, sums: list[np.ndarray]):
-    """Yield (start, stop, totals) slab by slab: ``totals`` is the
-    (L, stop - start) array (broadcast from (L, 1) when n = 1) of the line
-    totals of vertices start:stop.  A vertex's line total is the sum of the
-    n line sums through it: its number of neighbors in the set, plus n if it
-    is a member."""
-    per_row = space.size // space.q
-    rows = max(1, SLAB // per_row)
-    for a in range(0, space.q, rows):
-        b = min(a + rows, space.q)
-        *rest, tot = [sums[0]] + [s[:, a:b] for s in sums[1:]]
-        tot = sum(reversed(rest), tot)   # last position first: no inner-axis broadcast
-        yield a * per_row, b * per_row, tot.reshape(len(tot), math.prod(tot.shape[1:]))
-
-
-def _totals_at(space: Space, sums: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
-    """The line totals of the vertices ``idx[r, i]`` of row r."""
-    at = np.unravel_index(idx, space.shape)
-    rows, zero = np.arange(len(idx))[:, None], np.zeros(idx.shape, dtype=np.intp)
-    return sum(s[(rows,) + at[:j] + (zero,) + at[j + 1:]] for j, s in enumerate(sums))
-
-
-def _rho1_rule(space: Space, masks: np.ndarray, sums: list[np.ndarray], inner_total, gamma):
-    """The rho = 1 rule on the rows of an (L, V) bool array, given their line
-    sums and the totals that a row's codewords (``inner_total``) and
-    non-codewords (``gamma``) must have, as scalars for one row or (L, 1)
-    arrays, in the sums' dtype.  Returns (slabs, bad): ``slabs`` is the
-    ``_line_totals`` stream, and ``bad`` reads it and yields, slab by slab and
-    only as it is read, the slab's first vertex, its totals and an (L, slab)
-    bool array marking each vertex whose total differs from its side's.  A
-    slab read through ``bad`` is gone from ``slabs``, and the reverse."""
-    # a total is its side's when it minus (inner_total - gamma) times
-    # membership is gamma; unsigned totals wrap alike on both sides, and
-    # np.subtract wraps scalars without the warning of ``-``
-    step, member = np.subtract(inner_total, gamma), masks.view(np.uint8)
-    slabs = _line_totals(space, sums)
-    bad = ((start, tot, tot - member[:, start:stop] * step != gamma) for start, stop, tot in slabs)
-    return slabs, bad
-
-
 def certify_rho1(space: Space, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched rho = 1 certifier for the rows of an (L, V) bool array.
 
     Returns (gamma, beta, ok), one entry per row.  ``ok`` holds exactly when
     ``check_crc`` of the row would certify covering radius 1, and then gamma
     and beta are the certificate's; on other rows (including the empty and
-    the full set) they mean nothing.  One stacked line-sum pass.
+    the full set) they mean nothing.  One stacked line-sum pass, added up
+    into one (L, V) totals array: the rows are search leaves, small sets.
     """
-    sums = _line_sums(space, masks)
-    # ends[r] = (first codeword, first non-codeword): the first vertex of its
-    # side on the first line along the last position that holds one, that
-    # is whose line sum is not 0, respectively not q.  An argmax over the
-    # whole of a read-only mask would copy it.
-    q, rows = space.q, np.arange(len(masks))
-    n_lines = space.size // q
-    line = (sums[-1].reshape(len(masks), 1, n_lines) != q * _OTHER).argmax(axis=2)
-    on_line = masks.reshape(len(masks), n_lines, q)[rows[:, None], line]
-    ends = line * q + (on_line != _OTHER).argmax(axis=2)
-    inner_total, gamma = _totals_at(space, sums, ends).T
-    sides = masks[rows[:, None], ends]
-    ok = (sides[:, 0] > sides[:, 1]) & (gamma > 0)
-    for _, _, slab in _rho1_rule(space, masks, sums, inner_total[:, None], gamma[:, None])[1]:
-        ok &= ~slab.any(axis=1)
-        if not ok.any():
-            break
+    totals = _totals(space, _line_sums(space, masks)).reshape(masks.shape)
+    rows = np.arange(len(masks))
+    first_in, first_out = masks.argmax(axis=1), masks.argmin(axis=1)
+    inner_total, gamma = totals[rows, first_in], totals[rows, first_out]
+    ok = masks[rows, first_in] & ~masks[rows, first_out] & (gamma > 0)
+    step = (inner_total - gamma)[:, None]   # as in check_crc: a where over masks is slower
+    ok &= (totals - masks.view(np.uint8) * step == gamma[:, None]).all(axis=1)
     return gamma, space.valency + space.n - inner_total.astype(np.int64), ok
 
 
@@ -299,26 +254,39 @@ def check_crc(code: Code) -> CheckResult:
     x = np.unravel_index(other, sp.shape)
     refs = ([s.flat[0] for s in sums],
             [s[(0,) + x[:j] + (0,) + x[j + 1:]] for j, s in enumerate(sums)])
-    inner_total, gamma = (sum(r[1:], r[0]) for r in (refs if first else refs[::-1]))
-    slabs, bad = _rho1_rule(sp, mask[None], sums, inner_total, gamma)
-    inner, gamma = int(inner_total) - sp.n, int(gamma)
-    if gamma > 0:
-        hit = next((h for h in bad if h[2].any()), None)
+    inner_total, gamma_total = (sum(r[1:], r[0]) for r in (refs if first else refs[::-1]))
+    inner, gamma = int(inner_total) - sp.n, int(gamma_total)
+    # rho = 1 when gamma > 0 and every vertex has its side's total, that is
+    # its total less (inner_total - gamma) times membership is gamma (unsigned
+    # totals wrap alike; np.subtract wraps scalars without a warning).  Else
+    # the first vertex v that disagrees fails, unless some non-codeword has a
+    # total of 0, no neighbor in C: a direction whose every line meets C rules
+    # that out, else v's slab and the later ones are scanned, since every
+    # vertex before v has its side's positive total.
+    step, member = np.subtract(inner_total, gamma_total), mask.view(np.uint8)
+    per_row = sp.size // sp.q
+    rows = max(1, SLAB // per_row)
+    hit = zero = None
+    for a in range(0, sp.q, rows) if gamma > 0 else ():
+        *rest, tot = [sums[0]] + [s[:, a:a + rows] for s in sums[1:]]
+        tot = sum(reversed(rest), tot).reshape(-1)   # last position first: no inner-axis broadcast
         if hit is None:
-            return CrcCertificate(sp.n, sp.q, 1, size, (k - inner,), (gamma,))
-        start, tot, slab = hit
-        i = int(slab.argmax())
-        v, total = start + i, int(tot[0, i % tot.shape[1]])   # tot is (1, 1) when n = 1
-        # rho = 1 unless some non-codeword has no neighbor in C, that is a
-        # line total of 0 (a codeword's is at least n).  A direction whose
-        # every line meets C rules that out; else v's slab and the slabs
-        # not yet read are, since every vertex before v has its side's
-        # positive total.
-        if (any(s.all() for s in sums)
-                or not ((tot == 0).any() or any((t == 0).any() for _, _, t in slabs))):
-            if mask[v]:
-                return CrcFailure(sp.vertex(v), 0, 1, k - (total - sp.n), k - inner)
-            return CrcFailure(sp.vertex(v), 1, 0, total, gamma)
+            bad = tot - member[a * per_row:(a + rows) * per_row] * step != gamma_total
+            if not bad.any():
+                continue
+            i = int(bad.argmax())
+            hit = a * per_row + i, int(tot[i % tot.size])   # tot is (1,) when n = 1
+            if any(s.all() for s in sums):
+                break
+        if zero := (tot == 0).any():
+            break
+    if gamma > 0 and hit is None:
+        return CrcCertificate(sp.n, sp.q, 1, size, (k - inner,), (gamma,))
+    if hit is not None and not zero:
+        v, total = hit
+        if mask[v]:
+            return CrcFailure(sp.vertex(v), 0, 1, k - (total - sp.n), k - inner)
+        return CrcFailure(sp.vertex(v), 1, 0, total, gamma)
 
     # covering radius >= 2: step t counts every vertex's neighbors in layer
     # C_t, grows C_{t+1} from them and checks C_{t+1} toward C_t (its gamma)

@@ -346,8 +346,8 @@ def reference_check_crc(code: Code) -> CheckResult:
 # The one-pass rho = 1 decision from whole count arrays: every vertex's
 # in-code neighbor count, the rule read off the counts with whole-space
 # argmax and where, and the three-pass verifier above for codes it leaves
-# undecided.  The reference that the slab-by-slab line totals of
-# ``check_crc`` and ``certify_rho1`` must match field by field.
+# undecided.  The reference that ``check_crc``'s slabs of line totals and
+# ``certify_rho1``'s whole (L, V) totals must match field by field.
 
 def reference_rho1_rule(space: Space, masks: np.ndarray):
     """(counts, inner, gamma, bad, proper) per row: each row's first codeword

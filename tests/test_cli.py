@@ -803,6 +803,21 @@ def test_search_cli_rejects_beta_above_valency(capsys):
     assert err.startswith("error: targets give beta=8 above the valency 6")
 
 
+def test_search_cli_rejects_a_bad_thread_count(monkeypatch, capsys):
+    monkeypatch.setenv("CRC_FORGE_THREADS", "junk")
+    assert run(["search", "--n", "3", "--q", "2"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: CRC_FORGE_THREADS='junk' is not a positive integer\n")
+    assert run(["search", "--n", "3", "--q", "2", "--workers", "1"]) == 0  # never read
+
+
+def test_census_rejects_a_bad_thread_count(monkeypatch):
+    monkeypatch.setenv("CRC_FORGE_THREADS", "0")
+    proc = run_python("scripts/census.py", "--spaces", "2,2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "census: CRC_FORGE_THREADS='0' is not a positive integer\n"
+
+
 # ---------------------------------------------------------------- table, misc
 
 # q=8, gamma=3 is the first entry realized through the three-block system

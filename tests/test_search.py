@@ -114,6 +114,9 @@ PINNED_NODES = [
     # fix_first_codeword starts from a decided vertex 0
     ((3, 3, 2, 2, True), (30, 78)),
     ((3, 4, 3, 2, True), (2592, 8888)),
+    # the face test: q^(i-1), 9 and 8, does not divide |C| = 12: no node
+    ((3, 3, 4, 3, False), (0, 0)),
+    ((5, 2, 3, 4, False), (0, 0)),
 ]
 
 
@@ -135,6 +138,13 @@ def test_pinned_codes_and_nodes(case, expected):
     s = enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index,
                                          fix_first_codeword=fix_zero), workers=1)
     assert (s.codes_found, s.nodes) == expected
+
+
+@pytest.mark.parametrize("n,q,gamma,index", [(3, 6, 5, 3), (3, 9, 4, 3)])
+def test_face_test_ends_index3_exclusions_at_the_root(n, q, gamma, index):
+    # spaces past VERTEX_LIMIT, reached through the subtree solver: |C| =
+    # q^3 * gamma / (3q) is 60 and 108, which q^2 = 36 and 81 do not divide
+    assert search._solve_subtree((n, q, gamma, index, False, ())) == (0, [])
 
 
 def test_collected_codes_independent_of_worker_count():
@@ -416,10 +426,12 @@ def test_resolve_workers(monkeypatch, capsys):
     assert resolve_workers(None) == 2
     assert resolve_workers(5) == 5  # explicit argument wins
     assert capsys.readouterr().err == ""
-    monkeypatch.setenv("CRC_FORGE_THREADS", "junk")
-    assert 1 <= resolve_workers(None) <= 4
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "CRC_FORGE_THREADS='junk'" in err
+    for junk in ("junk", "0", "-3", "1.5"):
+        monkeypatch.setenv("CRC_FORGE_THREADS", junk)
+        with pytest.raises(ValueError, match=f"CRC_FORGE_THREADS={junk!r}"):
+            resolve_workers(None)
+        assert resolve_workers(2) == 2  # an explicit argument never reads it
+    assert capsys.readouterr().err == ""
     # the default counts the CPUs this process may run on, not the host's
     monkeypatch.delenv("CRC_FORGE_THREADS")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)

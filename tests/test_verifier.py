@@ -641,6 +641,15 @@ def test_check_crc_matches_one_pass_for_covering_radius_above_one(monkeypatch, s
     assert any(isinstance(r, CrcFailure) for r in results)
 
 
+@pytest.mark.parametrize("nq", [(2, 3), (3, 2), (2, 4)])
+def test_certify_rho1_matches_one_pass_on_every_subset(nq):
+    # every subset as one stack; in H(2,3) and H(2,4) four proper sets each
+    # disagree with their sides' totals at their last vertex alone
+    sp = Space(*nq)
+    masks = (np.arange(2**sp.size)[:, None] >> np.arange(sp.size) & 1).astype(bool)
+    assert_same_certify(sp, masks)
+
+
 def test_spectral_support_at_both_count_widths():
     # one rho = 1 code each side of the uint8/uint16 switch: the Fourier oracle
     # agrees with the line-total certificate
