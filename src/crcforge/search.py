@@ -51,6 +51,10 @@ counting their decided codewords in cin and non-codewords in cout; their
 limits, |C|/q and q^(n-1) - |C|/q, ride in the constants of the
 non-codeword test, so the same adds check the balance.
 
+Forcing adds the spread of each forced set, and a task meets the same few
+sets many times over, so each task keeps its own memo of these sums, cleared
+whenever it holds TOTAL_MEMO sets; no memo outlives its task.
+
 Every completed assignment is independently re-verified, by line-sum
 counting, before anything is reported.  Work splits across processes at the
 top two decision levels, and the workers only search: each returns its node
@@ -93,6 +97,11 @@ VERTEX_LIMIT = 64
 # Leaves certified per certify_rho1 call, and unpacked per batch for the sink:
 # bounds the (batch, V) arrays at any census size.
 LEAF_BATCH = 1024
+
+# Spread sums remembered per task before the memo is cleared: forcing meets
+# the same few sets again and again, and the cap bounds the memo at any
+# census size (uncapped, it grew peak RSS by 13-15 MB on H(6,2) and H(3,4)).
+TOTAL_MEMO = 4096
 
 WORKERS_ENV = "CRC_FORGE_THREADS"
 
@@ -216,13 +225,20 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
         spread[w * u + w] = m
         top[w * u + w] = half << w * u
 
+    memo: dict[int, int] = {}  # total of each packed set seen, within this task
+
     def total(mask: int) -> int:
         """The sum of spread over the vertices of a packed set, highest first."""
-        t = 0
-        while mask:
-            b = mask.bit_length()
-            mask ^= top[b]
-            t += spread[b]
+        t = memo.get(mask)
+        if t is None:
+            if len(memo) >= TOTAL_MEMO:
+                memo.clear()
+            t, m = 0, mask
+            while m:
+                b = m.bit_length()
+                m ^= top[b]
+                t += spread[b]
+            memo[mask] = t
         return t
 
     if pinned:
@@ -367,10 +383,12 @@ def _complement_symmetric(c: SearchConstraints) -> bool:
 
 def resolve_workers(workers: Optional[int] = None) -> int:
     """The worker count: ``workers`` if given, else a set CRC_FORGE_THREADS,
-    else min(4, cpus).  A set variable that is not a positive integer
-    raises ValueError."""
+    else min(4, cpus).  A ``workers`` below 1, or a set variable that is not
+    a positive integer, raises ValueError."""
     if workers is not None:
-        return max(1, workers)
+        if workers < 1:
+            raise ValueError(f"workers={workers} is not a positive integer")
+        return workers
     env = os.environ.get(WORKERS_ENV)
     if env:
         if not (env.strip().isdecimal() and int(env) > 0):

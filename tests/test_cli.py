@@ -818,6 +818,18 @@ def test_census_rejects_a_bad_thread_count(monkeypatch):
     assert proc.stderr == "census: CRC_FORGE_THREADS='0' is not a positive integer\n"
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_search_cli_rejects_a_nonpositive_worker_count(workers, capsys):
+    assert run(["search", "--n", "2", "--q", "2", "--workers", workers]) == 2
+    assert capsys.readouterr() == ("", f"error: workers={workers} is not a positive integer\n")
+
+
+def test_census_rejects_a_nonpositive_worker_count():
+    proc = run_python("scripts/census.py", "--spaces", "2,2", "--workers", "0")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "census: workers=0 is not a positive integer\n"
+
+
 # ---------------------------------------------------------------- table, misc
 
 # q=8, gamma=3 is the first entry realized through the three-block system

@@ -117,6 +117,10 @@ PINNED_NODES = [
     # the face test: q^(i-1), 9 and 8, does not divide |C| = 12: no node
     ((3, 3, 4, 3, False), (0, 0)),
     ((5, 2, 3, 4, False), (0, 0)),
+    # the pinned items of the search benchmark: hyperfaces at H(3,4), and
+    # the gamma = beta form solved by mirroring
+    ((3, 4, 3, 2, False), (6912, 25892)),
+    ((3, 4, 4, 2, False), (12582, 53544)),
 ]
 
 
@@ -270,6 +274,24 @@ def test_small_leaf_batches_change_nothing(n, q, workers, monkeypatch):
         assert max(sizes) == 7 and sum(sizes) == summary.codes_found
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n,q,gamma,index", [
+    (3, 3, None, None), (2, 4, None, None), (3, 3, 2, 2), (4, 2, 2, 2)])
+def test_small_total_memo_changes_nothing(n, q, gamma, index, workers, monkeypatch):
+    # a memo of 3 spread sums is cleared inside every task (forked workers
+    # inherit the patched constant)
+    def run():
+        collected = []
+        s = enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index),
+                           sink=collected.append, workers=workers)
+        return (s.codes_found, s.nodes, s.parameter_sets), [tuple(c.indices()) for c in collected]
+
+    default = run()
+    monkeypatch.setattr(search, "TOTAL_MEMO", 3)
+    assert run() == default
+    assert default[0][0] > 0
+
+
 def test_repeat_runs_identical():
     a = enumerate_crcs(SearchConstraints(2, 3, gamma=2), workers=2)
     b = enumerate_crcs(SearchConstraints(2, 3, gamma=2), workers=2)
@@ -420,7 +442,9 @@ def test_constraint_validation():
 def test_resolve_workers(monkeypatch, capsys):
     monkeypatch.delenv("CRC_FORGE_THREADS", raising=False)
     assert resolve_workers(3) == 3
-    assert resolve_workers(0) == 1
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match=f"workers={bad} is not a positive integer"):
+            resolve_workers(bad)
     assert 1 <= resolve_workers(None) <= 4
     monkeypatch.setenv("CRC_FORGE_THREADS", "2")
     assert resolve_workers(None) == 2
