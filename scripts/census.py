@@ -16,13 +16,15 @@ import argparse
 import sys
 import time
 
+from crcforge.cli import guarded
 from crcforge.parameters import feasible_table
 from crcforge.search import SearchConstraints, enumerate_crcs, resolve_workers
 
 DEFAULT_SPACES = [(2, 2), (3, 2), (2, 3), (2, 4), (3, 3)]
 
 
-def census(n: int, q: int, workers) -> None:
+def census(n: int, q: int, workers) -> bool:
+    """Print the census of H(n,q); False if it disagrees with the classification."""
     t0 = time.time()
     summary = enumerate_crcs(SearchConstraints(n, q), workers=workers)
     elapsed = time.time() - t0
@@ -31,7 +33,7 @@ def census(n: int, q: int, workers) -> None:
     for g, b, i in sorted(summary.parameter_sets):
         print(f"    gamma={g} beta={b} index={i}")
     if n < 2:
-        return
+        return True
     table = feasible_table(n, q)  # keyed by the classified indices
     realized = {(min(g, b), i) for g, b, i in summary.parameter_sets if i in table}
     predicted = {(gamma, i) for i, entries in table.items() for gamma, _ in entries}
@@ -39,8 +41,7 @@ def census(n: int, q: int, workers) -> None:
     scope = "" if n == 3 else " at index 2"
     print(f"    classification check{scope}: {status} "
           f"(realized {sorted(realized)}, predicted {sorted(predicted)})")
-    if realized != predicted:
-        sys.exit(1)
+    return realized == predicted
 
 
 def parse_spaces(text: str) -> list:
@@ -51,13 +52,23 @@ def parse_spaces(text: str) -> list:
         try:
             n, q = (int(x) for x in fields)
         except ValueError:
-            raise ValueError(f"{part!r} is not of the form n,q") from None
+            raise ValueError(f"bad --spaces: {part!r} is not of the form n,q") from None
         try:
             SearchConstraints(n, q)
         except ValueError as e:
-            raise ValueError(f"{part!r}: {e}") from None
+            raise ValueError(f"bad --spaces: {part!r}: {e}") from None
         spaces.append((n, q))
     return spaces
+
+
+def run_census(text, workers) -> int:
+    """Census every space of ``text`` (the defaults if None); 1 at the first mismatch."""
+    spaces = DEFAULT_SPACES if text is None else parse_spaces(text)
+    workers = resolve_workers(workers)
+    for n, q in spaces:
+        if not census(n, q, workers):
+            return 1
+    return 0
 
 
 def main() -> None:
@@ -66,23 +77,7 @@ def main() -> None:
                     help="comma pair n,q (repeatable via semicolons), e.g. '3,2;3,3'")
     ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
-
-    spaces = DEFAULT_SPACES
-    if args.spaces is not None:
-        try:
-            spaces = parse_spaces(args.spaces)
-        except ValueError as e:
-            print(f"census: bad --spaces: {e}", file=sys.stderr)
-            sys.exit(2)
-
-    try:
-        workers = resolve_workers(args.workers)
-    except ValueError as e:
-        print(f"census: {e}", file=sys.stderr)
-        sys.exit(2)
-
-    for n, q in spaces:
-        census(n, q, workers)
+    sys.exit(guarded(run_census, args.spaces, args.workers))
 
 
 if __name__ == "__main__":

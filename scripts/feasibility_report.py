@@ -1,56 +1,49 @@
 #!/usr/bin/env python3
 """Verified feasibility report for H(3,q).
 
-For every q up to --q-max and every eigenvalue index, lists the feasible
-gamma values (gamma <= beta convention).  With --build, each feasible entry
-is realized by its designated construction and re-verified, and the table
-shows which builder produced it.
+For every q up to --q-max and every eigenvalue index, builds each feasible
+gamma (gamma <= beta convention) by its designated construction,
+re-verifies it, and lists it with the builder that produced it.  Exits 1 if
+any build fails its check.
 
 Usage:
-    python3 scripts/feasibility_report.py --q-max 12 --build
+    python3 scripts/feasibility_report.py --q-max 12
 """
 
 import argparse
 import sys
 import time
 
+from crcforge.cli import feasible_tables, guarded
 from crcforge.constructions import build_feasible
-from crcforge.parameters import feasible_table
 from crcforge.verifier import CrcCertificate, check_crc
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--q-max", type=int, default=12)
-    ap.add_argument("--build", action="store_true",
-                    help="build and verify every feasible entry")
-    args = ap.parse_args()
-
+def report(q_max: int) -> int:
     t0 = time.time()
-    built = 0
-    failures = 0
-    for q in range(2, args.q_max + 1):
-        for index, row in feasible_table(3, q).items():
+    built = failures = 0
+    for q, table in feasible_tables(q_max):
+        for index, row in table.items():
             entries = []
             for gamma, _ in row:
-                if not args.build:
-                    entries.append(str(gamma))
-                    continue
                 code, spec = build_feasible(q, gamma, index)
                 cert = check_crc(code)
                 ok = (isinstance(cert, CrcCertificate) and cert.gamma == gamma
                       and cert.eigenvalue_index == index)
                 built += 1
-                if not ok:
-                    failures += 1
+                failures += not ok
                 entries.append(f"{gamma}[{spec.kind}{'' if ok else '!'}]")
-            tag = ",".join(entries) if entries else "-"
-            print(f"q={q:<3d} i={index}: {tag}")
-    if args.build:
-        print(f"built and verified {built} codes, {failures} failure(s), "
-              f"{time.time() - t0:.2f}s")
-        if failures:
-            sys.exit(1)
+            print(f"q={q:<3d} i={index}: {','.join(entries) or '-'}")
+    print(f"built and verified {built} codes, {failures} failure(s), "
+          f"{time.time() - t0:.2f}s")
+    return 1 if failures else 0
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--q-max", type=int, default=12)
+    args = ap.parse_args()
+    sys.exit(guarded(report, args.q_max))
 
 
 if __name__ == "__main__":

@@ -268,12 +268,18 @@ def cmd_search(args) -> int:
     return 0
 
 
+def feasible_tables(q_max: int):
+    """Yield (q, feasible_table(3, q)) for q = 2 .. q_max; ValueError below 2."""
+    if q_max < 2:
+        raise ValueError(f"--q-max {q_max} is below the least alphabet size 2")
+    for q in range(2, q_max + 1):
+        yield q, parameters.feasible_table(3, q)
+
+
 def cmd_table(args) -> int:
-    if args.q_max < 2:
-        raise ValueError(f"--q-max {args.q_max} is below the least alphabet size 2")
-    for q in range(2, args.q_max + 1):
+    for q, table in feasible_tables(args.q_max):
         cells = []
-        for index, entries in parameters.feasible_table(3, q).items():
+        for index, entries in table.items():
             feas = ",".join(f"{gamma}{'' if v.witness is None else '*'}" for gamma, v in entries)
             cells.append(f"i={index}: {feas or '-'}")
         print(f"q={q:<3d} " + "   ".join(cells))
@@ -367,19 +373,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def guarded(func, *args) -> int:
+    """Return ``func(*args)``, an exit code.  Bad input, a ValueError or a
+    MemoryError, ends in one ``error: ...`` line and 2: the one error path of
+    ``run`` and of every script."""
+    try:
+        return func(*args)
+    except ValueError as e:  # CodeFileError is a ValueError
+        print(f"error: {e}", file=sys.stderr)
+    except MemoryError as e:  # a space too large for this machine
+        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
+    return 2
+
+
 def run(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    try:
-        return args.func(args)
-    except ValueError as e:  # CodeFileError is a ValueError
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except MemoryError as e:  # a space too large for this machine
-        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
-        return 2
+    return guarded(args.func, args)
 
 
 def main() -> None:

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 import resource
 import time
 import tracemalloc
@@ -448,6 +449,15 @@ def test_space_too_large_for_memory_is_a_one_line_error(tmp_path):
     assert len(lines) == 2 and all(ln.startswith("error: out of memory: ") for ln in lines)
 
 
+def test_render_layers_space_too_large_for_memory_is_a_one_line_error(tmp_path):
+    # the file of the test above: the script exits through the same handler
+    path = tmp_path / "huge.json"
+    path.write_text('{"format": "crc-code.v1", "n": 1, "q": 4294967296, "codewords": [[0]]}')
+    proc = run_python("scripts/render_layers.py", str(path), preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+
+
 def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -815,7 +825,7 @@ def test_census_rejects_a_bad_thread_count(monkeypatch):
     monkeypatch.setenv("CRC_FORGE_THREADS", "0")
     proc = run_python("scripts/census.py", "--spaces", "2,2")
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "census: CRC_FORGE_THREADS='0' is not a positive integer\n"
+    assert proc.stderr == "error: CRC_FORGE_THREADS='0' is not a positive integer\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-5"])
@@ -827,7 +837,7 @@ def test_search_cli_rejects_a_nonpositive_worker_count(workers, capsys):
 def test_census_rejects_a_nonpositive_worker_count():
     proc = run_python("scripts/census.py", "--spaces", "2,2", "--workers", "0")
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "census: workers=0 is not a positive integer\n"
+    assert proc.stderr == "error: workers=0 is not a positive integer\n"
 
 
 # ---------------------------------------------------------------- table, misc
@@ -854,12 +864,56 @@ def test_table_output(capsys):
             "", f"error: --q-max {q_max} is below the least alphabet size 2\n")
 
 
+# every feasible entry of TABLE_Q8 with the kind of its builder; 3[d] is the
+# starred cell
+REPORT_Q8 = """\
+q=2   i=1: 1[index1]
+q=2   i=2: 1[b],2[a]
+q=2   i=3: 3[index3]
+q=3   i=1: 1[index1]
+q=3   i=2: 2[a]
+q=3   i=3: 3[index3]
+q=4   i=1: 1[index1],2[index1]
+q=4   i=2: 2[a],3[c],4[a]
+q=4   i=3: 3[index3],6[index3]
+q=5   i=1: 1[index1],2[index1]
+q=5   i=2: 2[a],4[a]
+q=5   i=3: 3[index3],6[index3]
+q=6   i=1: 1[index1],2[index1],3[index1]
+q=6   i=2: 2[a],3[b],4[a],5[c],6[a]
+q=6   i=3: 3[index3],6[index3],9[index3]
+q=7   i=1: 1[index1],2[index1],3[index1]
+q=7   i=2: 2[a],4[a],6[a]
+q=7   i=3: 3[index3],6[index3],9[index3]
+q=8   i=1: 1[index1],2[index1],3[index1],4[index1]
+q=8   i=2: 2[a],3[d],4[a],5[c],6[a],7[c],8[a]
+q=8   i=3: 3[index3],6[index3],9[index3],12[index3]
+built and verified 55 codes, 0 failure(s), """
+
+
 def test_feasibility_report_output():
-    # the report prints the table's cells one to a line, without the stars
+    # the report builds and verifies every entry; all but the timing is pinned
     proc = run_python("scripts/feasibility_report.py", "--q-max", "8")
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "".join(f"{line[:6]}{cell}\n" for line in TABLE_Q8.splitlines()[:-1]
-                                  for cell in line[6:].replace("*", "").split("   "))
+    head, timing = proc.stdout[:len(REPORT_Q8)], proc.stdout[len(REPORT_Q8):]
+    assert head == REPORT_Q8
+    assert re.fullmatch(r"\d+\.\d\ds\n", timing)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["-m", "crcforge.cli", "verify", "no-such-file.json"], "cannot read no-such-file.json: "),
+    (["scripts/census.py", "--spaces", "2,2", "--workers", "0"],
+     "workers=0 is not a positive integer"),
+    (["scripts/census.py", "--spaces", "2,2;3,x"], "bad --spaces: '3,x' is not of the form n,q"),
+    (["scripts/feasibility_report.py", "--q-max", "1"],
+     "--q-max 1 is below the least alphabet size 2"),
+    (["scripts/render_layers.py", "no-such-file.json"], "cannot read no-such-file.json: "),
+], ids=["crcforge-verify", "census-workers", "census-spaces", "feasibility-report",
+        "render-layers"])
+def test_every_entry_point_reports_bad_input_in_one_line(argv, message):
+    proc = run_python(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
 
 
 def test_render_layers(tmp_path):
