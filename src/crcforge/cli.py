@@ -229,6 +229,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.emit and args.count_only:
+        raise ValueError("--emit and --count-only exclude each other: "
+                         "--count-only keeps no codes to write")
     constraints = search.SearchConstraints(
         args.n, args.q, gamma=args.gamma, eigenvalue_index=args.index,
         fix_first_codeword=args.fix_zero)

@@ -56,13 +56,17 @@ sets many times over, so each task keeps its own memo of these sums, cleared
 whenever it holds TOTAL_MEMO sets; no memo outlives its task.
 
 Every completed assignment is independently re-verified, by line-sum
-counting, before anything is reported.  Work splits across processes at the
-top two decision levels, and the workers only search: each returns its node
-count and the packed IN sets of its leaves.  enumerate_crcs certifies every
-leaf in emission order, LEAF_BATCH at a time (one stacked line-sum count per
-batch), raises on the first bad one with check_crc's witness, and only then
-hands codes to the sink.  The summary (codes, parameter sets, node count)
-does not depend on the worker count.
+counting, before anything is reported.  Work splits at the top two decision
+levels among w searching processes: the caller solves one share of the
+top-level tasks itself and w - 1 worker processes, started for the one
+search, solve the rest.  The workers only search: each sends back, over a
+pipe, the node count and the packed IN sets of the leaves of every task in
+its share.  enumerate_crcs puts the outputs back in task order, certifies
+every leaf in emission order, LEAF_BATCH at a time (one stacked line-sum
+count and one eigenvalue index per distinct (gamma, beta) per batch), raises
+on the first bad one with check_crc's witness, and only then hands codes to
+the sink.  The summary (codes, parameter sets, node count) does not depend
+on the worker count.
 
 Complementing a (gamma, beta, i) code gives a (beta, gamma, i) code, and
 flipping every decision maps the search tree onto itself node for node
@@ -81,7 +85,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 from typing import Callable, Optional
 
 import numpy as np
@@ -381,6 +385,66 @@ def _complement_symmetric(c: SearchConstraints) -> bool:
     return c.eigenvalue_index is not None and 2 * c.gamma == c.q * c.eigenvalue_index
 
 
+def _solve_share(args: list, conn) -> None:
+    """Worker process body: solve a share of the top-level tasks and send
+    their outputs, or the exception that stopped them, back to the caller."""
+    try:
+        out = [_solve_subtree(a) for a in args]
+    except Exception as e:  # re-raised by the caller
+        out = e
+    conn.send(out)
+
+
+def _solve_tasks(args: list, w: int) -> list:
+    """_solve_subtree of every task, in task order, by w searching processes:
+    the caller solves args[0::w] and w - 1 worker processes args[i::w], each
+    sending its outputs back over a pipe.  Every worker is joined before this
+    returns or raises, so all their CPU time is reaped."""
+    # Workers start by the platform's default method, as a Pool's did: on
+    # Linux a fork, which costs a few ms where a spawn re-imports numpy.
+    procs = []
+    try:
+        for i in range(1, w):
+            recv, send = Pipe(duplex=False)
+            proc = Process(target=_solve_share, args=(args[i::w], send), daemon=True)
+            proc.start()
+            send.close()  # the worker holds the only write end: EOF if it dies
+            procs.append((proc, recv))
+        shares = [[_solve_subtree(a) for a in args[::w]]]
+        for proc, recv in procs:
+            try:
+                out = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a search worker exited with code {proc.exitcode} "
+                                   f"before sending its leaves") from None
+            if isinstance(out, Exception):
+                raise out
+            shares.append(out)
+    except BaseException:
+        for proc, _ in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in procs:
+            proc.join()
+            recv.close()
+    outs = [None] * len(args)
+    for i, share in enumerate(shares):
+        outs[i::w] = share
+    return outs
+
+
+def _target_fault(c: SearchConstraints, gamma: int, idx: Optional[int]) -> Optional[str]:
+    """Why a certified leaf with this gamma and eigenvalue index misses the
+    targets, or None when it meets them."""
+    if c.gamma is not None and gamma != c.gamma:
+        return f"search emitted gamma={gamma}, target was {c.gamma}"
+    if c.eigenvalue_index is not None and idx != c.eigenvalue_index:
+        return f"search emitted eigenvalue index {idx}, target was {c.eigenvalue_index}"
+    return None
+
+
 def resolve_workers(workers: Optional[int] = None) -> int:
     """The worker count: ``workers`` if given, else a set CRC_FORGE_THREADS,
     else min(4, cpus).  A ``workers`` below 1, or a set variable that is not
@@ -417,12 +481,7 @@ def enumerate_crcs(constraints: SearchConstraints,
         # its leaves are the complements of t's, in reverse order.
         tasks = tasks[:len(tasks) // 2]
     args = [(c.n, c.q, c.gamma, c.eigenvalue_index, c.fix_first_codeword, p) for p in tasks]
-    w = min(resolve_workers(workers), len(args))
-    if w <= 1:
-        outs = [_solve_subtree(a) for a in args]
-    else:
-        with Pool(w) as pool:
-            outs = pool.map(_solve_subtree, args)
+    outs = _solve_tasks(args, min(resolve_workers(workers), len(args)))
 
     nodes = sum(o[0] for o in outs)
     leaves = [m for o in outs for m in o[1]]
@@ -432,21 +491,26 @@ def enumerate_crcs(constraints: SearchConstraints,
         full = _ones(w, sp.size) << (w - 1)
         leaves += [full ^ m for m in reversed(leaves)]
 
-    # Certify every leaf, in emission order, before anything is emitted.
+    # Certify every leaf, in emission order, before anything is emitted.  The
+    # first bad leaf raises, with its checks in order: certified, then its
+    # gamma, then its index.
     params = set()
     for start in range(0, len(leaves), LEAF_BATCH):
         masks = _unpack(sp, leaves[start:start + LEAF_BATCH])
         gam, bet, ok = certify_rho1(sp, masks)
-        for j, (gamma, beta, good) in enumerate(zip(gam.tolist(), bet.tolist(), ok.tolist())):
-            if not good:
+        # |beta| < 2^31 on every row, so the key is one-to-one on (gamma, beta)
+        _, first, pair = np.unique((gam.astype(np.int64) << 32) + bet,
+                                   return_index=True, return_inverse=True)
+        found = [(g, b, rho1_eigenvalue_index(c.n, c.q, g, b))
+                 for g, b in zip(gam[first].tolist(), bet[first].tolist())]
+        faults = [_target_fault(c, g, i) for g, _, i in found]
+        bad = ~ok | np.array([f is not None for f in faults])[pair]
+        if bad.any():
+            j = int(bad.argmax())
+            if not ok[j]:
                 raise RuntimeError(f"search emitted a non-CRC set: {check_crc(Code(sp, masks[j]))}")
-            if c.gamma is not None and gamma != c.gamma:
-                raise RuntimeError(f"search emitted gamma={gamma}, target was {c.gamma}")
-            idx = rho1_eigenvalue_index(c.n, c.q, gamma, beta)
-            if c.eigenvalue_index is not None and idx != c.eigenvalue_index:
-                raise RuntimeError(
-                    f"search emitted eigenvalue index {idx}, target was {c.eigenvalue_index}")
-            params.add((gamma, beta, idx))
+            raise RuntimeError(faults[pair[j]])
+        params.update(found)
     if sink is not None and not count_only:
         for start in range(0, len(leaves), LEAF_BATCH):
             for mask in _unpack(sp, leaves[start:start + LEAF_BATCH]):

@@ -793,10 +793,12 @@ def test_search_cli_emit(tmp_path, capsys):
 
 
 def test_search_cli_count_only_emits_nothing(tmp_path, capsys):
+    # --count-only keeps no codes, so with --emit it is an error before any search
     outdir = tmp_path / "none"
-    assert run(["search", "--n", "2", "--q", "2", "--emit", str(outdir),
-                "--count-only", "--workers", "1"]) == 0
-    capsys.readouterr()
+    assert run(["search", "--n", "2", "--q", "3", "--emit", str(outdir),
+                "--count-only", "--workers", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: --emit and --count-only exclude each other: "
+                                       "--count-only keeps no codes to write\n")
     assert not outdir.exists()
 
 

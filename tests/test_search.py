@@ -1,6 +1,8 @@
 """Exhaustive enumeration: brute-force equality, determinism, pruning."""
 
+import functools
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -60,7 +62,7 @@ def test_search_equals_brute_force_h22():
 
 def test_summary_independent_of_worker_count():
     base = None
-    for w in (1, 2, 4):
+    for w in (1, 2, 3, 4):
         s = enumerate_crcs(SearchConstraints(3, 2), workers=w)
         if base is None:
             base = s
@@ -144,6 +146,63 @@ def test_pinned_codes_and_nodes(case, expected):
     assert (s.codes_found, s.nodes) == expected
 
 
+BENCHMARK_ROWS = PINNED_NODES[-2:]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case,expected", BENCHMARK_ROWS,
+                         ids=[_case_id(c) for c, _ in BENCHMARK_ROWS])
+def test_benchmark_rows_independent_of_worker_count(case, expected, workers):
+    # H(3,4) at (3, 2) has four tasks, so 3 workers deal them unevenly; at
+    # (4, 2) the search is mirrored and has two
+    n, q, gamma, index, _ = case
+    s = enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index),
+                       workers=workers, count_only=True)
+    assert (s.codes_found, s.nodes) == expected
+    assert s.parameter_sets == frozenset({(gamma, q * index - gamma, index)})
+
+
+_SOLVE = search._solve_subtree
+
+
+def _fail_at(prefix, args):
+    """_solve_subtree, except that the task with this prefix raises."""
+    if args[-1] == prefix:
+        raise ValueError(f"task {prefix} failed")
+    return _SOLVE(args)
+
+
+def _exit_at(prefix, args):
+    """_solve_subtree, except that the process solving this prefix dies."""
+    if args[-1] == prefix:
+        os._exit(3)
+    return _SOLVE(args)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("task", range(4))
+def test_a_failing_task_raises_and_leaves_no_process(task, workers, monkeypatch):
+    # H(3,3) at (2, 2) is not mirrored: its four tasks are dealt in turn to
+    # the caller and the workers, so some cases fail in the caller's share
+    # and some in a worker's (forked workers inherit the patch)
+    c = SearchConstraints(3, 3, gamma=2, eigenvalue_index=2)
+    prefix = search._tasks(c)[task]
+    monkeypatch.setattr(search, "_solve_subtree", functools.partial(_fail_at, prefix))
+    with pytest.raises(ValueError, match=r"^task .* failed$"):
+        enumerate_crcs(c, workers=workers)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_is_an_error(monkeypatch):
+    # at 2 workers task 1 falls to the worker, which exits without sending
+    c = SearchConstraints(3, 3, gamma=2, eigenvalue_index=2)
+    monkeypatch.setattr(search, "_solve_subtree",
+                        functools.partial(_exit_at, search._tasks(c)[1]))
+    with pytest.raises(RuntimeError, match="^a search worker exited with code 3 "):
+        enumerate_crcs(c, workers=2)
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("n,q,gamma,index", [(3, 6, 5, 3), (3, 9, 4, 3)])
 def test_face_test_ends_index3_exclusions_at_the_root(n, q, gamma, index):
     # spaces past VERTEX_LIMIT, reached through the subtree solver: |C| =
@@ -153,11 +212,11 @@ def test_face_test_ends_index3_exclusions_at_the_root(n, q, gamma, index):
 
 def test_collected_codes_independent_of_worker_count():
     runs = []
-    for w in (1, 2, 4):
+    for w in (1, 2, 3, 4):
         collected = []
         enumerate_crcs(SearchConstraints(2, 3), sink=collected.append, workers=w)
         runs.append([tuple(int(i) for i in c.indices()) for c in collected])
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
