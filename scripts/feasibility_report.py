@@ -32,7 +32,7 @@ def report(q_max: int) -> int:
                       and cert.eigenvalue_index == index)
                 built += 1
                 failures += not ok
-                entries.append(f"{gamma}[{spec.kind}{'' if ok else '!'}]")
+                entries.append(f"{gamma}[{spec['kind']}{'' if ok else '!'}]")
             print(f"q={q:<3d} i={index}: {','.join(entries) or '-'}")
     print(f"built and verified {built} codes, {failures} failure(s), "
           f"{time.time() - t0:.2f}s")

@@ -97,6 +97,9 @@ def cmd_construct(args) -> int:
     value = getattr(args, flag)
     if value is None:
         raise ValueError(f"construct {kind} needs --{flag}")
+    if other := [f"--{f}" for f in dict.fromkeys(constructions.PARAMETER.values())
+                 if f != flag and getattr(args, f) is not None]:
+        raise ValueError(f"construct {kind} takes --{flag} only, not {', '.join(other)}")
     spec = constructions.spec_for(kind, args.q, _parse_witness(value) if kind == "d" else value)
     code = constructions.build_from_spec(spec)
     cert = verifier.check_crc(code)
@@ -105,7 +108,7 @@ def cmd_construct(args) -> int:
         for line in _failure_report(cert):
             print(f"  {line}", file=sys.stderr)
         return 1
-    meta = {"construction": spec.as_dict(), "certificate": certificate_dict(cert)}
+    meta = {"construction": spec, "certificate": certificate_dict(cert)}
     _emit(code, meta, args.output)
     return 0
 
@@ -362,11 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", type=int, required=True)
     s.add_argument("--gamma", type=int)
     s.add_argument("--index", type=int)
-    s.add_argument("--emit", help="directory for found codes")
-    s.add_argument("--count-only", action="store_true")
+    s.add_argument("--emit", help="directory for the found codes: one file per code, and index.json")
+    s.add_argument("--count-only", action="store_true",
+                   help="keep no codes, only count them: a no-op without --emit, "
+                        "an error with it")
     s.add_argument("--fix-zero", action="store_true",
                    help="anchor the all-zero word into the code")
-    s.add_argument("--workers", type=int)
+    s.add_argument("--workers", type=int,
+                   help=f"searching processes, the caller included (default: "
+                        f"${search.WORKERS_ENV}, else min(4, cpus))")
     s.set_defaults(func=cmd_search)
 
     t = sub.add_parser("table", help="feasible gamma per (q, index) summary")

@@ -18,25 +18,12 @@ space cap is refused before any array is allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import stochastic
 from .hamming import Code, Space
 from .parameters import ConditionOneWitness, check_condition1, feasible_h3q
 from .verifier import extend_code
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """A construction kind plus its integer parameters (for provenance/rebuild)."""
-
-    kind: str
-    params: tuple[tuple[str, int], ...]
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, **{k: v for k, v in self.params}}
 
 
 def build_index1(q: int, m: int) -> Code:
@@ -141,31 +128,37 @@ def build_d(q: int, w: ConditionOneWitness) -> Code:
 
 
 # Each construction kind's parameter besides q, and its builder build_<kind>.
-# Kind d's parameter is a witness, spelled out in its spec as r, s, t, a, b, c.
+# A spec is the dict a code file records as meta.construction: kind, q and
+# that parameter, or for kind d its witness spelled out as r, s, t, a, b, c.
 PARAMETER = {"a": "gamma", "b": "variant", "c": "t", "d": "witness",
              "index1": "m", "index3": "m"}
 
 
-def build_from_spec(spec: ConstructionSpec) -> Code:
-    """Build the code a spec names.  Builders are looked up as module globals
-    at call time, so a wrapper installed on this module sees every build."""
-    p = spec.as_dict()
-    if spec.kind == "d":
-        return build_d(p["q"], ConditionOneWitness(*(p[k] for k in "rstabc")))
-    if spec.kind not in PARAMETER:
-        raise ValueError(f"unknown construction kind {spec.kind!r}")
-    return globals()[f"build_{spec.kind}"](p["q"], p[PARAMETER[spec.kind]])
+def build_from_spec(spec: dict) -> Code:
+    """Build the code a spec names; an unknown kind or a missing key is a
+    ValueError.  Builders are looked up as module globals at call time, so a
+    wrapper installed on this module sees every build."""
+    kind = spec.get("kind")
+    if kind not in PARAMETER:
+        raise ValueError(f"unknown construction kind {kind!r}")
+    keys = ["q", *("rstabc" if kind == "d" else [PARAMETER[kind]])]
+    if missing := [k for k in keys if k not in spec]:
+        raise ValueError(f"construction {kind} spec lacks {', '.join(missing)}")
+    q, *values = (spec[k] for k in keys)
+    if kind == "d":
+        return build_d(q, ConditionOneWitness(*values))
+    return globals()[f"build_{kind}"](q, *values)
 
 
-def spec_for(kind: str, q: int, value) -> ConstructionSpec:
+def spec_for(kind: str, q: int, value) -> dict:
     """The spec of a kind over q whose parameter, ``PARAMETER[kind]``, is
     ``value``: a ConditionOneWitness for kind d, an int for the rest."""
     if kind == "d":
-        return ConstructionSpec("d", (("q", q),) + tuple(zip("rstabc", value.as_tuple())))
-    return ConstructionSpec(kind, (("q", q), (PARAMETER[kind], value)))
+        return {"kind": "d", "q": q, **dict(zip("rstabc", value.as_tuple()))}
+    return {"kind": kind, "q": q, PARAMETER[kind]: value}
 
 
-def build_feasible(q: int, gamma: int, index: int) -> tuple[Code, ConstructionSpec]:
+def build_feasible(q: int, gamma: int, index: int) -> tuple[Code, dict]:
     """Dispatch to the builder designated for a feasible (gamma, index) in H(3,q)."""
     verdict = feasible_h3q(q, gamma, index)
     if not verdict.feasible:

@@ -52,8 +52,8 @@ limits, |C|/q and q^(n-1) - |C|/q, ride in the constants of the
 non-codeword test, so the same adds check the balance.
 
 Forcing adds the spread of each forced set, and a task meets the same few
-sets many times over, so each task keeps its own memo of these sums, cleared
-whenever it holds TOTAL_MEMO sets; no memo outlives its task.
+sets many times over, so each task keeps its own memo of these sums: an LRU
+cache of TOTAL_MEMO sums, which never outlives its task.
 
 Every completed assignment is independently re-verified, by line-sum
 counting, before anything is reported.  Work splits at the top two decision
@@ -82,6 +82,7 @@ whole tree, mirrored half included.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -102,9 +103,9 @@ VERTEX_LIMIT = 64
 # bounds the (batch, V) arrays at any census size.
 LEAF_BATCH = 1024
 
-# Spread sums remembered per task before the memo is cleared: forcing meets
-# the same few sets again and again, and the cap bounds the memo at any
-# census size (uncapped, it grew peak RSS by 13-15 MB on H(6,2) and H(3,4)).
+# Spread sums a task's LRU memo holds: forcing meets the same few sets again
+# and again, and the cap bounds the memo at any census size (uncapped, it
+# grew peak RSS by 13-15 MB on H(6,2) and H(3,4)).
 TOTAL_MEMO = 4096
 
 WORKERS_ENV = "CRC_FORGE_THREADS"
@@ -229,20 +230,14 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
         spread[w * u + w] = m
         top[w * u + w] = half << w * u
 
-    memo: dict[int, int] = {}  # total of each packed set seen, within this task
-
+    @functools.lru_cache(maxsize=TOTAL_MEMO)  # one cache per task
     def total(mask: int) -> int:
         """The sum of spread over the vertices of a packed set, highest first."""
-        t = memo.get(mask)
-        if t is None:
-            if len(memo) >= TOTAL_MEMO:
-                memo.clear()
-            t, m = 0, mask
-            while m:
-                b = m.bit_length()
-                m ^= top[b]
-                t += spread[b]
-            memo[mask] = t
+        t = 0
+        while mask:
+            b = mask.bit_length()
+            mask ^= top[b]
+            t += spread[b]
         return t
 
     if pinned:

@@ -112,8 +112,8 @@ def test_criterion_4_constructive_soundness_sweep():
         for q, gamma, index in h3q_table_entries(12):
             code, spec = build_feasible(q, gamma, index)
             cert = certified(code)
-            assert cert.gamma == gamma, (q, gamma, index, spec.as_dict())
-            assert cert.eigenvalue_index == index, (q, gamma, index, spec.as_dict())
+            assert cert.gamma == gamma, (q, gamma, index, spec)
+            assert cert.eigenvalue_index == index, (q, gamma, index, spec)
             built += 1
         assert built >= 100
 

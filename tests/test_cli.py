@@ -18,8 +18,7 @@ from crcforge import constructions
 from crcforge.cli import build_parser, certificate_dict, run
 from crcforge.codefile import (CodeFileError, _read_rows, _rows, _symbol_dtype, _tokens, dumps_code,
                                read_code, write_code)
-from crcforge.constructions import (ConstructionSpec, build_a, build_b, build_c, build_from_spec,
-                                    spec_for)
+from crcforge.constructions import build_a, build_b, build_c, build_from_spec, spec_for
 from crcforge.hamming import SPACE_CAP, Code, Space
 from crcforge.parameters import ConditionOneWitness
 from crcforge.verifier import check_crc
@@ -484,22 +483,41 @@ def test_unwritable_search_index_is_a_one_line_error(tmp_path, capsys):
     assert (outdir / "code_0000.json").is_file()
 
 
-@pytest.mark.parametrize("argv, spec", [
-    (["a", "--gamma", "4"], ConstructionSpec("a", (("q", 6), ("gamma", 4)))),
-    (["b", "--variant", "2"], ConstructionSpec("b", (("q", 6), ("variant", 2)))),
-    (["c", "--t", "5"], ConstructionSpec("c", (("q", 6), ("t", 5)))),
+CONSTRUCT_CASES = pytest.mark.parametrize("argv, spec", [
+    (["a", "--gamma", "4"], {"kind": "a", "q": 6, "gamma": 4}),
+    (["b", "--variant", "2"], {"kind": "b", "q": 6, "variant": 2}),
+    (["c", "--t", "5"], {"kind": "c", "q": 6, "t": 5}),
     (["d", "--witness", "2,4,6,2,3,2"],
      spec_for("d", 8, ConditionOneWitness(2, 4, 6, 2, 3, 2))),
-    (["index1", "--m", "2"], ConstructionSpec("index1", (("q", 6), ("m", 2)))),
-    (["index3", "--m", "2"], ConstructionSpec("index3", (("q", 6), ("m", 2)))),
+    (["index1", "--m", "2"], {"kind": "index1", "q": 6, "m": 2}),
+    (["index3", "--m", "2"], {"kind": "index3", "q": 6, "m": 2}),
 ], ids=["a", "b", "c", "d", "index1", "index3"])
+
+
+@CONSTRUCT_CASES
 def test_construct_file_matches_library(tmp_path, argv, spec):
-    q = spec.as_dict()["q"]
     out = tmp_path / "code.json"
-    assert run(["construct", *argv, "--q", str(q), "-o", str(out)]) == 0
+    assert run(["construct", *argv, "--q", str(spec["q"]), "-o", str(out)]) == 0
     code = build_from_spec(spec)
-    meta = {"construction": spec.as_dict(), "certificate": certificate_dict(check_crc(code))}
+    meta = {"construction": spec, "certificate": certificate_dict(check_crc(code))}
     assert out.read_bytes() == dumps_code(code, meta).encode()
+
+
+@CONSTRUCT_CASES
+def test_recorded_construction_rebuilds_the_code(tmp_path, argv, spec):
+    out = tmp_path / "code.json"
+    assert run(["construct", *argv, "--q", str(spec["q"]), "-o", str(out)]) == 0
+    code, meta = read_code(str(out))
+    assert build_from_spec(meta["construction"]) == code
+
+
+def test_construct_rejects_another_kinds_flag(capsys):
+    assert run(["construct", "a", "--q", "6", "--gamma", "4", "--t", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: construct a takes --gamma only, not --t\n")
+    assert run(["construct", "index1", "--q", "6", "--m", "2", "--variant", "1",
+                "--witness", "2,4,6,2,3,2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: construct index1 takes --m only, not --variant, --witness\n")
 
 
 # ---------------------------------------------------------------- verify

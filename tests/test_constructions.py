@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from crcforge.constructions import (ConstructionSpec, build_a, build_b, build_c,
-                                    build_d, build_feasible, build_from_spec,
-                                    build_index1, build_index3,
+from crcforge.constructions import (build_a, build_b, build_c, build_d, build_feasible,
+                                    build_from_spec, build_index1, build_index3,
                                     construction_d_blocks, spec_for)
 from crcforge.hamming import Space
 from crcforge.parameters import ConditionOneWitness, solve_condition1
@@ -247,29 +246,39 @@ def test_build_from_spec_round_trip():
     q = 8
     w = solve_condition1(q, 7)[0]
     spec = spec_for("d", q, w)
-    assert spec.as_dict() == {"kind": "d", "q": 8, "r": 2, "s": 4, "t": 6,
-                              "a": 2, "b": 3, "c": 2}
+    assert spec == {"kind": "d", "q": 8, "r": 2, "s": 4, "t": 6, "a": 2, "b": 3, "c": 2}
     assert build_from_spec(spec) == build_d(q, w)
     pairs = [
-        (ConstructionSpec("index1", (("q", 5), ("m", 2))), build_index1(5, 2)),
-        (ConstructionSpec("index3", (("q", 5), ("m", 2))), build_index3(5, 2)),
-        (ConstructionSpec("a", (("q", 6), ("gamma", 4))), build_a(6, 4)),
-        (ConstructionSpec("b", (("q", 6), ("variant", 1))), build_b(6, 1)),
-        (ConstructionSpec("c", (("q", 6), ("t", 5))), build_c(6, 5)),
+        ({"kind": "index1", "q": 5, "m": 2}, build_index1(5, 2)),
+        ({"kind": "index3", "q": 5, "m": 2}, build_index3(5, 2)),
+        ({"kind": "a", "q": 6, "gamma": 4}, build_a(6, 4)),
+        ({"kind": "b", "q": 6, "variant": 1}, build_b(6, 1)),
+        ({"kind": "c", "q": 6, "t": 5}, build_c(6, 5)),
     ]
     for spec, code in pairs:
         assert build_from_spec(spec) == code
     with pytest.raises(ValueError, match="unknown construction kind 'e'"):
-        build_from_spec(ConstructionSpec("e", (("q", 4),)))
+        build_from_spec({"kind": "e", "q": 4})
+
+
+@pytest.mark.parametrize("spec, missing", [
+    ({"kind": "a", "gamma": 4}, "q"),
+    ({"kind": "c", "q": 6}, "t"),
+    ({"kind": "index3"}, "q, m"),
+    ({"kind": "d", "q": 8, "r": 2, "s": 4, "a": 2, "b": 3}, "t, c"),
+], ids=["a", "c", "index3", "d"])
+def test_build_from_spec_names_missing_keys(spec, missing):
+    with pytest.raises(ValueError, match=f"^construction {spec['kind']} spec lacks {missing}$"):
+        build_from_spec(spec)
 
 
 def test_build_feasible_dispatch_kinds():
-    assert build_feasible(6, 3, 1)[1].kind == "index1"
-    assert build_feasible(6, 6, 3)[1].kind == "index3"
-    assert build_feasible(6, 4, 2)[1].kind == "a"
-    assert build_feasible(6, 3, 2)[1].kind == "b"
-    assert build_feasible(6, 5, 2)[1].kind == "c"
-    assert build_feasible(12, 5, 2)[1].kind == "d"
+    assert build_feasible(6, 3, 1)[1]["kind"] == "index1"
+    assert build_feasible(6, 6, 3)[1]["kind"] == "index3"
+    assert build_feasible(6, 4, 2)[1]["kind"] == "a"
+    assert build_feasible(6, 3, 2)[1]["kind"] == "b"
+    assert build_feasible(6, 5, 2)[1]["kind"] == "c"
+    assert build_feasible(12, 5, 2)[1]["kind"] == "d"
     with pytest.raises(ValueError):
         build_feasible(8, 1, 2)  # infeasible
 

@@ -337,7 +337,7 @@ def test_small_leaf_batches_change_nothing(n, q, workers, monkeypatch):
 @pytest.mark.parametrize("n,q,gamma,index", [
     (3, 3, None, None), (2, 4, None, None), (3, 3, 2, 2), (4, 2, 2, 2)])
 def test_small_total_memo_changes_nothing(n, q, gamma, index, workers, monkeypatch):
-    # a memo of 3 spread sums is cleared inside every task (forked workers
+    # an LRU cache of 3 spread sums evicts inside every task (forked workers
     # inherit the patched constant)
     def run():
         collected = []
