@@ -77,8 +77,7 @@ def build_b(q: int, variant: int) -> Code:
     for v in seed:
         lut[v] = True
     p = np.arange(q) % 2
-    g = lut[p[:, None, None], p[None, :, None], p[None, None, :]]
-    return Code(sp, g)
+    return Code(sp, lut.take(p, 0).take(p, 1).take(p, 2))
 
 
 def build_c(q: int, t: int) -> Code:

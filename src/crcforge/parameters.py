@@ -5,6 +5,9 @@ completely regular code with rho = 1 has second eigenvalue n(q-1) - (gamma +
 beta), so gamma + beta = q*i for an integer eigenvalue index i.  Feasibility
 of (gamma, i) in H(3,q) splits by i; the delicate case is i = 2 with odd
 gamma < q/2, governed by an integer system for a three-block construction.
+That system is solved once per q: the product identity on block sizes,
+solved for r, yields every (r, s, t) in one pass over the (s, t) grid, and
+the witnesses are cached per q with an index by gamma.
 """
 
 from __future__ import annotations
@@ -72,29 +75,52 @@ def check_condition1(q: int, w: ConditionOneWitness) -> bool:
     return c * r == a * (q - t) and b * (q - s) == c * (q - r) and a * t == b * s
 
 
-# Cells per slab of the product-identity mask: q <= 128 is one slab, and the
-# slab's int64 temporaries peak near 35 MiB for any q.
+# Cells per slab of the (s, t) grid: q <= 1449 is one slab, and the slab's
+# two int64 arrays take at most 32 MiB for any q.
 _IDENTITY_SLAB_CELLS = 1 << 21
 
 
-@functools.lru_cache(maxsize=16)
 def _identity_triples(q: int) -> tuple[tuple[int, int, int], ...]:
     """(r, s, t) in 1..q-1, lexicographically, where the product identity
-    holds; the mask is built a slab of r values at a time.  Cached, because
-    ``feasible_table`` asks once per odd gamma and the triples do not depend
-    on gamma."""
+    r(q-s)t = s(q-t)(q-r) holds.  Solved for r, the identity reads
+    r = q*s*(q-t) / ((q-s)*t + s*(q-t)), which lies strictly between 0 and q
+    for every s, t in 1..q-1; so one pass over the (s, t) grid, a slab of s
+    rows at a time, keeps the cells where that quotient is an integer."""
     rng = np.arange(1, q, dtype=np.int64)
-    s_ = rng[:, None]
-    t_ = rng[None, :]
-    lhs = (q - s_) * t_
-    rhs = s_ * (q - t_)
-    step = max(1, _IDENTITY_SLAB_CELLS // rng.size ** 2)
-    out: list[tuple[int, int, int]] = []
-    for r0 in range(0, rng.size, step):
-        r_ = rng[r0:r0 + step, None, None]
-        ri, si, ti = np.nonzero(lhs * r_ == rhs * (q - r_))
-        out.extend(zip((ri + r0 + 1).tolist(), (si + 1).tolist(), (ti + 1).tolist()))
-    return tuple(out)
+    step = max(1, _IDENTITY_SLAB_CELLS // rng.size)
+    found = []
+    for s0 in range(0, rng.size, step):
+        s = rng[s0:s0 + step]
+        num = np.multiply.outer(s, q * (q - rng))   # q*s*(q-t)
+        den = np.multiply.outer(s, q - 2 * rng)     # (q-s)*t + s*(q-t) = s*(q-2t) + q*t
+        den += q * rng
+        si, ti = np.nonzero(np.remainder(num, den, out=num) == 0)
+        s_hit, t_hit = s[si], rng[ti]
+        found.append((q * s_hit * (q - t_hit) // den[si, ti], s_hit, t_hit))
+    r, s, t = (np.concatenate(col) for col in zip(*found))
+    order = np.argsort(r, kind="stable")   # (s, t) already ascend within each r
+    return tuple(zip(r[order].tolist(), s[order].tolist(), t[order].tolist()))
+
+
+@functools.lru_cache(maxsize=128)
+def _witnesses(q: int) -> tuple[tuple[ConditionOneWitness, ...],
+                                dict[int, tuple[ConditionOneWitness, ...]]]:
+    """Every witness for q in lexicographic order, and the same witnesses
+    grouped by gamma (each group in that order).  Built once per q and
+    cached, because ``feasible_table`` asks once per odd gamma, and the
+    ``table`` command and the feasibility report walk a range of q."""
+    ws: list[ConditionOneWitness] = []
+    by_gamma: dict[int, list[ConditionOneWitness]] = {}
+    for r, s, t in _identity_triples(q):
+        a0, b0, c0 = r * s, r * t, s * (q - t)
+        g = math.gcd(a0, math.gcd(b0, c0))
+        a0, b0, c0 = a0 // g, b0 // g, c0 // g
+        kmax = min(min(r, s) // a0, min(t, q - r) // b0, min(q - s, q - t) // c0)
+        for k in range(1, kmax + 1):
+            w = ConditionOneWitness(r, s, t, k * a0, k * b0, k * c0)
+            ws.append(w)
+            by_gamma.setdefault(w.gamma, []).append(w)
+    return tuple(ws), {gamma: tuple(group) for gamma, group in by_gamma.items()}
 
 
 def solve_condition1(q: int, gamma: Union[int, None] = None) -> list[ConditionOneWitness]:
@@ -103,27 +129,16 @@ def solve_condition1(q: int, gamma: Union[int, None] = None) -> list[ConditionOn
 
     For fixed (r,s,t) the equations have a solution iff the product identity
     holds, and then all solutions are the integer multiples of one primitive
-    triple (r*s, r*t, s*(q-t))/gcd, capped by the degree bounds.
+    triple (r*s, r*t, s*(q-t))/gcd, capped by the degree bounds.  The
+    witnesses of a q are built and indexed by gamma once, then cached; each
+    call returns a fresh list.
     """
     if q < 2:
         raise ValueError(f"invalid alphabet size q={q}")
     if gamma is not None and gamma < 1:
         raise ValueError(f"gamma={gamma} must be positive")
-    out: list[ConditionOneWitness] = []
-    for r, s, t in _identity_triples(q):
-        a0, b0, c0 = r * s, r * t, s * (q - t)
-        g = math.gcd(a0, math.gcd(b0, c0))
-        a0, b0, c0 = a0 // g, b0 // g, c0 // g
-        kmax = min(min(r, s) // a0, min(t, q - r) // b0, min(q - s, q - t) // c0)
-        if gamma is not None:
-            step = a0 + b0 + c0
-            if gamma % step == 0 and 1 <= gamma // step <= kmax:
-                k = gamma // step
-                out.append(ConditionOneWitness(r, s, t, k * a0, k * b0, k * c0))
-        else:
-            for k in range(1, kmax + 1):
-                out.append(ConditionOneWitness(r, s, t, k * a0, k * b0, k * c0))
-    return out
+    ws, by_gamma = _witnesses(q)
+    return list(ws if gamma is None else by_gamma.get(gamma, ()))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ squares that census counts must equal.  The exceptions are the
 reference implementations at the end, which the vectorized library code must
 reproduce exactly (the three-pass verifier, the one-pass rho = 1 decision
 from whole count arrays, the per-codeword code-file writer and reader, the
-per-derivative classifier and the set-based clique decomposition), and a
-runner for snippets under ``python -O``.
+per-derivative classifier, the set-based clique decomposition, the cubic
+scan for the block-size triples and the gathered parity lift), and a runner
+for snippets under ``python -O``.
 """
 
 from __future__ import annotations
@@ -558,3 +559,34 @@ def reference_decompose(code: Code, cliques: Sequence[Clique]) -> CoverResult:
     return CliqueDecomposition(decomposition.cliques, True,
                                frozenset(r_set), frozenset(s_set), frozenset(t_set),
                                d1, d2, d3, w)
+
+
+# The block-size triples by a scan of the whole (r, s, t) cube, a slab of r
+# values at a time: the reference that the one-pass ``_identity_triples``
+# over the (s, t) grid must match triple for triple.
+
+def reference_identity_triples(q: int) -> tuple[tuple[int, int, int], ...]:
+    rng = np.arange(1, q, dtype=np.int64)
+    s_ = rng[:, None]
+    t_ = rng[None, :]
+    lhs = (q - s_) * t_
+    rhs = s_ * (q - t_)
+    step = max(1, (1 << 21) // rng.size ** 2)
+    out: list[tuple[int, int, int]] = []
+    for r0 in range(0, rng.size, step):
+        r_ = rng[r0:r0 + step, None, None]
+        ri, si, ti = np.nonzero(lhs * r_ == rhs * (q - r_))
+        out.extend(zip((ri + r0 + 1).tolist(), (si + 1).tolist(), (ti + 1).tolist()))
+    return tuple(out)
+
+
+# The parity lift of ``build_b`` by one gather with three broadcast index
+# arrays: the reference that the axis-by-axis ``take`` must match.
+
+def reference_build_b(q: int, variant: int) -> Code:
+    seed = [(0, 0, 0), (1, 1, 1)] + ([(1, 0, 0), (0, 1, 1)] if variant == 2 else [])
+    lut = np.zeros((2, 2, 2), dtype=bool)
+    for v in seed:
+        lut[v] = True
+    p = np.arange(q) % 2
+    return Code(Space(3, q), lut[p[:, None, None], p[None, :, None], p[None, None, :]])

@@ -12,7 +12,7 @@ from crcforge.stochastic import GridSet, profile
 from crcforge.verifier import (CrcCertificate, check_crc, essential_positions,
                                hyperface_profile, neighbor_counts, reduce_code)
 
-from helpers import brute_crc1_params, h3q_table_entries
+from helpers import brute_crc1_params, h3q_table_entries, reference_build_b
 
 
 def cert_of(code):
@@ -89,6 +89,12 @@ def test_build_b_lifted():
         # both satisfy the size identity |C|(gamma+beta) = gamma q^3
         for ct, code in ((cert, build_b(q, 1)), (cert2, build_b(q, 2))):
             assert code.size * (ct.gamma + ct.beta) == ct.gamma * q ** 3
+
+
+def test_build_b_matches_the_gathered_lift():
+    for q in range(2, 49, 2):
+        for variant in (1, 2):
+            assert np.array_equal(build_b(q, variant).mask, reference_build_b(q, variant).mask)
 
 
 def test_build_c_flagship():

@@ -13,7 +13,7 @@ from crcforge.parameters import (ConditionOneWitness, check_condition1,
                                  eigenvalue, feasible, feasible_h3q, feasible_hnq,
                                  feasible_table, multiplicity, solve_condition1)
 
-from helpers import product_identity
+from helpers import product_identity, reference_identity_triples
 
 
 def test_eigenvalues():
@@ -69,21 +69,41 @@ def identity_loop_solve(q):
 
 def test_solver_matches_product_identity_loop():
     for q in range(2, 25):
+        assert solve_condition1(q) == identity_loop_solve(q)
+
+
+def test_identity_triples_match_the_cubic_scan():
+    for q in range(2, 131):
+        assert parameters._identity_triples(q) == reference_identity_triples(q)
+
+
+def test_gamma_index_matches_the_gamma_filter():
+    for q in range(2, 65):
         full = solve_condition1(q)
-        assert full == identity_loop_solve(q)
         for gamma in range(1, 3 * q):
             assert solve_condition1(q, gamma) == [w for w in full if w.gamma == gamma]
 
 
+def test_solver_returns_a_fresh_list():
+    for gamma in (None, 7):
+        ws = solve_condition1(8, gamma)
+        expected = list(ws)
+        ws.clear()
+        ws.append(ConditionOneWitness(1, 1, 1, 1, 1, 1))
+        assert solve_condition1(8, gamma) == expected
+
+
 def test_solver_memory_is_bounded_in_slabs():
-    parameters._identity_triples.cache_clear()  # measure the build, not a cache hit
-    tracemalloc.start()
-    try:
-        assert solve_condition1(256, 1) == []
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    for q in (256, 1024):
+        parameters._witnesses.cache_clear()  # measure the build, not a cache hit
+        tracemalloc.start()
+        try:
+            assert solve_condition1(q, 1) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parameters._witnesses.cache_info().misses == 1
+        assert peak < 64 * 2 ** 20
 
 
 def test_solver_gamma_filter_matches_brute_force():
@@ -204,11 +224,12 @@ def test_feasible_table_lists_every_feasible_pair_in_order():
 
 
 def test_feasible_table_builds_the_identity_triples_once_per_q():
-    parameters._identity_triples.cache_clear()
+    parameters._witnesses.cache_clear()
     for q in (30, 32):
         feasible_table(3, q)
         feasible_hnq(4, q, 1)
-    assert parameters._identity_triples.cache_info().misses == 2
+    info = parameters._witnesses.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 def test_h3q_brute_force_agreement_on_solver_regime():
