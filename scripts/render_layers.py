@@ -19,7 +19,6 @@ import numpy as np
 
 from crcforge.cli import guarded
 from crcforge.codefile import read_code
-from crcforge.stochastic import GridSet
 from crcforge.verifier import CrcCertificate, check_crc
 
 
@@ -41,7 +40,7 @@ def render(path: str, direction: int) -> int:
     for s in range(sp.q):
         print(f"\nposition {direction} = {s}   "
               f"(rows: position {others[0]}, cols: position {others[1]})")
-        print(GridSet(sp.q, sp.q, g[s]).render())
+        print("\n".join("".join("*" if c else "." for c in row) for row in g[s]))
     return 0
 
 

@@ -3,7 +3,7 @@
 Six families, keyed by the second eigenvalue index i (gamma + beta = q*i):
 
 - index1(q, m): initial-interval cylinder, i=1, gamma = m.
-- a(q, gamma): even gamma, i=2; a stochastic grid set extended by a free position.
+- a(q, gamma): even gamma, i=2; a stochastic grid set broadcast over a free position.
 - b(q, variant): alphabet halving, i=2; lifts a two-symbol seed code to even q.
 - c(q, t): i=2 with gamma = t odd in (q/2, q); splits symbols into low/high
   parts and glues three products along a stochastic set.
@@ -11,9 +11,10 @@ Six families, keyed by the second eigenvalue index i (gamma + beta = q*i):
   and degrees solve the witness equations.
 - index3(q, m): union of m diagonal classes, i=3, gamma = 3m.
 
-Every builder returns a plain Code; verification is a separate concern.  Each
-builder constructs its Space(3, q) first, so that a q whose cube exceeds the
-space cap is refused before any array is allocated.
+Grid sets are read-only bool arrays, broadcast or sliced into the code's
+grid.  Every builder returns a plain Code; verification is a separate
+concern.  Each builder constructs its Space(3, q) first, so that a q whose
+cube exceeds the space cap is refused before any array is allocated.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from . import stochastic
 from .hamming import Code, Space
 from .parameters import ConditionOneWitness, check_condition1, feasible_h3q
-from .verifier import extend_code
 
 
 def build_index1(q: int, m: int) -> Code:
@@ -49,14 +49,12 @@ def build_index3(q: int, m: int) -> Code:
 def build_a(q: int, gamma: int) -> Code:
     """Extend a stochastic grid set of total degree gamma (even) by a free
     first position: gamma stays, beta = 2q - gamma."""
-    Space(3, q)  # rejects a q too large before the grid is built
+    sp = Space(3, q)
     if gamma % 2 != 0:
         raise ValueError(f"gamma={gamma} must be even for the grid construction")
     if not 2 <= gamma <= 2 * q - 2:
         raise ValueError(f"gamma={gamma} out of range 2..{2 * q - 2}")
-    grid = stochastic.build(q, q, gamma)
-    code2 = stochastic.to_code(grid)
-    return extend_code(code2, at_position=1)
+    return Code(sp, np.broadcast_to(stochastic.build(q, q, gamma), sp.shape))
 
 
 _SEED1 = ((0, 0, 0), (1, 1, 1))
@@ -93,7 +91,7 @@ def build_c(q: int, t: int) -> Code:
     in_s = np.arange(q) < q // 2
     d = stochastic.build(t, t, 2 * t - q)
     dfull = np.zeros((q, q), dtype=bool)
-    dfull[:t, :t] = d.cells
+    dfull[:t, :t] = d
     t1 = in_t[:, None, None]
     t2 = in_t[None, :, None]
     s3 = in_s[None, None, :]
@@ -102,9 +100,10 @@ def build_c(q: int, t: int) -> Code:
 
 
 def construction_d_blocks(q: int, w: ConditionOneWitness
-                          ) -> tuple[stochastic.GridSet, stochastic.GridSet, stochastic.GridSet]:
-    """The three stochastic blocks realizing a witness: D1 in S x T with
-    degrees (a,b), D2 in R x (A-T) with (a,c), D3 in (A-R) x (A-S) with (b,c)."""
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three stochastic blocks realizing a witness, as read-only bool
+    arrays: D1 in S x T with degrees (a,b), D2 in R x (A-T) with (a,c), D3
+    in (A-R) x (A-S) with (b,c)."""
     if not check_condition1(q, w):
         raise ValueError(f"witness {w.as_tuple()} violates the three-block system for q={q}")
     d1 = stochastic.build(w.s, w.t, w.a + w.b)
@@ -120,9 +119,9 @@ def build_d(q: int, w: ConditionOneWitness) -> Code:
     sp = Space(3, q)
     d1, d2, d3 = construction_d_blocks(q, w)
     g = np.zeros((q, q, q), dtype=bool)
-    g[:, :w.s, :w.t] |= d1.cells[None, :, :]
-    g[:w.r, :, w.t:] |= d2.cells[:, None, :]
-    g[w.r:, w.s:, :] |= d3.cells[:, :, None]
+    g[:, :w.s, :w.t] |= d1[None, :, :]
+    g[:w.r, :, w.t:] |= d2[:, None, :]
+    g[w.r:, w.s:, :] |= d3[:, :, None]
     return Code(sp, g)
 
 

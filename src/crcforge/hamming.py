@@ -99,13 +99,12 @@ class Code:
     __slots__ = ("space", "_mask")
 
     def __init__(self, space: Space, mask: np.ndarray):
-        mask = np.ascontiguousarray(mask, dtype=bool)
+        mask = np.array(mask, dtype=bool, order="C")  # later writes to the source never reach it
+        mask.setflags(write=False)  # before the reshape, so that no view of it is writable
         if mask.shape == space.shape:
             mask = mask.reshape(space.size)
         if mask.shape != (space.size,):
             raise ValueError(f"indicator shape {mask.shape} does not match H({space.n},{space.q})")
-        mask = mask.copy()
-        mask.setflags(write=False)
         self.space = space
         self._mask = mask
 

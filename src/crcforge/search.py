@@ -341,9 +341,8 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
     # box: the ranges [g_lo, g_hi] and [a_lo, a_hi] that the final in-code
     # neighbor count of a decided vertex must land in -- gamma for a
     # non-codeword, k - beta for a codeword.  Pinned searches need none.
-    box = (1, k, 0, k - 1) if gamma_t is None else (gamma_t, gamma_t, 0, k - 1)
-    if pinned:
-        box = None
+    box = None if pinned else (
+        (1, k, 0, k - 1) if gamma_t is None else (gamma_t, gamma_t, 0, k - 1))
     state = decide((0, 0, 0, 0, box), half, 1) if fix_zero else (0, 0, 0, 0, box)
     for v, val in prefix:
         if state is None:

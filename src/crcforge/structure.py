@@ -18,7 +18,7 @@ Two views of a code C in H(3,q):
   covered, scanned and sliced at C speed.  If all
   three masks are nonempty, their row and column supports give the symbol
   sets R, S, T, and slicing each mask to its block gives the stochastic grid
-  blocks whose sizes and degrees form a three-block system witness.
+  blocks, bool arrays whose sizes and degrees form a three-block witness.
 """
 
 from __future__ import annotations
@@ -188,24 +188,26 @@ def _cliques(lines: Sequence[np.ndarray]) -> list[Clique]:
             for j, m in enumerate(lines) for idx in np.argwhere(m).tolist()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliqueDecomposition:
     """A partition of a code into maximal cliques.
 
     ``strong`` means all three codirections occur; then the three bundles
     project to grid blocks d1 (rows = x2-set S, cols = x3-set T of the
     codirection-1 cliques), d2 (rows = x1-set R, cols = complement of T), d3
-    (rows/cols = complements of R and S), each doubly stochastic, and
-    ``witness`` collects (|R|, |S|, |T|, a, b, c)."""
+    (rows/cols = complements of R and S), each a doubly stochastic read-only
+    bool array, and ``witness`` collects (|R|, |S|, |T|, a, b, c).  With
+    array fields, two decompositions compare equal only when they are the
+    same object."""
 
     cliques: tuple[Clique, ...]
     strong: bool
     r_set: Union[frozenset, None] = None
     s_set: Union[frozenset, None] = None
     t_set: Union[frozenset, None] = None
-    d1: Union[stochastic.GridSet, None] = None
-    d2: Union[stochastic.GridSet, None] = None
-    d3: Union[stochastic.GridSet, None] = None
+    d1: Union[np.ndarray, None] = None
+    d2: Union[np.ndarray, None] = None
+    d3: Union[np.ndarray, None] = None
     witness: Union[ConditionOneWitness, None] = None
 
     def by_codirection(self, j: int) -> tuple[Clique, ...]:
@@ -334,11 +336,10 @@ def _decompose(code: Code, lines: Sequence[np.ndarray]) -> CoverResult:
             detail="codirection-3 symbol sets are not the complements of the "
                    "codirection-2 x1-set and codirection-1 x2-set")
 
-    d1, d2, d3 = (stochastic.GridSet(*m.shape, m) for m in (
-        c1[np.ix_(s, t)], c2[np.ix_(r, ~t)], c3[np.ix_(~r, ~s)]))
-    p1 = stochastic.profile(d1)
-    p2 = stochastic.profile(d2)
-    p3 = stochastic.profile(d3)
+    d1, d2, d3 = c1[np.ix_(s, t)], c2[np.ix_(r, ~t)], c3[np.ix_(~r, ~s)]
+    for d in (d1, d2, d3):
+        d.setflags(write=False)
+    p1, p2, p3 = stochastic.profile(d1), stochastic.profile(d2), stochastic.profile(d3)
     if p1 is None or p2 is None or p3 is None:
         which = [n for n, p in zip(("d1", "d2", "d3"), (p1, p2, p3)) if p is None]
         return CliqueCoverFailure(
@@ -357,8 +358,7 @@ def _decompose(code: Code, lines: Sequence[np.ndarray]) -> CoverResult:
 
 
 def extract_construction_d(code: Code) -> tuple[int, ConditionOneWitness,
-                                                tuple[stochastic.GridSet, stochastic.GridSet,
-                                                      stochastic.GridSet]]:
+                                                tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Recover (q, witness, blocks) from a code that is a disjoint union of
     cliques of all three codirections."""
     res = clique_cover(code)

@@ -408,6 +408,5 @@ def extend_code(code: Code, at_position: int) -> Code:
     n = code.space.n
     if not 1 <= at_position <= n + 1:
         raise ValueError(f"insertion position {at_position} out of 1..{n + 1}")
-    g = np.expand_dims(code.grid, axis=at_position - 1)
-    g = np.broadcast_to(g, (code.space.q,) * (n + 1))
-    return Code(Space(n + 1, code.space.q), g.copy())
+    sp = Space(n + 1, code.space.q)
+    return Code(sp, np.broadcast_to(np.expand_dims(code.grid, at_position - 1), sp.shape))

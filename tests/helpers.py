@@ -4,8 +4,9 @@ Everything here recomputes properties straight from definitions (explicit
 loops over vertices and neighbor enumeration), independently of the
 vectorized library code it is used to check.  That includes the explicit
 neighbor, clique and hyperface enumerators of H(n,q), the block-size
-product identity, and counters of the line-regular 0/1 matrices and Latin
-squares that census counts must equal.  The exceptions are the
+product identity, the degree rule for stochastic grid sets, and counters of
+the line-regular 0/1 matrices and Latin squares that census counts must
+equal.  The exceptions are the
 reference implementations at the end, which the vectorized library code must
 reproduce exactly (the three-pass verifier, the one-pass rho = 1 decision
 from whole count arrays, the per-codeword code-file writer and reader, the
@@ -187,6 +188,16 @@ def brute_clique_partition(code: Code) -> Optional[list[Clique]]:
 def product_identity(q: int, r: int, s: int, t: int) -> bool:
     """(q-s)*t*r = s*(q-t)*(q-r), the solvability condition on block sizes."""
     return (q - s) * t * r == s * (q - t) * (q - r)
+
+
+def grid_exists(q: int, qp: int, gamma: int) -> bool:
+    """Whether an (a,b)-stochastic set with a+b = gamma exists in the q x q'
+    grid: a = q*gamma/(q+q') and b = gamma - a must be whole, with
+    1 <= a <= q and 1 <= b <= q'."""
+    if gamma < 1 or (q * gamma) % (q + qp):
+        return False
+    a = q * gamma // (q + qp)
+    return 0 < a <= q and 0 < gamma - a <= qp
 
 
 def normalized_params(triples) -> set:
@@ -498,13 +509,13 @@ def reference_classify_all(code: Code) -> dict[tuple[int, int, int], DerivativeC
 # ``clique_cover``'s line masks must match field by field.
 
 def _reference_grid_block(cells: set[tuple[int, int]], rows: list[int],
-                          cols: list[int]) -> stochastic.GridSet:
+                          cols: list[int]) -> np.ndarray:
     rpos = {r: i for i, r in enumerate(rows)}
     cpos = {c: i for i, c in enumerate(cols)}
     m = np.zeros((len(rows), len(cols)), dtype=bool)
     for r, c in cells:
         m[rpos[r], cpos[c]] = True
-    return stochastic.GridSet(len(rows), len(cols), m)
+    return m
 
 
 def reference_decompose(code: Code, cliques: Sequence[Clique]) -> CoverResult:

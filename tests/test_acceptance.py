@@ -19,14 +19,13 @@ from crcforge.parameters import (ConditionOneWitness, check_condition1,
                                  feasible_table, solve_condition1)
 from crcforge.search import SearchConstraints, enumerate_crcs
 from crcforge.stochastic import build as build_grid
-from crcforge.stochastic import exists as grid_exists
 from crcforge.stochastic import profile as grid_profile
 from crcforge.structure import (CliqueDecomposition, classify_all, clique_cover,
                                 extract_construction_d)
 from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                extend_code, hyperface_profile, reduce_code)
 
-from helpers import (all_vertex_subsets, brute_crc1_params, h3q_table_entries,
+from helpers import (all_vertex_subsets, brute_crc1_params, grid_exists, h3q_table_entries,
                      hamming_distance, neighbors, normalized_params, product_identity)
 
 
@@ -199,7 +198,7 @@ def test_criterion_8_strong_clique_round_trip():
                         (res.d1, (w.s, w.t, w.a + w.b)),
                         (res.d2, (w.r, q - w.t, w.a + w.c)),
                         (res.d3, (q - w.r, q - w.s, w.b + w.c))):
-                    assert (d.q, d.qp) == (rows, cols)
+                    assert d.shape == (rows, cols)
                     assert grid_profile(d).gamma == deg
                 q2, w2, _ = extract_construction_d(code)
                 rebuilt_cert = certified(build_d(q2, w2))

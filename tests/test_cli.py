@@ -941,10 +941,12 @@ def test_render_layers(tmp_path):
     write_code(build_c(6, 5), str(path))
     proc = run_python("scripts/render_layers.py", str(path), "--direction", "3")
     assert (proc.returncode, proc.stderr) == (0, "")
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "H(3,6), 90 codewords, gamma=5 beta=7"
-    assert lines.count("position 3 = 0   (rows: position 1, cols: position 2)") == 1
-    assert sum(line.count("*") for line in lines[1:]) == 90
+    # D in every layer, plus T x (A-T) where x3 lies in S = {0, 1, 2}, else (A-T) x T
+    low = "*.*..*\n*..*.*\n.*.*.*\n.*..**\n..*.**\n......\n"
+    high = "*.*...\n*..*..\n.*.*..\n.*..*.\n..*.*.\n*****.\n"
+    assert proc.stdout == "H(3,6), 90 codewords, gamma=5 beta=7\n" + "".join(
+        f"\nposition 3 = {s}   (rows: position 1, cols: position 2)\n" + (low if s < 3 else high)
+        for s in range(6))
 
 
 @pytest.mark.parametrize("name, text, message", [

@@ -8,7 +8,7 @@ from crcforge.constructions import (build_a, build_b, build_c, build_d, build_fe
                                     construction_d_blocks, spec_for)
 from crcforge.hamming import Space
 from crcforge.parameters import ConditionOneWitness, solve_condition1
-from crcforge.stochastic import GridSet, profile
+from crcforge.stochastic import profile
 from crcforge.verifier import (CrcCertificate, check_crc, essential_positions,
                                hyperface_profile, neighbor_counts, reduce_code)
 
@@ -60,7 +60,7 @@ def test_build_a():
     assert essential_positions(c) == (2, 3)
     red = reduce_code(c)
     assert red.space == Space(2, 5)
-    assert profile(GridSet(5, 5, red.grid)).gamma == 4
+    assert profile(red.grid).gamma == 4
 
 
 def test_build_b_seeds():
@@ -128,9 +128,9 @@ def test_construction_d_blocks_profiles():
     q = 8
     w = ConditionOneWitness(2, 4, 6, 2, 3, 2)
     d1, d2, d3 = construction_d_blocks(q, w)
-    assert (d1.q, d1.qp) == (w.s, w.t)
-    assert (d2.q, d2.qp) == (w.r, q - w.t)
-    assert (d3.q, d3.qp) == (q - w.r, q - w.s)
+    assert d1.shape == (w.s, w.t)
+    assert d2.shape == (w.r, q - w.t)
+    assert d3.shape == (q - w.r, q - w.s)
     p1, p2, p3 = profile(d1), profile(d2), profile(d3)
     assert (p1.a, p1.b) == (w.a, w.b)
     assert (p2.a, p2.b) == (w.a, w.c)
@@ -142,11 +142,11 @@ def test_construction_d_blocks_profiles():
 def test_block_saturation_examples():
     # q=8: the (2,4,6,2,3,2) witness forces its second block to fill its grid
     _, d2, _ = construction_d_blocks(8, ConditionOneWitness(2, 4, 6, 2, 3, 2))
-    assert d2.is_full and (d2.q, d2.qp) == (2, 2)
+    assert d2.all() and d2.shape == (2, 2)
     # q=32: the (28,28,16,7,4,4) witness fills the third block instead
     d1, d2, d3 = construction_d_blocks(32, ConditionOneWitness(28, 28, 16, 7, 4, 4))
-    assert d3.is_full and (d3.q, d3.qp) == (4, 4)
-    assert not d1.is_full and not d2.is_full
+    assert d3.all() and d3.shape == (4, 4)
+    assert not d1.all() and not d2.all()
 
 
 # Inter-block neighbor counts for construction D.  Blocks are keyed by

@@ -164,6 +164,23 @@ def test_code_from_indices_and_equality():
     assert a != Code.from_indices(sp, [0, 4])
 
 
+def test_code_copies_strided_and_broadcast_views():
+    # a reversed slice and a broadcast row: each is copied, frozen, and cut
+    # off from later writes to its source
+    sp = Space(2, 4)
+    flat = np.random.default_rng(3).random(32) < 0.5
+    row = np.array([True, False, False, True])
+    for src, view in ((flat, flat[::-2]), (row, np.broadcast_to(row, sp.shape))):
+        materialized = Code(sp, view.copy())
+        c = Code(sp, view)
+        assert c == materialized
+        with pytest.raises(ValueError):
+            c.mask[0] = not c.mask[0]
+        assert not c.grid.base.flags.writeable  # nor the array that the views share
+        src[:] = ~src
+        assert c == materialized
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.integers(2, 5), st.data())
 def test_index_roundtrip_random(n, q, data):

@@ -6,38 +6,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crcforge import stochastic
-from crcforge.stochastic import GridSet, StochasticProfile, build, exists, profile
+from crcforge.constructions import build_d, construction_d_blocks
+from crcforge.parameters import ConditionOneWitness
+from crcforge.stochastic import StochasticProfile, build, profile
+from crcforge.structure import clique_cover
 from crcforge.verifier import CrcCertificate, check_crc
 
-from helpers import brute_crc1_params, run_optimized
+from helpers import brute_crc1_params, grid_exists, run_optimized
 
 
 def test_profile_detects_stochastic_sets():
     cells = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]], dtype=bool)
-    g = GridSet(3, 3, cells)
-    assert profile(g) == StochasticProfile(2, 2)
-    assert profile(g).gamma == 4
+    assert profile(cells) == StochasticProfile(2, 2)
+    assert profile(cells).gamma == 4
 
-    lopsided = GridSet(3, 3, np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0]], dtype=bool))
+    lopsided = np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0]], dtype=bool)
     assert profile(lopsided) is None
 
 
 def test_degrees_from_total():
     # a = q*gamma/(q+q')
-    assert build(4, 4, 2).size == 4 * 1
+    assert build(4, 4, 2).sum() == 4 * 1
     g = build(6, 4, 5)  # a = 3, b = 2
     assert profile(g) == StochasticProfile(3, 2)
-    assert g.size == 6 * 2  # q*b == qp*a cells
+    assert g.sum() == 6 * 2  # q*b == qp*a cells
 
 
 def test_exists_cases():
-    assert exists(4, 4, 2)
-    assert not exists(4, 4, 3)  # 8 does not divide 12
-    assert exists(28, 16, 11)  # a = 7, b = 4
-    assert not exists(28, 16, 12)
-    assert not exists(5, 3, 9)  # b = 9 - 5*9//8 -> not integral
-    assert not exists(2, 2, 0)
-    assert exists(2, 2, 2)  # the full grid, a = b = 1
+    assert grid_exists(4, 4, 2)
+    assert not grid_exists(4, 4, 3)  # 8 does not divide 12
+    assert grid_exists(28, 16, 11)  # a = 7, b = 4
+    assert not grid_exists(28, 16, 12)
+    assert not grid_exists(5, 3, 9)  # b = 9 - 5*9//8 -> not integral
+    assert not grid_exists(2, 2, 0)
+    assert grid_exists(2, 2, 2)  # the full grid, a = b = 1
 
 
 def test_build_error_messages():
@@ -55,14 +57,13 @@ def test_build_canonical_layout():
     expected = np.zeros((4, 4), dtype=bool)
     for i in range(4):
         expected[i % 4, i] = True
-    assert np.array_equal(g.cells, expected)
-    assert g.render().splitlines()[0] == "*..."
+    assert np.array_equal(g, expected)
 
 
 def test_full_grid():
     g = build(3, 3, 6)  # a = b = 3: every cell
-    assert g.is_full
-    assert g.size == 9
+    assert g.all()
+    assert g.sum() == 9
 
 
 def test_square_grid_sets_are_two_dimensional_crcs():
@@ -72,7 +73,7 @@ def test_square_grid_sets_are_two_dimensional_crcs():
         code = stochastic.to_code(g)
         sp = code.space
         params = brute_crc1_params(sp, code.vertices())
-        if g.is_full:
+        if g.all():
             assert params is None  # full set is not a proper code
             continue
         # codewords see (a-1)+(b-1) = gamma-2 codeword neighbors, so beta = 2q-gamma
@@ -86,27 +87,33 @@ def test_square_grid_sets_are_two_dimensional_crcs():
 def test_to_code_round_trip():
     g = build(5, 5, 4)
     code = stochastic.to_code(g)
-    assert GridSet(5, 5, code.grid) == g
+    assert np.array_equal(code.grid, g)
     with pytest.raises(ValueError):
         stochastic.to_code(build(6, 4, 5))
 
 
-def test_gridset_validation_and_identity():
+def assert_read_only_cells(cells: np.ndarray, shape: tuple[int, int]) -> None:
+    assert isinstance(cells, np.ndarray) and cells.dtype == bool and cells.shape == shape
     with pytest.raises(ValueError):
-        GridSet(2, 2, np.zeros((3, 2), dtype=bool))
-    with pytest.raises(ValueError):
-        GridSet(0, 2, np.zeros((0, 2), dtype=bool))
-    a = GridSet(2, 3, np.ones((2, 3), dtype=bool))
-    b = GridSet(2, 3, np.ones((2, 3), dtype=bool))
-    assert a == b and hash(a) == hash(b)
-    with pytest.raises(ValueError):
-        a.cells[0, 0] = False
+        cells[0, 0] = not cells[0, 0]
+
+
+def test_grid_sets_are_read_only_bool_arrays():
+    assert_read_only_cells(build(6, 4, 5), (6, 4))
+    q, w = 8, ConditionOneWitness(2, 4, 6, 2, 3, 2)
+    shapes = ((w.s, w.t), (w.r, q - w.t), (q - w.r, q - w.s))
+    for d, shape in zip(construction_d_blocks(q, w), shapes):
+        assert_read_only_cells(d, shape)
+    res = clique_cover(build_d(q, w))
+    assert res.strong
+    for d, shape in zip((res.d1, res.d2, res.d3), shapes):
+        assert_read_only_cells(d, shape)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 24))
 def test_build_always_stochastic_when_degrees_exist(q, qp, gamma):
-    if not exists(q, qp, gamma):
+    if not grid_exists(q, qp, gamma):
         with pytest.raises(ValueError):
             build(q, qp, gamma)
         return
@@ -116,8 +123,8 @@ def test_build_always_stochastic_when_degrees_exist(q, qp, gamma):
     assert prof.gamma == gamma
     assert prof.a * qp == prof.b * q
     # column/row counts straight from the matrix
-    assert (g.cells.sum(axis=0) == prof.a).all()
-    assert (g.cells.sum(axis=1) == prof.b).all()
+    assert (g.sum(axis=0) == prof.a).all()
+    assert (g.sum(axis=1) == prof.b).all()
 
 
 def test_build_self_check_survives_python_O():
