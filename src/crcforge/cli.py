@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = success / feasible / verified; 1 = verification failed or
-parameters infeasible; 2 = usage or file-format error, or out of memory.
+parameters infeasible; 2 = usage or file-format error, or out of memory;
+141 = stdout closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def cmd_search(args) -> int:
         args.n, args.q, gamma=args.gamma, eigenvalue_index=args.index,
         fix_first_codeword=args.fix_zero)
     emitted = []
-    sink = emitted.append if args.emit else None
+    sink = (lambda *pair: emitted.append(pair)) if args.emit else None
     summary = search.enumerate_crcs(constraints, sink=sink, workers=args.workers,
                                     count_only=args.count_only)
     print(f"search H({args.n},{args.q}): {summary.codes_found} code(s), "
@@ -253,8 +254,7 @@ def cmd_search(args) -> int:
             raise CodeFileError(f"cannot write {args.emit}: {e}") from e
         width = max(4, len(str(len(emitted) - 1)))
         index_lines = []
-        for k, code in enumerate(emitted):
-            cert = verifier.check_crc(code)
+        for k, (code, cert) in enumerate(emitted):
             name = f"code_{k:0{width}d}.json"
             path = os.path.join(args.emit, name)
             write_code(code, path, {"search": {"n": args.n, "q": args.q},
@@ -384,11 +384,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def guarded(func, *args) -> int:
-    """Return ``func(*args)``, an exit code.  Bad input, a ValueError or a
-    MemoryError, ends in one ``error: ...`` line and 2: the one error path of
-    ``run`` and of every script."""
+    """Return ``func(*args)``, an exit code, with stdout flushed.  Bad input,
+    a ValueError or a MemoryError, ends in one ``error: ...`` line and 2: the
+    one error path of ``run`` and of every script.  A reader that closed
+    stdout ends it quietly, with 141 as a SIGPIPE would."""
     try:
-        return func(*args)
+        status = func(*args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout now writes to the null device, so the interpreter's exit
+        # flush of what is still buffered stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as e:  # CodeFileError is a ValueError
         print(f"error: {e}", file=sys.stderr)
     except MemoryError as e:  # a space too large for this machine

@@ -165,13 +165,15 @@ def _read_canonical(raw: bytes) -> Optional[tuple[Code, dict]]:
     if type(meta) is not dict:
         return None
     syms = _read_rows(raw[head.end():end], n, q)
-    if syms is None:
-        return None
+    mask = None if syms is None else _mask_of(space, syms)
+    return None if mask is None else (Code(space, mask), meta)
+
+
+def _mask_of(space: Space, syms: np.ndarray) -> Optional[np.ndarray]:
+    """Indicator of the (N, n) symbol rows, or None if a row repeats."""
     mask = np.zeros(space.size, dtype=bool)
     mask[np.ravel_multi_index(tuple(syms.T), space.shape)] = True
-    if np.count_nonzero(mask) != len(syms):  # a repeated codeword
-        return None
-    return Code(space, mask), meta
+    return mask if np.count_nonzero(mask) == len(syms) else None
 
 
 def _read_rows(raw: bytes, n: int, q: int) -> Optional[np.ndarray]:
@@ -257,11 +259,7 @@ def _codeword_mask(words: list, space: Space) -> Optional[np.ndarray]:
         return None
     if flat.size and (flat.min() < 0 or flat.max() >= q):
         return None
-    mask = np.zeros(space.size, dtype=bool)
-    mask[np.ravel_multi_index(tuple(flat.reshape(-1, n).T), space.shape)] = True
-    if np.count_nonzero(mask) != len(words):
-        return None
-    return mask
+    return _mask_of(space, flat.reshape(-1, n))
 
 
 def _first_bad_codeword(words: list, n: int, q: int) -> CodeFileError:

@@ -64,9 +64,10 @@ pipe, the node count and the packed IN sets of the leaves of every task in
 its share.  enumerate_crcs puts the outputs back in task order, certifies
 every leaf in emission order, LEAF_BATCH at a time (one stacked line-sum
 count and one eigenvalue index per distinct (gamma, beta) per batch), raises
-on the first bad one with check_crc's witness, and only then hands codes to
-the sink.  The summary (codes, parameter sets, node count) does not depend
-on the worker count.
+on the first bad one with check_crc's witness, and only then hands each code
+to the sink with its certificate, built from the leaf's own (gamma, beta):
+no code is certified twice.  The summary (codes, parameter sets, node
+count) does not depend on the worker count.
 
 Complementing a (gamma, beta, i) code gives a (beta, gamma, i) code, and
 flipping every decision maps the search tree onto itself node for node
@@ -92,7 +93,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hamming import Code, Space
-from .verifier import certify_rho1, check_crc, rho1_eigenvalue_index
+from .verifier import CrcCertificate, certify_rho1, check_crc, rho1_eigenvalue_index
 
 # Bounds emission (one code per leaf) and the width of the packed search
 # state, not what can be searched: the cost follows the constraints, not the
@@ -460,11 +461,13 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 def enumerate_crcs(constraints: SearchConstraints,
-                   sink: Optional[Callable[[Code], None]] = None,
+                   sink: Optional[Callable[[Code, CrcCertificate], None]] = None,
                    workers: Optional[int] = None,
                    count_only: bool = False) -> SearchSummary:
     """Enumerate every covering-radius-1 completely regular code matching the
-    constraints.  Found codes go to ``sink`` (unless count_only); the returned
+    constraints.  Unless count_only, ``sink(code, certificate)`` gets each
+    found code with the CrcCertificate that check_crc(code) would return,
+    taken from the search's own certification of the leaf.  The returned
     summary is identical for any worker count."""
     c = constraints
     sp = c.space
@@ -488,7 +491,7 @@ def enumerate_crcs(constraints: SearchConstraints,
     # Certify every leaf, in emission order, before anything is emitted.  The
     # first bad leaf raises, with its checks in order: certified, then its
     # gamma, then its index.
-    params = set()
+    params, gb = set(), []  # gb: each leaf's (gamma, beta), kept for a sink
     for start in range(0, len(leaves), LEAF_BATCH):
         masks = _unpack(sp, leaves[start:start + LEAF_BATCH])
         gam, bet, ok = certify_rho1(sp, masks)
@@ -505,8 +508,11 @@ def enumerate_crcs(constraints: SearchConstraints,
                 raise RuntimeError(f"search emitted a non-CRC set: {check_crc(Code(sp, masks[j]))}")
             raise RuntimeError(faults[pair[j]])
         params.update(found)
-    if sink is not None and not count_only:
-        for start in range(0, len(leaves), LEAF_BATCH):
-            for mask in _unpack(sp, leaves[start:start + LEAF_BATCH]):
-                sink(Code(sp, mask))
+        if sink is not None and not count_only:
+            gb += zip(gam.tolist(), bet.tolist())
+    for start in range(0, len(gb), LEAF_BATCH):
+        masks = _unpack(sp, leaves[start:start + LEAF_BATCH])
+        for mask, (g, b) in zip(masks, gb[start:start + LEAF_BATCH]):
+            code = Code(sp, mask)
+            sink(code, CrcCertificate(c.n, c.q, 1, code.size, (b,), (g,)))
     return SearchSummary(c.n, c.q, len(leaves), frozenset(params), nodes)

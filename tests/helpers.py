@@ -264,6 +264,12 @@ def count_latin_squares(q: int) -> int:
     return extend([])
 
 
+def collect(into: list):
+    """A search sink that appends each found code to ``into`` and drops its
+    certificate."""
+    return lambda code, cert: into.append(code)
+
+
 def code_of(sp: Space, codewords) -> Code:
     return Code.from_vertices(sp, codewords)
 
@@ -278,12 +284,16 @@ def all_vertex_subsets(sp: Space):
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
+def src_env() -> dict:
+    """The environment with ./src first on PYTHONPATH."""
+    path = [os.path.join(REPO, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
     """Run the interpreter with the given arguments in the repository root, against ./src.
     Keyword arguments go to ``subprocess.run``."""
-    path = [os.path.join(REPO, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, *args], cwd=REPO, env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], cwd=REPO, env=src_env(), capture_output=True,
                           text=True, timeout=120, **kwargs)
 
 

@@ -1,10 +1,14 @@
 """Command-line interface and the JSON code-file format."""
 
+import fcntl
 import hashlib
 import io
 import json
+import os
 import re
 import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -23,8 +27,8 @@ from crcforge.hamming import SPACE_CAP, Code, Space
 from crcforge.parameters import ConditionOneWitness
 from crcforge.verifier import check_crc
 
-from helpers import (SMALL_SPACES, reference_dumps_code, reference_read_code, reference_rows,
-                     run_python)
+from helpers import (REPO, SMALL_SPACES, reference_dumps_code, reference_read_code,
+                     reference_rows, run_python, src_env)
 
 
 # ---------------------------------------------------------------- code files
@@ -810,6 +814,29 @@ def test_search_cli_emit(tmp_path, capsys):
         assert meta["certificate"]["gamma"] == entry["gamma"]
 
 
+def tree_sha256(directory) -> str:
+    """sha256 over a directory's file names, sorted, each followed by a NUL
+    and the file's bytes."""
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def test_search_cli_emit_certifies_each_code_once(tmp_path, capsys):
+    # the certificates come from the search's own certification, so no
+    # check_crc runs, and the files keep the bytes they had when the command
+    # re-checked every code
+    outdir = tmp_path / "found"
+    with mock.patch("crcforge.verifier.check_crc", side_effect=AssertionError("re-checked")):
+        assert run(["search", "--n", "3", "--q", "3", "--gamma", "2", "--index", "2",
+                    "--emit", str(outdir)]) == 0
+    assert capsys.readouterr().out.endswith(f"emitted 90 file(s) to {outdir}\n")
+    files = sorted(p.name for p in outdir.iterdir())
+    assert files == [f"code_{k:04d}.json" for k in range(90)] + ["index.json"]
+    assert tree_sha256(outdir) == "8eafee9dba8cc70895838d2ff369f715ee99082de683e5fdd04537cc5567dce9"
+
+
 def test_search_cli_count_only_emits_nothing(tmp_path, capsys):
     # --count-only keeps no codes, so with --emit it is an error before any search
     outdir = tmp_path / "none"
@@ -934,6 +961,31 @@ def test_every_entry_point_reports_bad_input_in_one_line(argv, message):
     proc = run_python(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe capacity is not settable")
+@pytest.mark.parametrize("argv, lines", [(["table", "--q-max", "60"], 1),
+                                         (["params", "solve-c1", "--q", "8"], 0)],
+                         ids=["table-after-one-line", "solve-c1-closed-before"])
+def test_closed_stdout_ends_quietly_with_141(argv, lines):
+    # stdout is block-buffered, as in a plain shell.  The table's 9,975 bytes
+    # cannot all pass a one-page pipe whose reader reads one line and closes:
+    # some write fails, whatever the timing.  solve-c1 writes its 649 bytes
+    # at exit, after the reader is gone.
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    if fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096) > 4096:
+        pytest.skip("a pipe page larger than 4 KB holds half the table")
+    if not lines:
+        os.close(read)
+    proc = subprocess.Popen([sys.executable, "-m", "crcforge.cli", *argv], cwd=REPO,
+                            env=env, stdout=write, stderr=subprocess.PIPE)
+    os.close(write)
+    if lines:
+        with os.fdopen(read, "rb") as out:
+            assert out.readline() == b"q=2   i=1: 1   i=2: 1,2   i=3: 3\n"
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_render_layers(tmp_path):

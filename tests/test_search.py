@@ -13,7 +13,7 @@ from crcforge.search import (SearchConstraints, SearchSummary, enumerate_crcs,
                              resolve_workers)
 from crcforge.verifier import CrcCertificate, check_crc
 
-from helpers import (Hyperface, all_vertex_subsets, brute_crc1_params, code_of,
+from helpers import (Hyperface, all_vertex_subsets, brute_crc1_params, code_of, collect,
                      count_latin_squares, count_line_regular_matrices, hyperface_vertices,
                      run_optimized, spectral_support)
 
@@ -37,7 +37,7 @@ def test_search_equals_brute_force_h32():
     sp = Space(3, 2)
     brute_codes, brute_params = brute_census(sp)
     collected = []
-    summary = enumerate_crcs(SearchConstraints(3, 2), sink=collected.append, workers=1)
+    summary = enumerate_crcs(SearchConstraints(3, 2), sink=collect(collected), workers=1)
     assert summary.codes_found == len(brute_codes) == 22
     assert summary.parameter_sets == frozenset(brute_params)
     assert {frozenset(c.vertices()) for c in collected} == set(brute_codes)
@@ -214,7 +214,7 @@ def test_collected_codes_independent_of_worker_count():
     runs = []
     for w in (1, 2, 3, 4):
         collected = []
-        enumerate_crcs(SearchConstraints(2, 3), sink=collected.append, workers=w)
+        enumerate_crcs(SearchConstraints(2, 3), sink=collect(collected), workers=w)
         runs.append([tuple(int(i) for i in c.indices()) for c in collected])
     assert runs[0] == runs[1] == runs[2] == runs[3]
 
@@ -229,7 +229,7 @@ def test_emission_is_lexicographic_on_indicator(n, q, gamma, index, fix_zero, wo
     collected = []
     s = enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index,
                                          fix_first_codeword=fix_zero),
-                       sink=collected.append, workers=workers)
+                       sink=collect(collected), workers=workers)
     keys = [tuple(c.mask.astype(int)) for c in collected]
     assert len(keys) == s.codes_found > 0
     assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -241,7 +241,7 @@ def test_widest_fields_against_pairs_of_k64(workers):
     # subsets with gamma = 2 are exactly the 2-subsets.  Valency 63 makes the
     # packed fields 7 bits wide, and vertex 63 sits in the top field.
     collected = []
-    s = enumerate_crcs(SearchConstraints(1, 64, gamma=2), sink=collected.append,
+    s = enumerate_crcs(SearchConstraints(1, 64, gamma=2), sink=collect(collected),
                        workers=workers)
     assert s.parameter_sets == frozenset({(2, 62, 1)})
     pairs = [(a, b) for a in range(64) for b in range(a + 1, 64)]
@@ -255,7 +255,7 @@ def test_mirrored_search_equals_brute_force_at_gamma_equal_beta():
     at_gamma = {c for c in brute_codes if brute_crc1_params(sp, c) == (1, 1)}
     collected = []
     s = enumerate_crcs(SearchConstraints(3, 2, gamma=1, eigenvalue_index=1),
-                       sink=collected.append, workers=1)
+                       sink=collect(collected), workers=1)
     assert s.parameter_sets == frozenset({(1, 1, 1)})
     assert len(collected) == s.codes_found == len(at_gamma) == 6
     assert {frozenset(c.vertices()) for c in collected} == at_gamma
@@ -282,7 +282,7 @@ def test_sink_sees_nothing_until_every_leaf_is_certified(workers, monkeypatch):
     # of 7 have passed: a search that emitted while still certifying would
     # have handed the earlier codes to the sink first
     collected = []
-    enumerate_crcs(SearchConstraints(2, 4), sink=collected.append, workers=1)
+    enumerate_crcs(SearchConstraints(2, 4), sink=collect(collected), workers=1)
     last = collected[-1].mask
     certify = search.certify_rho1
 
@@ -294,7 +294,7 @@ def test_sink_sees_nothing_until_every_leaf_is_certified(workers, monkeypatch):
     monkeypatch.setattr(search, "LEAF_BATCH", 7)
     emitted = []
     with pytest.raises(RuntimeError, match="^search emitted a non-CRC set: "):
-        enumerate_crcs(SearchConstraints(2, 4), sink=emitted.append, workers=workers)
+        enumerate_crcs(SearchConstraints(2, 4), sink=collect(emitted), workers=workers)
     assert emitted == []
 
 
@@ -303,7 +303,7 @@ def test_emissions_live_on_one_character_weight(n, q):
     # the spectral oracle agrees with the certified eigenvalue index of every
     # code the search reports
     collected = []
-    s = enumerate_crcs(SearchConstraints(n, q), sink=collected.append, workers=1)
+    s = enumerate_crcs(SearchConstraints(n, q), sink=collect(collected), workers=1)
     assert len(collected) == s.codes_found > 0
     for code in collected:
         assert spectral_support(code) == {check_crc(code).eigenvalue_index}
@@ -316,7 +316,7 @@ def test_small_leaf_batches_change_nothing(n, q, workers, monkeypatch):
     # inherit the patched constant)
     def run():
         collected = []
-        s = enumerate_crcs(SearchConstraints(n, q), sink=collected.append, workers=workers)
+        s = enumerate_crcs(SearchConstraints(n, q), sink=collect(collected), workers=workers)
         return s, [tuple(c.mask.astype(int)) for c in collected]
 
     default = run()
@@ -342,7 +342,7 @@ def test_small_total_memo_changes_nothing(n, q, gamma, index, workers, monkeypat
     def run():
         collected = []
         s = enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index),
-                           sink=collected.append, workers=workers)
+                           sink=collect(collected), workers=workers)
         return (s.codes_found, s.nodes, s.parameter_sets), [tuple(c.indices()) for c in collected]
 
     default = run()
@@ -367,7 +367,7 @@ def test_fix_first_codeword_halves_enumeration():
 
     collected = []
     enumerate_crcs(SearchConstraints(3, 2, fix_first_codeword=True),
-                   sink=collected.append, workers=1)
+                   sink=collect(collected), workers=1)
     assert all((0, 0, 0) in c for c in collected)
 
 
@@ -377,7 +377,7 @@ def test_targeted_searches_are_slices_of_the_open_search(n, q, workers):
     # a search with gamma and i fixed emits exactly the open search's codes
     # with that certificate, in the same order
     opened = []
-    enumerate_crcs(SearchConstraints(n, q), sink=opened.append, workers=workers)
+    enumerate_crcs(SearchConstraints(n, q), sink=collect(opened), workers=workers)
     by_cert = {}
     for code in opened:
         cert = check_crc(code)
@@ -393,7 +393,7 @@ def test_targeted_searches_are_slices_of_the_open_search(n, q, workers):
                 continue
             targeted = []
             enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index),
-                           sink=targeted.append, workers=workers)
+                           sink=collect(targeted), workers=workers)
             expected = by_cert.get((gamma, q * index - gamma, index), [])
             assert [c.mask.tobytes() for c in targeted] == expected, (gamma, index)
             sliced += len(targeted)
@@ -403,7 +403,7 @@ def test_targeted_searches_are_slices_of_the_open_search(n, q, workers):
 def test_targeted_search_perfect_pairs():
     collected = []
     summary = enumerate_crcs(SearchConstraints(3, 2, gamma=1, eigenvalue_index=2),
-                             sink=collected.append, workers=1)
+                             sink=collect(collected), workers=1)
     assert summary.codes_found == 4
     assert summary.parameter_sets == frozenset({(1, 3, 2)})
     # the four antipodal pairs of the cube
@@ -415,7 +415,7 @@ def test_targeted_search_perfect_pairs():
 def test_targeted_search_hyperfaces():
     collected = []
     summary = enumerate_crcs(SearchConstraints(3, 3, gamma=1, eigenvalue_index=1),
-                             sink=collected.append, workers=2)
+                             sink=collect(collected), workers=2)
     assert summary.codes_found == 9
     assert summary.parameter_sets == frozenset({(1, 2, 1)})
     sp = Space(3, 3)
@@ -459,20 +459,28 @@ def test_h3q_index3_gamma3_counts_are_latin_squares(q, published):
     assert labelled_count(3, q, 3, 3) == count_latin_squares(q) == published
 
 
-def test_search_verifies_every_emission():
-    collected = []
-    enumerate_crcs(SearchConstraints(3, 3, gamma=2, eigenvalue_index=2),
-                   sink=collected.append, workers=2)
-    assert len(collected) == 90
-    for c in collected[:10]:
-        cert = check_crc(c)
-        assert isinstance(cert, CrcCertificate)
-        assert (cert.gamma, cert.eigenvalue_index) == (2, 2)
+def test_search_verifies_every_emission(monkeypatch):
+    # the sink's certificate is check_crc's, for every code.  Batches of 7
+    # put certificates across batch boundaries, and the open searches
+    # certify mirrored leaves (forked workers inherit the patched constant)
+    monkeypatch.setattr(search, "LEAF_BATCH", 7)
+    for n, q, gamma, index, found in [(2, 4, None, None, 166), (4, 2, None, None, 86),
+                                      (3, 3, None, None, 222), (3, 3, 2, 2, 90)]:
+        for workers in (1, 2):
+            pairs = []
+            s = enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index),
+                               sink=lambda code, cert: pairs.append((code, cert)),
+                               workers=workers)
+            assert len(pairs) == s.codes_found == found
+            for code, cert in pairs:
+                assert isinstance(cert, CrcCertificate) and cert == check_crc(code)
+                # Python ints, as json.dumps needs them
+                assert {type(v) for v in (cert.size, *cert.betas, *cert.gammas)} == {int}
 
 
 def test_count_only_skips_collection():
     calls = []
-    summary = enumerate_crcs(SearchConstraints(3, 2), sink=calls.append,
+    summary = enumerate_crcs(SearchConstraints(3, 2), sink=collect(calls),
                              workers=1, count_only=True)
     assert summary.codes_found == 22
     assert calls == []
