@@ -190,14 +190,14 @@ def cmd_analyze(args) -> int:
     ess = verifier.essential_positions(code)
     print(f"essential positions: {list(ess) if ess else 'none'}")
     hp = verifier.hyperface_profile(code)
-    if hp.is_balanced:
-        print(f"hyperface counts: all {hp.common}")
+    if (hp == hp.flat[0]).all():
+        print(f"hyperface counts: all {hp.flat[0]}")
     else:
         for j in range(sp.n):
-            print(f"hyperface counts, position {j + 1}: {hp.counts[j].tolist()}")
+            print(f"hyperface counts, position {j + 1}: {hp[j].tolist()}")
     cp = verifier.clique_profile(code)
-    if cp.is_constant:
-        print(f"clique counts: all {cp.common}")
+    if (cp == cp.flat[0]).all():
+        print(f"clique counts: all {cp.flat[0]}")
 
     if args.derivatives:
         if sp.n != 3:

@@ -9,6 +9,12 @@ vertex's line total, the sum of the n line sums through it, is its number of
 neighbors in C plus n if it is a codeword, and the clique profile and the
 essential positions are read off the line sums themselves.
 
+The profiles come back as read-only int64 arrays: ``hyperface_profile`` is
+(n, q), row j-1 counting the codewords with each symbol at position j, and
+``clique_profile`` is (n,) + (q,)*(n-1), row j-1 counting the codewords on
+each codirection-j clique, indexed by its fixed symbols.
+``distance_partition`` is the tuple of read-only bool layers C_0..C_rho.
+
 ``check_crc`` decides rho = 1 from line totals in slabs.  The n line-sum
 arrays (q^(n-1) entries each, in the narrowest dtype that holds n*q) are
 added up one slab of first-position rows at a time, ``SLAB`` vertices or
@@ -36,7 +42,7 @@ from typing import Union
 
 import numpy as np
 
-from .hamming import Clique, Code, Space
+from .hamming import Code, Space
 
 
 def neighbor_counts(space: Space, indicator: np.ndarray) -> np.ndarray:
@@ -68,24 +74,10 @@ def _counts_from_sums(space: Space, sums: list[np.ndarray], grid: np.ndarray) ->
     return counts.reshape(space.size)
 
 
-@dataclass(frozen=True)
-class DistancePartition:
-    """Layers C_0..C_rho of vertices by distance to a code (boolean indicators)."""
-
-    space: Space
-    classes: tuple[np.ndarray, ...]
-
-    @property
-    def rho(self) -> int:
-        return len(self.classes) - 1
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(int(c.sum()) for c in self.classes)
-
-
-def distance_partition(code: Code) -> DistancePartition:
-    """Layers of vertices by distance to the code."""
+def distance_partition(code: Code) -> tuple[np.ndarray, ...]:
+    """Layers C_0..C_rho of vertices by distance to the code: a tuple of
+    read-only flat bool indicators, shape (V,) each, so rho is its length
+    less 1."""
     if code.size == 0:
         raise ValueError("empty code has no distance partition")
     layers, seen = [code.mask.copy()], code.mask.copy()
@@ -94,7 +86,7 @@ def distance_partition(code: Code) -> DistancePartition:
         seen |= layers[-1]
     for layer in layers:
         layer.setflags(write=False)
-    return DistancePartition(code.space, tuple(layers))
+    return tuple(layers)
 
 
 @dataclass(frozen=True)
@@ -326,60 +318,25 @@ def check_crc(code: Code) -> CheckResult:
     return CrcCertificate(sp.n, sp.q, t, size, tuple(betas), tuple(gammas))
 
 
-@dataclass(frozen=True)
-class HyperfaceProfile:
-    """Counts |{x in C : x_j = a}| indexed by (position j, symbol a)."""
-
-    counts: np.ndarray  # shape (n, q)
-
-    @property
-    def is_balanced(self) -> bool:
-        return bool((self.counts == self.counts.flat[0]).all())
-
-    @property
-    def common(self) -> Union[int, None]:
-        return int(self.counts.flat[0]) if self.is_balanced else None
-
-    def count(self, direction: int, symbol: int) -> int:
-        return int(self.counts[direction - 1, symbol])
-
-
-def hyperface_profile(code: Code) -> HyperfaceProfile:
+def hyperface_profile(code: Code) -> np.ndarray:
+    """Codeword counts |{x in C : x_j = a}| as a read-only (n, q) int64
+    array: row j-1 is position j, as axis j-1 is in ``Code.grid``."""
     n = code.space.n
     counts = np.stack([code.grid.sum(axis=tuple(ax for ax in range(n) if ax != j),
                                      dtype=np.int64) for j in range(n)])
     counts.setflags(write=False)
-    return HyperfaceProfile(counts)
+    return counts
 
 
-@dataclass(frozen=True)
-class CliqueProfile:
-    """Codeword counts for every maximal clique, grouped by codirection."""
-
-    per_codirection: tuple[np.ndarray, ...]  # entry j-1 has shape (q,)*(n-1)
-
-    @property
-    def is_constant(self) -> bool:
-        first = int(self.per_codirection[0].flat[0])
-        return all((arr == first).all() for arr in self.per_codirection)
-
-    @property
-    def common(self) -> Union[int, None]:
-        if not self.is_constant:
-            return None
-        return int(self.per_codirection[0].flat[0])
-
-    def count(self, clique: Clique) -> int:
-        return int(self.per_codirection[clique.codirection - 1][clique.fixed])
-
-
-def clique_profile(code: Code) -> CliqueProfile:
+def clique_profile(code: Code) -> np.ndarray:
+    """Codeword counts of every maximal clique as one read-only int64 array
+    of shape (n,) + (q,)*(n-1): row j-1 holds the codirection-j cliques,
+    indexed by their fixed symbols (``Clique.fixed``)."""
     shape = (code.space.q,) * (code.space.n - 1)
     sums = _line_sums(code.space, code.mask[None])
-    arrs = tuple(s.reshape(shape).astype(np.int64) for s in sums)
-    for arr in arrs:
-        arr.setflags(write=False)
-    return CliqueProfile(arrs)
+    counts = np.array([s.reshape(shape) for s in sums], dtype=np.int64)
+    counts.setflags(write=False)
+    return counts
 
 
 def essential_positions(code: Code) -> tuple[int, ...]:

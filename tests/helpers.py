@@ -35,7 +35,7 @@ from crcforge.hamming import Clique, Code, Space, Vertex
 from crcforge.parameters import ConditionOneWitness, check_condition1, feasible_table
 from crcforge.structure import (CliqueCoverFailure, CliqueDecomposition, CoverResult,
                                 DerivativeClass, DerivativeFunction, derivative)
-from crcforge.verifier import CheckResult, CrcCertificate, CrcFailure, DistancePartition
+from crcforge.verifier import CheckResult, CrcCertificate, CrcFailure
 
 
 # ------------------------------------------------ vertices, cliques, hyperfaces
@@ -316,7 +316,7 @@ def reference_neighbor_counts(space: Space, indicator: np.ndarray) -> np.ndarray
     return tot.reshape(space.size)
 
 
-def reference_distance_partition(code: Code) -> DistancePartition:
+def reference_distance_partition(code: Code) -> tuple[np.ndarray, ...]:
     if code.size == 0:
         raise ValueError("empty code has no distance partition")
     sp = code.space
@@ -328,24 +328,25 @@ def reference_distance_partition(code: Code) -> DistancePartition:
         seen |= frontier
     for layer in layers:
         layer.setflags(write=False)
-    return DistancePartition(sp, tuple(layers))
+    return tuple(layers)
 
 
 def reference_check_crc(code: Code) -> CheckResult:
     sp = code.space
     if code.size == 0 or code.size == sp.size:
         raise ValueError("code must be a proper nonempty vertex subset")
-    dp = reference_distance_partition(code)
-    counts = [reference_neighbor_counts(sp, layer) for layer in dp.classes]
+    layers = reference_distance_partition(code)
+    rho = len(layers) - 1
+    counts = [reference_neighbor_counts(sp, layer) for layer in layers]
 
     best = None  # (vertex index, direction priority, failure record)
     gammas: list[int] = []
     betas: list[int] = []
-    for i, layer in enumerate(dp.classes):
+    for i, layer in enumerate(layers):
         members = np.flatnonzero(layer)
         # direction 0 = toward the code, direction 1 = away from it
         for direction, target in ((0, i - 1), (1, i + 1)):
-            if not 0 <= target <= dp.rho:
+            if not 0 <= target <= rho:
                 continue
             vals = counts[target][members]
             expected = int(vals[0])
@@ -362,7 +363,7 @@ def reference_check_crc(code: Code) -> CheckResult:
                                             int(vals[bad[0]]), expected))
     if best is not None:
         return best[1]
-    return CrcCertificate(sp.n, sp.q, dp.rho, code.size, tuple(betas), tuple(gammas))
+    return CrcCertificate(sp.n, sp.q, rho, code.size, tuple(betas), tuple(gammas))
 
 
 # The one-pass rho = 1 decision from whole count arrays: every vertex's

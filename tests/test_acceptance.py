@@ -58,8 +58,8 @@ def test_criterion_1_flagship_code(tmp_path):
         assert cert.code_eigenvalues[1] == 3  # = lambda_2(3,6)
         assert cert.eigenvalue_index == 2
         prof = hyperface_profile(code)
-        assert prof.counts.shape == (3, 6)
-        assert prof.is_balanced and prof.common == 15
+        assert prof.shape == (3, 6)
+        assert (prof == 15).all()
         assert meta["certificate"]["gamma"] == 5
         assert time.monotonic() - t0 < 1.0
 

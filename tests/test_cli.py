@@ -787,6 +787,34 @@ def test_analyze_skips_structure_below_n3(tmp_path, capsys):
                                      "clique decomposition needs n=3; skipped"]
 
 
+def test_analyze_prints_per_position_profiles(tmp_path, capsys):
+    # an unbalanced profile prints one hyperface line per position; the
+    # H(3,6) code has no clique-count line, its reduction to H(1,6) has one
+    full, reduced = tmp_path / "i6.json", tmp_path / "i6-red.json"
+    write_code(constructions.build_index1(6, 2), str(full))
+    run(["reduce", str(full), "-o", str(reduced)])
+    capsys.readouterr()
+    assert run(["analyze", str(full)]) == 0
+    assert capsys.readouterr().out == (
+        "H(3,6), 72 codewords\n"
+        "completely regular, covering radius 1\n"
+        "gamma=2 beta=4 alpha0=11 alpha1=13\n"
+        "code eigenvalues (15, 9), eigenvalue index 1\n"
+        "essential positions: [1]\n"
+        "hyperface counts, position 1: [36, 36, 0, 0, 0, 0]\n"
+        "hyperface counts, position 2: [12, 12, 12, 12, 12, 12]\n"
+        "hyperface counts, position 3: [12, 12, 12, 12, 12, 12]\n")
+    assert run(["analyze", str(reduced)]) == 0
+    assert capsys.readouterr().out == (
+        "H(1,6), 2 codewords\n"
+        "completely regular, covering radius 1\n"
+        "gamma=2 beta=4 alpha0=1 alpha1=3\n"
+        "code eigenvalues (5, -1), eigenvalue index 1\n"
+        "essential positions: [1]\n"
+        "hyperface counts, position 1: [1, 1, 0, 0, 0, 0]\n"
+        "clique counts: all 2\n")
+
+
 # ---------------------------------------------------------------- search
 
 def test_search_cli_summary(capsys):

@@ -104,7 +104,7 @@ def test_build_c_flagship():
     assert (cert.gamma, cert.beta) == (5, 7)
     assert cert.code_eigenvalues == (15, 3)
     prof = hyperface_profile(c)
-    assert prof.is_balanced and prof.common == 15
+    assert (prof == 15).all()
 
 
 def test_build_c_range():

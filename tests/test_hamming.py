@@ -33,6 +33,14 @@ def test_space_rejects_bad_dimensions():
         Space(64, 64)  # beyond the vertex cap
 
 
+def test_code_rejects_a_mask_of_the_wrong_shape():
+    sp = Space(2, 3)
+    with pytest.raises(ValueError, match=r"indicator shape \(8,\) does not match H\(2,3\)"):
+        Code(sp, np.zeros(8, dtype=bool))
+    with pytest.raises(ValueError, match=r"indicator shape \(3, 3, 1\)"):
+        Code(sp, np.zeros((3, 3, 1), dtype=bool))
+
+
 def test_huge_n_is_rejected_at_once():
     # decided without computing q^n, whose cost grows faster than n
     for n in (34, 10**9):

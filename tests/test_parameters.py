@@ -144,6 +144,7 @@ def test_check_condition1_bounds():
     assert not check_condition1(8, w)
     assert not check_condition1(8, ConditionOneWitness(0, 4, 6, 2, 3, 2))
     assert not check_condition1(8, ConditionOneWitness(2, 4, 8, 2, 3, 2))
+    assert not check_condition1(8, ConditionOneWitness(2, 4, 6, 2, 7, 2))  # b > min(t, q - r)
     assert check_condition1(8, ConditionOneWitness(2, 4, 6, 2, 3, 2))
 
 

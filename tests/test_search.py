@@ -276,6 +276,25 @@ def test_mirrored_leaves_are_reverified(monkeypatch):
         enumerate_crcs(SearchConstraints(2, 3), workers=1)
 
 
+@pytest.mark.parametrize("constraints, shift, message", [
+    # a pinned gamma: every leaf reports one more than the target
+    (SearchConstraints(3, 2, gamma=1), (1, 0), "^search emitted gamma=2, target was 1$"),
+    # a pinned index only: gamma + beta + 1 is odd, so no index at q = 2
+    (SearchConstraints(3, 2, eigenvalue_index=2), (0, 1),
+     "^search emitted eigenvalue index None, target was 2$"),
+])
+def test_leaves_off_target_raise(constraints, shift, message, monkeypatch):
+    certify = search.certify_rho1
+
+    def shifted(sp, masks):
+        gamma, beta, ok = certify(sp, masks)
+        return gamma + shift[0], beta + shift[1], ok
+
+    monkeypatch.setattr(search, "certify_rho1", shifted)
+    with pytest.raises(RuntimeError, match=message):
+        enumerate_crcs(constraints, workers=1)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sink_sees_nothing_until_every_leaf_is_certified(workers, monkeypatch):
     # only the last code in emission order is rejected, after many batches

@@ -319,7 +319,7 @@ def test_full_cliques_listing():
     sp = Space(3, 2)
     code = code_of(sp, [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)])
     prof = clique_profile(code)
-    fcs = [cl for cl in all_cliques(sp) if prof.count(cl) == sp.q]
+    fcs = [cl for cl in all_cliques(sp) if prof[cl.codirection - 1][cl.fixed] == sp.q]
     assert fcs == [Clique(1, (0, 0)), Clique(2, (1, 0)), Clique(3, (1, 1))]
     for cl in fcs:
         assert all(v in code for v in clique_vertices(sp, cl))
@@ -578,6 +578,15 @@ def test_clique_cover_complement_failure_details():
         "lemma-violated",
         detail="codirection-3 symbol sets are not the complements of the "
                "codirection-2 x1-set and codirection-1 x2-set")
+
+
+def test_clique_cover_star_admits_no_exact_cover():
+    # q divides |C| and every codeword lies in a full clique, 000 in three,
+    # but each full clique holds 000: the exact-cover search fails
+    sp = Space(3, 2)
+    star = code_of(sp, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert clique_cover(star) == CliqueCoverFailure(
+        "not-clique-partition", (0, 0, 0), 3, "full cliques overlap and admit no exact cover")
 
 
 def test_clique_cover_projected_witness_failure(monkeypatch):

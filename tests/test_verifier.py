@@ -36,18 +36,19 @@ def test_neighbor_counts_matches_brute_force():
 
 def test_distance_partition_single_vertex():
     sp = Space(3, 3)
-    dp = distance_partition(code_of(sp, [(0, 0, 0)]))
-    assert dp.rho == 3
-    assert dp.sizes == (1, 6, 12, 8)
-    assert dp.sizes == tuple(brute_layer_sizes(sp, [(0, 0, 0)]))
+    layers = distance_partition(code_of(sp, [(0, 0, 0)]))
+    sizes = [int(layer.sum()) for layer in layers]
+    assert sizes == [1, 6, 12, 8]
+    assert sizes == brute_layer_sizes(sp, [(0, 0, 0)])
 
 
 def test_distance_partition_layers_match_brute_force():
     sp = Space(2, 4)
     words = [(0, 0), (1, 2), (3, 3)]
-    dp = distance_partition(code_of(sp, words))
-    assert dp.sizes == tuple(brute_layer_sizes(sp, words))
-    assert sum(dp.sizes) == sp.size
+    layers = distance_partition(code_of(sp, words))
+    sizes = [int(layer.sum()) for layer in layers]
+    assert sizes == brute_layer_sizes(sp, words)
+    assert sum(sizes) == sp.size
 
 
 def test_distance_partition_rejects_empty():
@@ -135,15 +136,11 @@ def test_hyperface_profile():
     sp = Space(3, 2)
     c = code_of(sp, [(0, 0, 0), (1, 1, 1)])
     prof = hyperface_profile(c)
-    assert prof.counts.shape == (3, 2)
-    assert prof.is_balanced
-    assert prof.common == 1
-    assert prof.count(2, 1) == 1
+    assert prof.shape == (3, 2) and prof.dtype == np.int64
+    assert (prof == 1).all()
     skew = code_of(sp, [(0, 0, 0), (0, 1, 1)])
     sprof = hyperface_profile(skew)
-    assert not sprof.is_balanced
-    assert sprof.common is None
-    assert sprof.count(1, 0) == 2 and sprof.count(1, 1) == 0
+    assert sprof.tolist() == [[2, 0], [1, 1], [1, 1]]
 
 
 def test_hyperface_profile_matches_direct_count():
@@ -155,7 +152,7 @@ def test_hyperface_profile_matches_direct_count():
     for j in range(1, 4):
         for s in range(4):
             direct = sum(1 for v in members if v[j - 1] == s)
-            assert prof.count(j, s) == direct
+            assert prof[j - 1, s] == direct
 
 
 def test_clique_profile_matches_direct_count():
@@ -165,9 +162,11 @@ def test_clique_profile_matches_direct_count():
     rng = np.random.default_rng(11)
     c = Code(sp, rng.random(sp.size) < 0.5)
     prof = clique_profile(c)
+    assert prof.shape == (3, 3, 3) and prof.dtype == np.int64
     members = set(c.vertices())
     for cl in all_cliques(sp):
-        assert prof.count(cl) == sum(1 for v in clique_vertices(sp, cl) if v in members)
+        direct = sum(1 for v in clique_vertices(sp, cl) if v in members)
+        assert prof[cl.codirection - 1][cl.fixed] == direct
 
 
 def test_clique_profile_constant_for_index1():
@@ -175,12 +174,22 @@ def test_clique_profile_constant_for_index1():
     sp = Space(3, 4)
     words = [v for v in sp.vertices() if v[0] < 2]
     prof = clique_profile(code_of(sp, words))
-    assert not prof.is_constant  # codirection 1 cliques hold 2, others 0 or 4
+    assert (prof[0] == 2).all()  # codirection 1 cliques hold 2, others 0 or 4
+    assert sorted(np.unique(prof[1:]).tolist()) == [0, 4]
 
     words = [v for v in sp.vertices() if (v[0] + v[1] + v[2]) % 4 < 2]
     prof = clique_profile(code_of(sp, words))
-    assert prof.is_constant
-    assert prof.common == 2
+    assert (prof == 2).all()
+    # the one clique of H(1,q) is the whole space
+    prof = clique_profile(code_of(Space(1, 6), [(0,), (1,)]))
+    assert prof.shape == (1,) and prof.tolist() == [2]
+
+
+def test_profiles_and_layers_are_read_only():
+    code = code_of(Space(3, 3), [(0, 0, 0), (1, 2, 0)])
+    for arr in (hyperface_profile(code), clique_profile(code), *distance_partition(code)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1
 
 
 def test_essential_positions_and_reduce():
