@@ -1,6 +1,6 @@
 """Completely regular codes with covering radius 1 in Hamming graphs H(n,q)."""
 
-from .hamming import Clique, Code, Space
+from .hamming import Code, Space
 from .parameters import (ConditionOneWitness, FeasibilityVerdict, check_condition1,
                          eigenvalue, feasible, feasible_h3q, feasible_hnq, feasible_table,
                          multiplicity, solve_condition1)
@@ -16,7 +16,7 @@ from .structure import (classify, clique_cover, derivative,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Space", "Code", "Clique",
+    "Space", "Code",
     "CrcCertificate", "CrcFailure", "check_crc", "distance_partition",
     "hyperface_profile", "clique_profile", "essential_positions",
     "reduce_code", "extend_code",

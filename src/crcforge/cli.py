@@ -222,8 +222,8 @@ def cmd_analyze(args) -> int:
                 where = f" at vertex {res.witness_vertex}" if res.witness_vertex else ""
                 print(f"clique cover: {res.kind}{where} ({detail})")
             else:
-                counts = [len(res.by_codirection(j)) for j in (1, 2, 3)]
-                print(f"clique cover: partition into {len(res.cliques)} cliques, "
+                counts = res.lines.sum(axis=(1, 2)).tolist()
+                print(f"clique cover: partition into {sum(counts)} cliques, "
                       f"codirection counts {counts}")
                 print(f"strong clique property: {'yes' if res.strong else 'no'}")
                 if res.strong:

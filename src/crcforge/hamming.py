@@ -78,18 +78,6 @@ class Space:
         return itertools.product(range(self.q), repeat=self.n)
 
 
-@dataclass(frozen=True)
-class Clique:
-    """A maximal clique of H(n,q): all vertices agreeing outside one position.
-
-    ``codirection`` is the free position (1-based); ``fixed`` gives the n-1
-    frozen symbols in position order.
-    """
-
-    codirection: int
-    fixed: tuple[int, ...]
-
-
 class Code:
     """A subset of the vertices of a Hamming space.
 

@@ -39,6 +39,8 @@ def profile(cells: np.ndarray) -> Union[StochasticProfile, None]:
 
 
 def _degrees(q: int, qp: int, gamma: int) -> tuple[int, int]:
+    if q < 1 or qp < 1:
+        raise ValueError(f"grid sides q={q}, q'={qp} must be positive")
     if gamma < 1:
         raise ValueError(f"total degree gamma={gamma} must be positive")
     if (q * gamma) % (q + qp) != 0:

@@ -11,25 +11,24 @@ Two views of a code C in H(3,q):
   counts every derivative at once from batched products over slabs of
   lines.  ``classify_all`` takes its kinds from ``derivative_kinds``; both
   read the +1 and -1 sets of a string or cross off the derivative's table.
-- Clique decompositions: when C is a disjoint union of maximal cliques, the
-  partition is recovered as three (q, q) line masks, one per codirection j,
-  marking the fixed symbols of the chosen codirection-j cliques.  A cover
-  that is not forced is searched over one bytearray of the codewords not yet
-  covered, scanned and sliced at C speed.  If all
-  three masks are nonempty, their row and column supports give the symbol
-  sets R, S, T, and slicing each mask to its block gives the stochastic grid
-  blocks, bool arrays whose sizes and degrees form a three-block witness.
+- Clique decompositions: a partition of C into maximal cliques is one
+  read-only (3, q, q) bool line mask, entry [j - 1, a, b] marking the
+  codirection-j clique with fixed symbols (a, b).  A cover that is not
+  forced is searched over one bytearray of the codewords not yet covered,
+  scanned and sliced at C speed.  If all three codirections occur, the
+  masks' row and column supports give the symbol sets R, S, T, and the
+  masks sliced to their blocks give a three-block witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from . import stochastic
-from .hamming import Clique, Code
+from .hamming import Code
 from .parameters import ConditionOneWitness, check_condition1
 
 
@@ -180,38 +179,26 @@ def classify_all(code: Code) -> dict[tuple[int, int, int], DerivativeClass]:
     return out
 
 
-def _cliques(lines: Sequence[np.ndarray]) -> list[Clique]:
-    """The cliques that per-codirection line masks mark, codirection-major then
-    fixed-lex: entry j - 1 of ``lines`` is indexed by the fixed symbols of the
-    codirection-j cliques."""
-    return [Clique(j + 1, tuple(idx))
-            for j, m in enumerate(lines) for idx in np.argwhere(m).tolist()]
-
-
 @dataclass(frozen=True, eq=False)
 class CliqueDecomposition:
     """A partition of a code into maximal cliques.
 
+    ``lines`` is the read-only (3, q, q) bool mask of the cliques, entry
+    [j - 1, a, b] marking the codirection-j clique whose fixed symbols are
+    (a, b) in position order, as in ``verifier.clique_profile`` at n = 3.
     ``strong`` means all three codirections occur; then the three bundles
     project to grid blocks d1 (rows = x2-set S, cols = x3-set T of the
     codirection-1 cliques), d2 (rows = x1-set R, cols = complement of T), d3
     (rows/cols = complements of R and S), each a doubly stochastic read-only
-    bool array, and ``witness`` collects (|R|, |S|, |T|, a, b, c).  With
-    array fields, two decompositions compare equal only when they are the
-    same object."""
+    bool array, and ``witness`` collects (|R|, |S|, |T|, a, b, c).  Array
+    fields make two decompositions equal only when they are one object."""
 
-    cliques: tuple[Clique, ...]
+    lines: np.ndarray
     strong: bool
-    r_set: Union[frozenset, None] = None
-    s_set: Union[frozenset, None] = None
-    t_set: Union[frozenset, None] = None
     d1: Union[np.ndarray, None] = None
     d2: Union[np.ndarray, None] = None
     d3: Union[np.ndarray, None] = None
     witness: Union[ConditionOneWitness, None] = None
-
-    def by_codirection(self, j: int) -> tuple[Clique, ...]:
-        return tuple(c for c in self.cliques if c.codirection == j)
 
 
 @dataclass(frozen=True)
@@ -246,10 +233,8 @@ def clique_cover(code: Code) -> CoverResult:
     if code.size == 0:
         raise ValueError("empty code has no clique decomposition")
     g = code.grid
-    fc = [g.all(axis=j) for j in range(3)]
-    cnt = (fc[0][None, :, :].astype(np.int16)
-           + fc[1][:, None, :]
-           + fc[2][:, :, None])
+    fc = np.stack([g.all(axis=j) for j in range(3)])
+    cnt = fc[0][None, :, :].astype(np.int16) + fc[1][:, None, :] + fc[2][:, :, None]
 
     uncoverable = g & (cnt == 0)
     if uncoverable.any():
@@ -271,19 +256,19 @@ def clique_cover(code: Code) -> CoverResult:
     return _decompose(code, chosen)
 
 
-def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[np.ndarray, None]:
+def _exact_cover(code: Code, fc: np.ndarray) -> Union[np.ndarray, None]:
     """Deterministic backtracking: cover the first uncovered codeword by the
     least clique (codirection order) disjoint from the cover so far.  The
     state is one bytearray over the flat vertices, 1 on the codewords not yet
     covered: ``find`` gives the next one, a full line is disjoint from the
     cover when its strided slice holds no 0, and slice assignment covers it
     or, on backtracking, uncovers it.  The search keeps its own stack, since
-    a cover can hold thousands of cliques.  The cover comes back as line
-    masks in the form of ``fc``."""
+    a cover can hold thousands of cliques.  The cover comes back as a line
+    mask in the form of ``fc``."""
     q = code.space.q
     qq = q * q
     left = bytearray(code.mask.tobytes())
-    full = b"".join(m.tobytes() for m in fc)  # j * q^2 + flat index into fc[j]
+    full = fc.tobytes()  # j * q^2 + flat index into fc[j]
     zeros, ones = bytes(q), b"\x01" * q
     # One frame per chosen clique: the position of the codeword it covers,
     # the next candidate to try there on backtracking, its key into ``full``
@@ -293,9 +278,9 @@ def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[np.ndarray, None]:
     while True:
         pos = left.find(1, pos)
         if pos < 0:
-            lines = np.zeros(3 * qq, dtype=bool)
-            lines[[key for _, _, key, _ in stack]] = True
-            return lines.reshape(3, q, q)
+            lines = np.zeros((3, q, q), dtype=bool)
+            lines.flat[[key for _, _, key, _ in stack]] = True
+            return lines
         x1, rest = divmod(pos, qq)
         x2, x3 = divmod(rest, q)
         cands = [c for c in ((rest, slice(rest, None, qq)),
@@ -315,14 +300,14 @@ def _exact_cover(code: Code, fc: list[np.ndarray]) -> Union[np.ndarray, None]:
         left[line] = ones
 
 
-def _decompose(code: Code, lines: Sequence[np.ndarray]) -> CoverResult:
-    """The decomposition into the cliques that the line masks ``lines`` mark,
+def _decompose(code: Code, lines: np.ndarray) -> CoverResult:
+    """The decomposition into the cliques that the line mask ``lines`` marks,
     in the form of ``fc``: codirection-1 lines indexed by (x2, x3), 2 by
-    (x1, x3) and 3 by (x1, x2)."""
+    (x1, x3) and 3 by (x1, x2).  Freezes ``lines``, which it keeps."""
+    lines.setflags(write=False)
     c1, c2, c3 = lines
-    cliques = tuple(_cliques(lines))
     if not (c1.any() and c2.any() and c3.any()):
-        return CliqueDecomposition(cliques, False)
+        return CliqueDecomposition(lines, False)
 
     s, t, r = c1.any(axis=1), c1.any(axis=0), c2.any(axis=1)
     if not np.array_equal(c2.any(axis=0), ~t):
@@ -353,8 +338,7 @@ def _decompose(code: Code, lines: Sequence[np.ndarray]) -> CoverResult:
     if not check_condition1(code.space.q, w):
         return CliqueCoverFailure(
             "lemma-violated", detail=f"projected witness {w.as_tuple()} fails the block system")
-    r_set, s_set, t_set = (frozenset(np.flatnonzero(m).tolist()) for m in (r, s, t))
-    return CliqueDecomposition(cliques, True, r_set, s_set, t_set, d1, d2, d3, w)
+    return CliqueDecomposition(lines, True, d1, d2, d3, w)
 
 
 def extract_construction_d(code: Code) -> tuple[int, ConditionOneWitness,

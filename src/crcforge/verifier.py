@@ -331,7 +331,7 @@ def hyperface_profile(code: Code) -> np.ndarray:
 def clique_profile(code: Code) -> np.ndarray:
     """Codeword counts of every maximal clique as one read-only int64 array
     of shape (n,) + (q,)*(n-1): row j-1 holds the codirection-j cliques,
-    indexed by their fixed symbols (``Clique.fixed``)."""
+    indexed by their fixed symbols in position order."""
     shape = (code.space.q,) * (code.space.n - 1)
     sums = _line_sums(code.space, code.mask[None])
     counts = np.array([s.reshape(shape) for s in sums], dtype=np.int64)

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from crcforge import stochastic
 from crcforge.codefile import FORMAT, CodeFileError
-from crcforge.hamming import Clique, Code, Space, Vertex
+from crcforge.hamming import Code, Space, Vertex
 from crcforge.parameters import ConditionOneWitness, check_condition1, feasible_table
 from crcforge.structure import (CliqueCoverFailure, CliqueDecomposition, CoverResult,
                                 DerivativeClass, DerivativeFunction, derivative)
@@ -55,6 +55,18 @@ def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch")
     return sum(a != b for a, b in zip(u, v))
+
+
+@dataclass(frozen=True)
+class Clique:
+    """A maximal clique of H(n,q): all vertices agreeing outside one position.
+
+    ``codirection`` is the free position (1-based); ``fixed`` gives the n-1
+    frozen symbols in position order.
+    """
+
+    codirection: int
+    fixed: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -516,8 +528,8 @@ def reference_classify_all(code: Code) -> dict[tuple[int, int, int], DerivativeC
 
 
 # The clique decomposition from a list of cliques, with Python sets of fixed
-# symbols and one grid block filled cell by cell: the reference that
-# ``clique_cover``'s line masks must match field by field.
+# symbols, and the line mask and each grid block filled cell by cell: the
+# reference that ``clique_cover`` must match field by field.
 
 def _reference_grid_block(cells: set[tuple[int, int]], rows: list[int],
                           cols: list[int]) -> np.ndarray:
@@ -533,13 +545,13 @@ def reference_decompose(code: Code, cliques: Sequence[Clique]) -> CoverResult:
     q = code.space.q
     syms = set(range(q))
     cells = {1: set(), 2: set(), 3: set()}
+    lines = np.zeros((3, q, q), dtype=bool)
     for cl in cliques:
         cells[cl.codirection].add(cl.fixed)
+        lines[(cl.codirection - 1, *cl.fixed)] = True
     strong = all(cells[j] for j in (1, 2, 3))
-    decomposition = CliqueDecomposition(tuple(sorted(
-        cliques, key=lambda c: (c.codirection, c.fixed))), strong)
     if not strong:
-        return decomposition
+        return CliqueDecomposition(lines, False)
 
     s_set = {x2 for x2, _ in cells[1]}
     t_set = {x3 for _, x3 in cells[1]}
@@ -578,9 +590,7 @@ def reference_decompose(code: Code, cliques: Sequence[Clique]) -> CoverResult:
     if not check_condition1(code.space.q, w):
         return CliqueCoverFailure(
             "lemma-violated", detail=f"projected witness {w.as_tuple()} fails the block system")
-    return CliqueDecomposition(decomposition.cliques, True,
-                               frozenset(r_set), frozenset(s_set), frozenset(t_set),
-                               d1, d2, d3, w)
+    return CliqueDecomposition(lines, True, d1, d2, d3, w)
 
 
 # The block-size triples by a scan of the whole (r, s, t) cube, a slab of r

@@ -22,13 +22,14 @@ from crcforge import constructions
 from crcforge.cli import build_parser, certificate_dict, run
 from crcforge.codefile import (CodeFileError, _read_rows, _rows, _symbol_dtype, _tokens, dumps_code,
                                read_code, write_code)
-from crcforge.constructions import build_a, build_b, build_c, build_from_spec, spec_for
+from crcforge.constructions import (build_a, build_b, build_c, build_d, build_from_spec,
+                                    build_index1, spec_for)
 from crcforge.hamming import SPACE_CAP, Code, Space
 from crcforge.parameters import ConditionOneWitness
 from crcforge.verifier import check_crc
 
-from helpers import (REPO, SMALL_SPACES, reference_dumps_code, reference_read_code,
-                     reference_rows, run_python, src_env)
+from helpers import (REPO, SMALL_SPACES, Clique, clique_vertices, reference_dumps_code,
+                     reference_read_code, reference_rows, run_python, src_env)
 
 
 # ---------------------------------------------------------------- code files
@@ -693,6 +694,97 @@ def test_analyze_is_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     run(["analyze", str(path), "--derivatives", "--cliques"])
     assert capsys.readouterr().out == first
+
+
+def _union_of_lines(q: int, *cliques: tuple[int, tuple[int, int]]) -> Code:
+    sp = Space(3, q)
+    return Code.from_vertices(sp, [v for j, fixed in cliques
+                                   for v in clique_vertices(sp, Clique(j, fixed))])
+
+
+def _cylinder_less_one() -> Code:
+    grid = build_index1(16, 8).grid.copy()
+    grid[7, 15, 15] = False
+    return Code(Space(3, 16), grid)
+
+
+# The whole stdout of ``analyze --cliques``, one code per outcome of the
+# clique cover, pinned from the decomposition that listed its cliques.
+PINNED_CLIQUES = {
+    "strong": (lambda: build_d(8, ConditionOneWitness(2, 4, 6, 2, 3, 2)), [
+        "H(3,8), 224 codewords", "completely regular, covering radius 1",
+        "gamma=7 beta=9 alpha0=12 alpha1=14",
+        "code eigenvalues (21, 5), eigenvalue index 2", "essential positions: [1, 2, 3]",
+        "hyperface counts: all 28",
+        "clique cover: partition into 28 cliques, codirection counts [12, 4, 12]",
+        "strong clique property: yes", "block witness: r=2 s=4 t=6 a=2 b=3 c=2"]),
+    "forced": (lambda: build_a(8, 8), [
+        "H(3,8), 256 codewords", "completely regular, covering radius 1",
+        "gamma=8 beta=8 alpha0=13 alpha1=13",
+        "code eigenvalues (21, 5), eigenvalue index 2", "essential positions: [2, 3]",
+        "hyperface counts: all 32",
+        "clique cover: partition into 32 cliques, codirection counts [32, 0, 0]",
+        "strong clique property: no"]),
+    "searched": (lambda: build_index1(8, 4), [
+        "H(3,8), 256 codewords", "completely regular, covering radius 1",
+        "gamma=4 beta=4 alpha0=17 alpha1=17",
+        "code eigenvalues (21, 13), eigenvalue index 1", "essential positions: [1]",
+        "hyperface counts, position 1: [64, 64, 64, 64, 0, 0, 0, 0]",
+        "hyperface counts, position 2: [32, 32, 32, 32, 32, 32, 32, 32]",
+        "hyperface counts, position 3: [32, 32, 32, 32, 32, 32, 32, 32]",
+        "clique cover: partition into 32 cliques, codirection counts [0, 32, 0]",
+        "strong clique property: no"]),
+    "backtracks": (lambda: Code.from_vertices(Space(3, 2), [(0, 0, 0), (0, 0, 1), (0, 1, 0),
+                                                           (1, 1, 0)]), [
+        "H(3,2), 4 codewords", "not completely regular",
+        "vertex [0, 0, 1] in layer 0 has 2 neighbors in layer 1; the layer's first vertex has 1",
+        "essential positions: [1, 2, 3]", "hyperface counts, position 1: [3, 1]",
+        "hyperface counts, position 2: [2, 2]", "hyperface counts, position 3: [3, 1]",
+        "clique cover: partition into 2 cliques, codirection counts [1, 0, 1]",
+        "strong clique property: no"]),
+    "no-full-clique": (lambda: build_b(8, 1), [
+        "H(3,8), 128 codewords", "completely regular, covering radius 1",
+        "gamma=4 beta=12 alpha0=9 alpha1=17",
+        "code eigenvalues (21, 5), eigenvalue index 2", "essential positions: [1, 2, 3]",
+        "hyperface counts: all 16",
+        "clique cover: not-clique-partition at vertex (0, 0, 0) "
+        "(codeword lies in no full clique)"]),
+    "q-does-not-divide": (_cylinder_less_one, [
+        "H(3,16), 2047 codewords", "not completely regular",
+        "vertex [0, 15, 15] in layer 0 has 9 neighbors in layer 1; "
+        "the layer's first vertex has 8",
+        "essential positions: [1, 2, 3]",
+        f"hyperface counts, position 1: {[256] * 7 + [255] + [0] * 8}",
+        f"hyperface counts, position 2: {[128] * 15 + [127]}",
+        f"hyperface counts, position 3: {[128] * 15 + [127]}",
+        "clique cover: not-clique-partition at vertex (0, 0, 0) "
+        "(full cliques overlap and admit no exact cover)"]),
+    "complement-law": (lambda: _union_of_lines(3, (1, (0, 0)), (2, (1, 1)), (3, (2, 2))), [
+        "H(3,3), 9 codewords", "not completely regular",
+        "vertex [0, 0, 2] in layer 1 has 1 neighbors in layer 0; the layer's first vertex has 2",
+        "essential positions: [1, 2, 3]", "hyperface counts, position 1: [1, 4, 4]",
+        "hyperface counts, position 2: [4, 1, 4]", "hyperface counts, position 3: [4, 4, 1]",
+        "clique cover: lemma-violated (x3-symbols of codirection-2 cliques are not the "
+        "complement of the codirection-1 x3-symbols)"]),
+    "not-stochastic": (lambda: _union_of_lines(
+        4, (1, (0, 0)), (1, (1, 0)), (1, (1, 1)), (2, (0, 2)), (2, (1, 3)), (3, (2, 2)),
+        (3, (3, 3))), [
+        "H(3,4), 28 codewords", "not completely regular",
+        "vertex [0, 0, 2] in layer 0 has 5 neighbors in layer 1; the layer's first vertex has 4",
+        "essential positions: [1, 2, 3]", "hyperface counts, position 1: [7, 7, 7, 7]",
+        "hyperface counts, position 2: [6, 10, 6, 6]",
+        "hyperface counts, position 3: [10, 6, 6, 6]",
+        "clique cover: lemma-violated (block(s) d1 not doubly stochastic)"]),
+}
+
+
+@pytest.mark.parametrize("outcome", PINNED_CLIQUES)
+def test_analyze_cliques_text_is_pinned(tmp_path, capsys, outcome):
+    build, lines = PINNED_CLIQUES[outcome]
+    path = tmp_path / "code.json"
+    write_code(build(), str(path))
+    assert run(["analyze", str(path), "--cliques"]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
 
 # The derivative section of ``analyze --derivatives`` (tally line, then the

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crcforge.hamming import Clique, Code, Space
+from crcforge.hamming import Code, Space
 
-from helpers import (Hyperface, all_cliques, all_hyperfaces, clique_vertices,
+from helpers import (Clique, Hyperface, all_cliques, all_hyperfaces, clique_vertices,
                      hamming_distance, hyperface_vertices, neighbors)
 
 SMALL_SPACES = [Space(3, 2), Space(2, 3), Space(3, 3), Space(4, 2), Space(2, 5)]

@@ -49,6 +49,11 @@ def test_build_error_messages():
         build(4, 4, 0)
     with pytest.raises(ValueError):
         build(3, 3, 7)  # a would exceed q
+    # a side below 1 is rejected before the divisibility test divides by q + q'
+    with pytest.raises(ValueError, match="must be positive"):
+        build(0, 0, 1)
+    with pytest.raises(ValueError, match="must be positive"):
+        build(3, -3, 1)
 
 
 def test_build_canonical_layout():

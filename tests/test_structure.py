@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from crcforge import structure
 from crcforge.constructions import (build_a, build_b, build_c, build_d, build_feasible,
                                     build_index1)
-from crcforge.hamming import Clique, Code, Space
+from crcforge.hamming import Code, Space
 from crcforge.parameters import ConditionOneWitness, solve_condition1
 from crcforge.structure import (KINDS, CliqueCoverFailure, CliqueDecomposition,
                                 DerivativeFunction, classify, classify_all,
@@ -19,7 +19,7 @@ from crcforge.structure import (KINDS, CliqueCoverFailure, CliqueDecomposition,
                                 extract_construction_d)
 from crcforge.verifier import check_crc, clique_profile
 
-from helpers import (all_cliques, brute_clique_partition, clique_vertices, code_of,
+from helpers import (Clique, all_cliques, brute_clique_partition, clique_vertices, code_of,
                      h3q_table_entries, reference_classify, reference_classify_all,
                      reference_decompose)
 
@@ -333,11 +333,10 @@ def test_clique_cover_hexagon():
     res = clique_cover(code)
     assert isinstance(res, CliqueDecomposition)
     assert res.strong
-    assert len(res.cliques) == 3
-    assert {c.codirection for c in res.cliques} == {1, 2, 3}
+    assert res.lines.sum(axis=(1, 2)).tolist() == [1, 1, 1]
     assert res.witness == ConditionOneWitness(1, 1, 1, 1, 1, 1)
-    # the recovered envelope sets need not be initial intervals
-    assert res.r_set == frozenset({1})
+    # the recovered envelope sets need not be initial intervals: R = {1}
+    assert np.flatnonzero(res.lines[1].any(axis=1)).tolist() == [1]
     q, w, _ = extract_construction_d(code)
     rebuilt = build_d(q, w)
     assert check_crc(rebuilt).gamma == check_crc(code).gamma
@@ -351,12 +350,13 @@ def test_clique_cover_round_trip_canonical():
             assert isinstance(res, CliqueDecomposition), (q, w.as_tuple())
             assert res.strong
             assert res.witness == w
-            assert res.r_set == frozenset(range(w.r))
-            assert res.s_set == frozenset(range(w.s))
-            assert res.t_set == frozenset(range(w.t))
-            assert len(res.by_codirection(1)) == res.d1.sum()
-            assert len(res.by_codirection(2)) == res.d2.sum()
-            assert len(res.by_codirection(3)) == res.d3.sum()
+            assert res.lines.shape == (3, q, q) and res.lines.dtype == bool
+            # R, S, T are the row and column supports of the masks
+            assert np.flatnonzero(res.lines[1].any(axis=1)).tolist() == list(range(w.r))
+            assert np.flatnonzero(res.lines[0].any(axis=1)).tolist() == list(range(w.s))
+            assert np.flatnonzero(res.lines[0].any(axis=0)).tolist() == list(range(w.t))
+            assert res.lines.sum(axis=(1, 2)).tolist() == [d.sum() for d in
+                                                           (res.d1, res.d2, res.d3)]
             assert sum(d.sum() for d in (res.d1, res.d2, res.d3)) * q == code.size
             assert build_d(q, res.witness) == code
 
@@ -381,8 +381,8 @@ def test_clique_cover_non_strong():
     assert isinstance(res, CliqueDecomposition)
     assert not res.strong
     assert res.witness is None
-    assert {c.codirection for c in res.cliques} <= {2, 3}
-    assert len(res.cliques) * 4 == code.size
+    assert not res.lines[0].any()
+    assert res.lines.sum() * 4 == code.size
 
 
 def test_clique_cover_deep_exact_cover():
@@ -391,11 +391,10 @@ def test_clique_cover_deep_exact_cover():
     code = build_index1(48, 24)
     res = clique_cover(code)
     assert isinstance(res, CliqueDecomposition)
-    assert len(res.cliques) == 1152
-    assert [len(res.by_codirection(j)) for j in (1, 2, 3)] == [0, 1152, 0]
-    covered = [v for cl in res.cliques for v in clique_vertices(code.space, cl)]
-    assert len(covered) == len(set(covered)) == code.size
-    assert set(covered) == set(code.vertices())
+    assert res.lines.sum(axis=(1, 2)).tolist() == [0, 1152, 0]
+    # the chosen lines hold every codeword exactly once and nothing else
+    c1, c2, c3 = res.lines.astype(int)
+    assert np.array_equal(c1[None, :, :] + c2[:, None, :] + c3[:, :, None], code.grid)
 
 
 def test_clique_cover_backtracks():
@@ -406,7 +405,43 @@ def test_clique_cover_backtracks():
     code = code_of(sp, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0)])
     res = assert_cover_matches_reference(code)
     assert isinstance(res, CliqueDecomposition) and not res.strong
-    assert res.cliques == (Clique(1, (1, 0)), Clique(3, (0, 0)))
+    assert np.argwhere(res.lines).tolist() == [[0, 1, 0], [2, 0, 0]]
+
+
+@pytest.mark.parametrize("code, searched", [
+    (build_d(8, ConditionOneWitness(2, 4, 6, 2, 3, 2)), False),
+    (build_a(6, 6), False),
+    (build_index1(8, 4), True),
+    (code_of(Space(3, 2), [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0)]), True),
+])
+def test_clique_cover_lines_are_read_only(monkeypatch, code, searched):
+    # the forced cover is the full-line mask itself, the searched one a mask
+    # of its own; both reject writes
+    ran = []
+    search = structure._exact_cover
+    monkeypatch.setattr(structure, "_exact_cover", lambda *a: ran.append(1) or search(*a))
+    res = clique_cover(code)
+    assert bool(ran) == searched
+    assert res.lines.shape == (3, code.space.q, code.space.q) and res.lines.dtype == bool
+    assert not res.lines.flags.writeable
+    with pytest.raises(ValueError):
+        res.lines[0, 0, 0] = True
+
+
+@pytest.mark.parametrize("code", [
+    build_d(4, ConditionOneWitness(2, 2, 2, 1, 1, 1)),
+    build_index1(4, 2),
+    build_a(4, 2),
+    code_of(Space(3, 2), [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 0)]),
+    code_of(Space(3, 2), [(0, 0, 0), (1, 1, 1)]).complement(),
+])
+def test_clique_listing_from_lines_matches_the_oracle(code):
+    # the listing that replaced ``CliqueDecomposition.cliques``: the cliques
+    # of the brute-force partition, codirection-major then fixed-lex
+    res = clique_cover(code)
+    chosen = set(brute_clique_partition(code))
+    want = [(c.codirection, c.fixed) for c in all_cliques(code.space) if c in chosen]
+    assert [(j + 1, (a, b)) for j, a, b in np.argwhere(res.lines).tolist()] == want
 
 
 @pytest.mark.parametrize("q", [16, 32])
