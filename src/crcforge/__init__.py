@@ -10,8 +10,7 @@ from .verifier import (CrcCertificate, CrcFailure, check_crc, clique_profile,
 from .constructions import (build_a, build_b, build_c, build_d, build_feasible,
                             build_index1, build_index3)
 from .search import SearchConstraints, SearchSummary, enumerate_crcs
-from .structure import (classify, clique_cover, derivative,
-                        extract_construction_d)
+from .structure import classify, clique_cover, extract_construction_d
 
 __version__ = "0.1.0"
 
@@ -26,5 +25,5 @@ __all__ = [
     "build_a", "build_b", "build_c", "build_d", "build_index1", "build_index3",
     "build_feasible",
     "SearchConstraints", "SearchSummary", "enumerate_crcs",
-    "derivative", "classify", "clique_cover", "extract_construction_d",
+    "classify", "clique_cover", "extract_construction_d",
 ]

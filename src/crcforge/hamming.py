@@ -4,13 +4,14 @@ Vertices are q-ary n-tuples; two vertices are adjacent iff they differ in
 exactly one position.  Positions are 1-based in every public interface.
 Vertex indices are lexicographic with position 1 most significant, so the
 indicator array of a code reshapes to shape (q,)*n with axis j-1 = position j.
+A code is built from its indicator alone: vertex tuples vs index it by
+``np.ravel_multi_index(np.array(vs).T, space.shape)``, and ``Space.vertex``
+maps an index back to its tuple.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,22 +50,6 @@ class Space:
     def shape(self) -> tuple[int, ...]:
         return (self.q,) * self.n
 
-    def contains(self, v: Sequence[int]) -> bool:
-        return len(v) == self.n and all(0 <= c < self.q for c in v)
-
-    def check_vertex(self, v: Sequence[int]) -> Vertex:
-        if not self.contains(v):
-            raise ValueError(f"vertex {tuple(v)} not in H({self.n},{self.q})")
-        return tuple(v)
-
-    def index(self, v: Sequence[int]) -> int:
-        """Lexicographic rank of a vertex, position 1 most significant."""
-        self.check_vertex(v)
-        i = 0
-        for c in v:
-            i = i * self.q + c
-        return i
-
     def vertex(self, i: int) -> Vertex:
         if not 0 <= i < self.size:
             raise ValueError(f"vertex index {i} out of range for H({self.n},{self.q})")
@@ -73,9 +58,6 @@ class Space:
             coords.append(i % self.q)
             i //= self.q
         return tuple(reversed(coords))
-
-    def vertices(self) -> Iterator[Vertex]:
-        return itertools.product(range(self.q), repeat=self.n)
 
 
 class Code:
@@ -96,22 +78,6 @@ class Code:
         self.space = space
         self._mask = mask
 
-    @classmethod
-    def from_vertices(cls, space: Space, vs: Iterable[Sequence[int]]) -> "Code":
-        mask = np.zeros(space.size, dtype=bool)
-        for v in vs:
-            mask[space.index(v)] = True
-        return cls(space, mask)
-
-    @classmethod
-    def from_indices(cls, space: Space, idx: Iterable[int]) -> "Code":
-        mask = np.zeros(space.size, dtype=bool)
-        for i in idx:
-            if not 0 <= i < space.size:
-                raise ValueError(f"vertex index {i} out of range")
-            mask[i] = True
-        return cls(space, mask)
-
     @property
     def mask(self) -> np.ndarray:
         return self._mask
@@ -125,12 +91,6 @@ class Code:
     def size(self) -> int:
         return int(np.count_nonzero(self._mask))
 
-    def __len__(self) -> int:
-        return self.size
-
-    def __contains__(self, v: Sequence[int]) -> bool:
-        return bool(self._mask[self.space.index(v)])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Code):
             return NotImplemented
@@ -141,13 +101,6 @@ class Code:
 
     def __repr__(self) -> str:
         return f"Code(H({self.space.n},{self.space.q}), size={self.size})"
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self._mask)
-
-    def vertices(self) -> list[Vertex]:
-        """Member vertices in lexicographic order."""
-        return [self.space.vertex(int(i)) for i in self.indices()]
 
     def complement(self) -> "Code":
         return Code(self.space, ~self._mask)

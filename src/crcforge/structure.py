@@ -3,7 +3,9 @@
 Two views of a code C in H(3,q):
 
 - Derivative functions: fixing position i to symbol u or v and subtracting the
-  two restrictions gives a {-1,0,+1} function on the remaining q x q square.
+  two restrictions gives a {-1,0,+1} function on the remaining q x q square,
+  a (q, q) int8 table whose entry [y1, y2] is C(..u..) - C(..v..) at the
+  point with remaining coordinates (y1, y2) in position order.
   For well-behaved codes each derivative is zero, a "string" (depends on one
   coordinate, +1 on X, -1 on Y with |X| = |Y|), or a "cross" (+1 on
   X x (A-Y), -1 on (A-X) x Y).  One rule decides the kind from line counts
@@ -30,40 +32,6 @@ import numpy as np
 from . import stochastic
 from .hamming import Code
 from .parameters import ConditionOneWitness, check_condition1
-
-
-@dataclass(frozen=True)
-class DerivativeFunction:
-    """A {-1,0,+1}-valued function on the q x q square left after dropping
-    position i; entry [y1, y2] is C(..u..) - C(..v..) at the point whose
-    remaining coordinates are (y1, y2) in position order."""
-
-    q: int
-    values: np.ndarray  # (q, q) int8
-
-    def __post_init__(self):
-        if self.values.shape != (self.q, self.q):
-            raise ValueError(f"derivative table shape {self.values.shape} != ({self.q},{self.q})")
-        if ((self.values != 0) & (self.values != 1) & (self.values != -1)).any():
-            raise ValueError("derivative table values must lie in {-1, 0, 1}")
-
-
-def _require_n3(code: Code) -> None:
-    if code.space.n != 3:
-        raise ValueError(f"derivatives are defined for n=3, got n={code.space.n}")
-
-
-def derivative(code: Code, i: int, u: int, v: int) -> DerivativeFunction:
-    _require_n3(code)
-    q = code.space.q
-    if not 1 <= i <= 3:
-        raise ValueError(f"position {i} out of 1..3")
-    if not (0 <= u < q and 0 <= v < q):
-        raise ValueError(f"symbols u={u}, v={v} out of 0..{q - 1}")
-    g = code.grid
-    vals = np.take(g, u, axis=i - 1).astype(np.int8) - np.take(g, v, axis=i - 1).astype(np.int8)
-    vals.setflags(write=False)
-    return DerivativeFunction(q, vals)
 
 
 @dataclass(frozen=True)
@@ -121,13 +89,19 @@ def _class(table: Union[np.ndarray, None], kind: int) -> DerivativeClass:
     return DerivativeClass(KINDS[kind], axis, x, y)
 
 
-def classify(f: DerivativeFunction) -> DerivativeClass:
-    """Try zero, then strings along each axis, then cross, else unclassified."""
-    plus, minus = f.values == 1, f.values == -1
+def classify(table: np.ndarray) -> DerivativeClass:
+    """The class of one derivative's (q, q) table of -1, 0 and +1: zero, then
+    strings along each axis, then cross, else unclassified."""
+    q = table.shape[-1]
+    if table.shape != (q, q):
+        raise ValueError(f"derivative table shape {table.shape} != ({q},{q})")
+    plus, minus = table == 1, table == -1
+    if not (plus | minus | (table == 0)).all():
+        raise ValueError("derivative table values must lie in {-1, 0, 1}")
     rows_p, rows_m, cols_p, cols_m = plus.any(1), minus.any(1), plus.any(0), minus.any(0)
-    kind = _kind(f.q, plus.sum(), minus.sum(), rows_p.sum(), rows_m.sum(), cols_p.sum(),
+    kind = _kind(q, plus.sum(), minus.sum(), rows_p.sum(), rows_m.sum(), cols_p.sum(),
                  cols_m.sum(), (rows_p & rows_m).any(), (cols_p & cols_m).any())
-    return _class(f.values, int(kind))
+    return _class(table, int(kind))
 
 
 def derivative_kinds(code: Code) -> np.ndarray:
@@ -140,7 +114,8 @@ def derivative_kinds(code: Code) -> np.ndarray:
     batched product per slab of lines.  P's cells on the line are
     d[line, u] - G and M's are d[line, v] - G, so one array serves (u, v)
     and (v, u)."""
-    _require_n3(code)
+    if code.space.n != 3:
+        raise ValueError(f"derivatives are defined for n=3, got n={code.space.n}")
     q = code.space.q
     squares = [np.moveaxis(code.grid, i, 0) for i in range(3)]  # [u, row, column]
     size = np.zeros((3, q, q), dtype=np.float32)    # |P|

@@ -2,14 +2,15 @@
 
 Everything here recomputes properties straight from definitions (explicit
 loops over vertices and neighbor enumeration), independently of the
-vectorized library code it is used to check.  That includes the explicit
-neighbor, clique and hyperface enumerators of H(n,q), the block-size
-product identity, the degree rule for stochastic grid sets, and counters of
-the line-regular 0/1 matrices and Latin squares that census counts must
-equal.  The exceptions are the
-reference implementations at the end, which the vectorized library code must
-reproduce exactly (the three-pass verifier, the one-pass rho = 1 decision
-from whole count arrays, the per-codeword code-file writer and reader, the
+vectorized library code it is used to check.  That includes the vertex
+enumeration and ranking of H(n,q), codes built from vertex tuples and listed
+back as tuples, the explicit neighbor, clique and hyperface enumerators, the
+block-size product identity, the degree rule for stochastic grid sets, and
+counters of the line-regular 0/1 matrices and Latin squares that census
+counts must equal.  The exceptions are the reference implementations at the
+end, which the vectorized library code must reproduce exactly (the
+three-pass verifier, the one-pass rho = 1 decision from whole count arrays,
+the per-codeword code-file writer and reader, the derivative table and the
 per-derivative classifier, the set-based clique decomposition, the cubic
 scan for the block-size triples and the gathered parity lift), and a runner
 for snippets under ``python -O``.
@@ -34,15 +35,47 @@ from crcforge.codefile import FORMAT, CodeFileError
 from crcforge.hamming import Code, Space, Vertex
 from crcforge.parameters import ConditionOneWitness, check_condition1, feasible_table
 from crcforge.structure import (CliqueCoverFailure, CliqueDecomposition, CoverResult,
-                                DerivativeClass, DerivativeFunction, derivative)
+                                DerivativeClass)
 from crcforge.verifier import CheckResult, CrcCertificate, CrcFailure
 
 
 # ------------------------------------------------ vertices, cliques, hyperfaces
 
+def vertices(space: Space) -> Iterator[Vertex]:
+    """Every vertex in index order, which is lexicographic."""
+    return itertools.product(range(space.q), repeat=space.n)
+
+
+def check_vertex(space: Space, v: Sequence[int]) -> Vertex:
+    if not (len(v) == space.n and all(0 <= c < space.q for c in v)):
+        raise ValueError(f"vertex {tuple(v)} not in H({space.n},{space.q})")
+    return tuple(v)
+
+
+def index(space: Space, v: Sequence[int]) -> int:
+    """Lexicographic rank of a vertex, position 1 most significant."""
+    i = 0
+    for c in check_vertex(space, v):
+        i = i * space.q + c
+    return i
+
+
+def code_of(sp: Space, codewords) -> Code:
+    """The code on the given vertex tuples."""
+    mask = np.zeros(sp.size, dtype=bool)
+    for v in codewords:
+        mask[index(sp, v)] = True
+    return Code(sp, mask)
+
+
+def code_vertices(code: Code) -> list[Vertex]:
+    """Member vertices in lexicographic order."""
+    return [code.space.vertex(i) for i in np.flatnonzero(code.mask).tolist()]
+
+
 def neighbors(space: Space, v: Sequence[int]) -> list[Vertex]:
     """All n(q-1) neighbors, position-major then symbol-ascending."""
-    v = space.check_vertex(v)
+    v = check_vertex(space, v)
     out = []
     for j in range(space.n):
         for s in range(space.q):
@@ -131,7 +164,7 @@ SMALL_SPACES = st.integers(1, 8).flatmap(lambda n: st.tuples(
 def brute_distances(sp: Space, codewords) -> dict:
     """Vertex -> min Hamming distance to the codeword set, by definition."""
     cs = [tuple(c) for c in codewords]
-    return {v: min(hamming_distance(v, c) for c in cs) for v in sp.vertices()}
+    return {v: min(hamming_distance(v, c) for c in cs) for v in vertices(sp)}
 
 
 def brute_layer_sizes(sp: Space, codewords) -> list[int]:
@@ -153,7 +186,7 @@ def brute_crc1_params(sp: Space, codewords):
         return None
     gammas = set()
     betas = set()
-    for v in sp.vertices():
+    for v in vertices(sp):
         cnt = brute_count_in(sp, members, v)
         if v in members:
             betas.add(sp.valency - cnt)
@@ -173,7 +206,7 @@ def brute_clique_partition(code: Code) -> Optional[list[Clique]]:
     order, that misses the cliques chosen so far, backtracking on a dead end.
     Recursive, one level per clique, so for small codes only."""
     sp = code.space
-    members = set(code.vertices())
+    members = set(code_vertices(code))
     through: dict[Vertex, list[Clique]] = {v: [] for v in members}
     for cl in all_cliques(sp):
         vs = clique_vertices(sp, cl)
@@ -282,13 +315,9 @@ def collect(into: list):
     return lambda code, cert: into.append(code)
 
 
-def code_of(sp: Space, codewords) -> Code:
-    return Code.from_vertices(sp, codewords)
-
-
 def all_vertex_subsets(sp: Space):
     """Every proper nonempty subset of a (tiny) space, as vertex tuples."""
-    verts = list(sp.vertices())
+    verts = list(vertices(sp))
     for bits in range(1, 2 ** sp.size - 1):
         yield [verts[i] for i in range(sp.size) if bits >> i & 1]
 
@@ -431,7 +460,7 @@ def reference_rows(words) -> str:
 
 
 def reference_dumps_code(code: Code, meta: Optional[dict] = None) -> str:
-    rows = reference_rows(code.vertices())
+    rows = reference_rows(code_vertices(code))
     meta_json = json.dumps(meta or {}, sort_keys=True, separators=(", ", ": "))
     return (
         "{\n"
@@ -483,15 +512,30 @@ def reference_read_code(source: Union[str, TextIO]) -> tuple[Code, dict]:
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise CodeFileError('"meta" must be an object')
-    return Code.from_vertices(space, seen), meta
+    return code_of(space, seen), meta
 
 
 # One derivative table at a time: the reference that the stacked
 # ``classify`` / ``classify_all`` kernel must match class for class.
 
-def reference_classify(f: DerivativeFunction) -> DerivativeClass:
-    vals = f.values
-    q = f.q
+def derivative(code: Code, i: int, u: int, v: int) -> np.ndarray:
+    """The read-only (q, q) int8 table of the derivative (i, u, v) of a code in
+    H(3,q): C with position i fixed to u, less C with it fixed to v."""
+    q = code.space.q
+    if code.space.n != 3:
+        raise ValueError(f"derivatives are defined for n=3, got n={code.space.n}")
+    if not 1 <= i <= 3:
+        raise ValueError(f"position {i} out of 1..3")
+    if not (0 <= u < q and 0 <= v < q):
+        raise ValueError(f"symbols u={u}, v={v} out of 0..{q - 1}")
+    g = code.grid.view(np.int8)
+    vals = np.take(g, u, axis=i - 1) - np.take(g, v, axis=i - 1)
+    vals.setflags(write=False)
+    return vals
+
+
+def reference_classify(vals: np.ndarray) -> DerivativeClass:
+    q = vals.shape[0]
     if not vals.any():
         return DerivativeClass("zero")
 

@@ -28,7 +28,7 @@ from crcforge.hamming import SPACE_CAP, Code, Space
 from crcforge.parameters import ConditionOneWitness
 from crcforge.verifier import check_crc
 
-from helpers import (REPO, SMALL_SPACES, Clique, clique_vertices, reference_dumps_code,
+from helpers import (REPO, SMALL_SPACES, Clique, clique_vertices, code_of, reference_dumps_code,
                      reference_read_code, reference_rows, run_python, src_env)
 
 
@@ -49,8 +49,8 @@ def test_dumps_and_read_round_trip():
 
 def test_dumps_is_canonical():
     sp = Space(2, 3)
-    a = Code.from_vertices(sp, [(2, 1), (0, 0), (1, 2)])
-    b = Code.from_vertices(sp, [(0, 0), (1, 2), (2, 1)])
+    a = code_of(sp, [(2, 1), (0, 0), (1, 2)])
+    b = code_of(sp, [(0, 0), (1, 2), (2, 1)])
     assert dumps_code(a) == dumps_code(b)  # codewords serialize in lex order
     assert dumps_code(a, {"z": 1, "a": 2}) == dumps_code(a, {"a": 2, "z": 1})
 
@@ -127,8 +127,8 @@ def test_read_code_rejects_malformed():
         read_code("/nonexistent/path.json")
     # JSON booleans are ints to Python; without a type check these would read
     # as H(1,3) and as the codeword (1, 0, 0)
-    one = dumps_code(Code.from_vertices(Space(1, 3), [(2,)]))
-    word = dumps_code(Code.from_vertices(Space(3, 2), [(0, 0, 1)]))
+    one = dumps_code(code_of(Space(1, 3), [(2,)]))
+    word = dumps_code(code_of(Space(3, 2), [(0, 0, 1)]))
     for text in (one.replace('"n": 1', '"n": true'),
                  word.replace("[0, 0, 1]", "[true, false, 0]")):
         assert_rejected_like_reference(text)
@@ -175,7 +175,7 @@ def test_dumps_output_is_read_from_its_bytes(nq, seed, density, meta):
 
 def test_seven_digit_symbols_are_read_from_their_bytes():
     sp = Space(1, 10**6 + 1)  # w = 7
-    code = Code.from_vertices(sp, [(0,), (9,), (10,), (99999,), (999999,), (10**6,)])
+    code = code_of(sp, [(0,), (9,), (10,), (99999,), (999999,), (10**6,)])
     text = dumps_code(code, TRICKY_META)
     assert text == reference_dumps_code(code, TRICKY_META)
     assert read_canonically(text) == (code, TRICKY_META)
@@ -214,7 +214,7 @@ def test_rows_match_reference_at_every_width(w, n):
         assert block == reference_rows(syms.tolist()).encode()
         assert np.array_equal(_read_rows(block, n, q), syms)
         if q**n <= 2**22:  # small enough to hold as a code
-            code = Code.from_vertices(Space(n, q), syms.tolist())
+            code = code_of(Space(n, q), syms.tolist())
             assert dumps_code(code, TRICKY_META) == reference_dumps_code(code, TRICKY_META)
 
 
@@ -290,7 +290,7 @@ def read_outcome(reader, text):
 def test_other_layouts_read_like_reference():
     # valid JSON outside the writer's layout takes the general path and
     # reads to exactly what the reference reads, value or error
-    codes = [(build_a(4, 2), {"k": [1, 2]}), (Code.from_vertices(Space(2, 11), [(10, 3), (0, 10)]), {}),
+    codes = [(build_a(4, 2), {"k": [1, 2]}), (code_of(Space(2, 11), [(10, 3), (0, 10)]), {}),
              (Code(Space(3, 3), np.zeros(27, bool)), TRICKY_META)]
     texts = []
     for code, meta in codes:
@@ -544,7 +544,7 @@ def test_verify_certificate_and_expectations(tmp_path, capsys):
 
 def test_verify_rejects_non_crc(tmp_path, capsys):
     sp = Space(3, 3)
-    bad = Code.from_vertices(sp, [(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)])
+    bad = code_of(sp, [(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 0, 1)])
     path = tmp_path / "bad.json"
     write_code(bad, str(path))
     assert run(["verify", str(path)]) == 1
@@ -553,7 +553,7 @@ def test_verify_rejects_non_crc(tmp_path, capsys):
 
 def test_verify_expectations_on_covering_radius_2(tmp_path, capsys):
     path = tmp_path / "pair.json"
-    write_code(Code.from_vertices(Space(5, 2), [(0,) * 5, (1,) * 5]), str(path))
+    write_code(code_of(Space(5, 2), [(0,) * 5, (1,) * 5]), str(path))
     assert run(["verify", str(path), "--expect-gamma", "1"]) == 1
     assert capsys.readouterr() == ("H(5,2), 2 codewords\n"
                                    "completely regular, covering radius 2\n"
@@ -698,8 +698,8 @@ def test_analyze_is_deterministic(tmp_path, capsys):
 
 def _union_of_lines(q: int, *cliques: tuple[int, tuple[int, int]]) -> Code:
     sp = Space(3, q)
-    return Code.from_vertices(sp, [v for j, fixed in cliques
-                                   for v in clique_vertices(sp, Clique(j, fixed))])
+    return code_of(sp, [v for j, fixed in cliques
+                        for v in clique_vertices(sp, Clique(j, fixed))])
 
 
 def _cylinder_less_one() -> Code:
@@ -734,8 +734,8 @@ PINNED_CLIQUES = {
         "hyperface counts, position 3: [32, 32, 32, 32, 32, 32, 32, 32]",
         "clique cover: partition into 32 cliques, codirection counts [0, 32, 0]",
         "strong clique property: no"]),
-    "backtracks": (lambda: Code.from_vertices(Space(3, 2), [(0, 0, 0), (0, 0, 1), (0, 1, 0),
-                                                           (1, 1, 0)]), [
+    "backtracks": (lambda: code_of(Space(3, 2), [(0, 0, 0), (0, 0, 1), (0, 1, 0),
+                                                (1, 1, 0)]), [
         "H(3,2), 4 codewords", "not completely regular",
         "vertex [0, 0, 1] in layer 0 has 2 neighbors in layer 1; the layer's first vertex has 1",
         "essential positions: [1, 2, 3]", "hyperface counts, position 1: [3, 1]",
@@ -814,7 +814,7 @@ def test_analyze_derivatives_text_is_pinned(tmp_path, capsys, source, tally, unc
     if source == "flip66":
         code = build_c(66, 34)
         mask = code.mask.copy()
-        mask[code.space.index((5, 64, 40))] ^= True
+        mask[np.ravel_multi_index((5, 64, 40), code.space.shape)] ^= True
         write_code(Code(code.space, mask), str(path))
     else:
         run(["construct", *source, "-o", str(path)])
@@ -853,7 +853,7 @@ def test_analyze_derivatives_text_matches_one_print_per_line(tmp_path, capsys):
 def test_analyze_non_crc_and_profiles(tmp_path, capsys):
     sp = Space(3, 2)
     path = tmp_path / "pair.json"
-    write_code(Code.from_vertices(sp, [(0, 0, 0), (1, 1, 1)]), str(path))
+    write_code(code_of(sp, [(0, 0, 0), (1, 1, 1)]), str(path))
     assert run(["analyze", str(path), "--cliques"]) == 0
     text = capsys.readouterr().out
     assert "completely regular" in text

@@ -12,7 +12,7 @@ from crcforge.stochastic import profile
 from crcforge.verifier import (CrcCertificate, check_crc, essential_positions,
                                hyperface_profile, neighbor_counts, reduce_code)
 
-from helpers import brute_crc1_params, h3q_table_entries, reference_build_b
+from helpers import brute_crc1_params, code_vertices, h3q_table_entries, reference_build_b
 
 
 def cert_of(code):
@@ -28,8 +28,8 @@ def test_build_index1():
     assert (cert.gamma, cert.beta) == (2, 3)
     assert cert.eigenvalue_index == 1
     assert c.size == 2 * 25
-    assert (0, 4, 4) in c and (2, 0, 0) not in c
-    assert brute_crc1_params(Space(3, 3), build_index1(3, 1).vertices()) == (1, 2)
+    assert c.grid[0, 4, 4] and not c.grid[2, 0, 0]
+    assert brute_crc1_params(Space(3, 3), code_vertices(build_index1(3, 1))) == (1, 2)
 
 
 def test_build_index3():
@@ -37,7 +37,7 @@ def test_build_index3():
     cert = cert_of(c)
     assert (cert.gamma, cert.beta) == (3, 9)
     assert cert.eigenvalue_index == 3
-    assert all(sum(v) % 4 == 0 for v in c.vertices())
+    assert all(sum(v) % 4 == 0 for v in code_vertices(c))
     cert2 = cert_of(build_index3(5, 2))
     assert (cert2.gamma, cert2.beta) == (6, 9)
     assert cert2.eigenvalue_index == 3
@@ -66,11 +66,11 @@ def test_build_a():
 def test_build_b_seeds():
     # the two binary seeds are themselves certified codes in H(3,2)
     s1 = build_b(2, 1)
-    assert s1.vertices() == [(0, 0, 0), (1, 1, 1)]
+    assert code_vertices(s1) == [(0, 0, 0), (1, 1, 1)]
     cert1 = cert_of(s1)
     assert (cert1.gamma, cert1.beta) == (1, 3)
     s2 = build_b(2, 2)
-    assert s2.vertices() == [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
+    assert code_vertices(s2) == [(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
     cert2 = cert_of(s2)
     assert (cert2.gamma, cert2.beta) == (2, 2)
 

@@ -1,6 +1,7 @@
 """Spaces, vertices, adjacency, cliques, hyperfaces."""
 
 import itertools
+import re
 import time
 
 import numpy as np
@@ -9,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crcforge.hamming import Code, Space
+from crcforge.parameters import multiplicity
+from crcforge.structure import derivative_kinds
 
 from helpers import (Clique, Hyperface, all_cliques, all_hyperfaces, clique_vertices,
-                     hamming_distance, hyperface_vertices, neighbors)
+                     code_of, code_vertices, hamming_distance, hyperface_vertices, index,
+                     neighbors, vertices)
 
 SMALL_SPACES = [Space(3, 2), Space(2, 3), Space(3, 3), Space(4, 2), Space(2, 5)]
 
@@ -57,17 +61,30 @@ def test_index_vertex_bijection_is_lexicographic():
     sp = Space(3, 4)
     seen = [sp.vertex(i) for i in range(sp.size)]
     assert seen == sorted(seen)  # index order == lex order
-    assert seen == list(sp.vertices())
+    assert seen == list(vertices(sp))
     for i, v in enumerate(seen):
-        assert sp.index(v) == i
+        assert index(sp, v) == i == np.ravel_multi_index(v, sp.shape)
 
 
 def test_index_rejects_foreign_vertices():
     sp = Space(2, 3)
-    with pytest.raises(ValueError):
-        sp.index((0, 3))
-    with pytest.raises(ValueError):
-        sp.index((0, 0, 0))
+    for v in ((0, 3), (0, 0, 0)):
+        with pytest.raises(ValueError, match=rf"vertex {re.escape(str(v))} not in H\(2,3\)"):
+            index(sp, v)
+        with pytest.raises(ValueError):
+            np.ravel_multi_index(v, sp.shape)
+
+
+def test_out_of_range_arguments_raise_value_errors():
+    sp = Space(3, 4)
+    for i in (-1, sp.size):
+        with pytest.raises(ValueError, match=rf"^vertex index {i} out of range for H\(3,4\)$"):
+            sp.vertex(i)
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^eigenvalue index {i} out of 0\.\.3$"):
+            multiplicity(3, 5, i)
+    with pytest.raises(ValueError, match=r"^derivatives are defined for n=3, got n=2$"):
+        derivative_kinds(Code(Space(2, 3), np.ones(9, dtype=bool)))
 
 
 def test_neighbors_example_h23():
@@ -78,7 +95,7 @@ def test_neighbors_example_h23():
 
 def test_neighbors_are_exactly_distance_one():
     for sp in SMALL_SPACES:
-        for v in sp.vertices():
+        for v in vertices(sp):
             ns = neighbors(sp, v)
             assert len(ns) == sp.valency
             assert len(set(ns)) == len(ns)
@@ -87,8 +104,8 @@ def test_neighbors_are_exactly_distance_one():
 
 def test_adjacency_symmetric_exhaustive():
     for sp in SMALL_SPACES:
-        adj = {v: set(neighbors(sp, v)) for v in sp.vertices()}
-        for v in sp.vertices():
+        adj = {v: set(neighbors(sp, v)) for v in vertices(sp)}
+        for v in vertices(sp):
             for u in adj[v]:
                 assert v in adj[u]
 
@@ -103,7 +120,7 @@ def test_cliques_match_brute_force_maximal_cliques():
     nx = pytest.importorskip("networkx")
     sp = Space(3, 4)
     g = nx.Graph()
-    for v in sp.vertices():
+    for v in vertices(sp):
         for u in neighbors(sp, v):
             g.add_edge(v, u)
     brute = {frozenset(c) for c in nx.find_cliques(g)}
@@ -152,10 +169,15 @@ def test_disjoint_cliques_meet_each_hyperface_once():
 
 def test_code_storage_and_complement():
     sp = Space(3, 2)
-    c = Code.from_vertices(sp, [(0, 0, 0), (1, 1, 1)])
+    vs = [(0, 0, 0), (1, 1, 1)]
+    m = np.zeros(sp.size, dtype=bool)
+    m[np.ravel_multi_index(np.array(vs).T, sp.shape)] = True
+    c = Code(sp, m)
+    assert c == code_of(sp, vs)
     assert c.size == 2
-    assert (0, 0, 0) in c and (0, 1, 0) not in c
-    assert c.vertices() == [(0, 0, 0), (1, 1, 1)]
+    assert c.grid[0, 0, 0] and not c.grid[0, 1, 0]
+    assert code_vertices(c) == vs
+    assert [tuple(v) for v in np.argwhere(c.grid).tolist()] == vs
     comp = c.complement()
     assert comp.size == 6
     assert comp.complement() == c
@@ -165,11 +187,15 @@ def test_code_storage_and_complement():
 
 def test_code_from_indices_and_equality():
     sp = Space(2, 3)
-    a = Code.from_indices(sp, [0, 4, 8])
-    b = Code.from_vertices(sp, [(0, 0), (1, 1), (2, 2)])
+    m = np.zeros(sp.size, dtype=bool)
+    m[[0, 4, 8]] = True
+    a = Code(sp, m)
+    b = code_of(sp, [(0, 0), (1, 1), (2, 2)])
     assert a == b
     assert hash(a) == hash(b)
-    assert a != Code.from_indices(sp, [0, 4])
+    assert np.flatnonzero(a.mask).tolist() == [0, 4, 8]
+    m[8] = False
+    assert a != Code(sp, m)
 
 
 def test_code_copies_strided_and_broadcast_views():
@@ -194,7 +220,7 @@ def test_code_copies_strided_and_broadcast_views():
 def test_index_roundtrip_random(n, q, data):
     sp = Space(n, q)
     i = data.draw(st.integers(0, sp.size - 1))
-    assert sp.index(sp.vertex(i)) == i
+    assert index(sp, sp.vertex(i)) == i
 
 
 @settings(max_examples=200, deadline=None)

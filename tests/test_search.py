@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from crcforge import search
@@ -13,9 +14,9 @@ from crcforge.search import (SearchConstraints, SearchSummary, enumerate_crcs,
                              resolve_workers)
 from crcforge.verifier import CrcCertificate, check_crc
 
-from helpers import (Hyperface, all_vertex_subsets, brute_crc1_params, code_of, collect,
+from helpers import (Hyperface, all_vertex_subsets, brute_crc1_params, code_vertices, collect,
                      count_latin_squares, count_line_regular_matrices, hyperface_vertices,
-                     run_optimized, spectral_support)
+                     run_optimized, spectral_support, vertices)
 
 
 def brute_census(sp):
@@ -40,7 +41,7 @@ def test_search_equals_brute_force_h32():
     summary = enumerate_crcs(SearchConstraints(3, 2), sink=collect(collected), workers=1)
     assert summary.codes_found == len(brute_codes) == 22
     assert summary.parameter_sets == frozenset(brute_params)
-    assert {frozenset(c.vertices()) for c in collected} == set(brute_codes)
+    assert {frozenset(code_vertices(c)) for c in collected} == set(brute_codes)
 
 
 def test_search_equals_brute_force_h23():
@@ -215,7 +216,7 @@ def test_collected_codes_independent_of_worker_count():
     for w in (1, 2, 3, 4):
         collected = []
         enumerate_crcs(SearchConstraints(2, 3), sink=collect(collected), workers=w)
-        runs.append([tuple(int(i) for i in c.indices()) for c in collected])
+        runs.append([np.flatnonzero(c.mask).tolist() for c in collected])
     assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
@@ -246,7 +247,7 @@ def test_widest_fields_against_pairs_of_k64(workers):
     assert s.parameter_sets == frozenset({(2, 62, 1)})
     pairs = [(a, b) for a in range(64) for b in range(a + 1, 64)]
     assert s.codes_found == len(pairs) == 2016
-    assert sorted(tuple(int(i) for i in c.indices()) for c in collected) == pairs
+    assert sorted(tuple(np.flatnonzero(c.mask).tolist()) for c in collected) == pairs
 
 
 def test_mirrored_search_equals_brute_force_at_gamma_equal_beta():
@@ -258,7 +259,7 @@ def test_mirrored_search_equals_brute_force_at_gamma_equal_beta():
                        sink=collect(collected), workers=1)
     assert s.parameter_sets == frozenset({(1, 1, 1)})
     assert len(collected) == s.codes_found == len(at_gamma) == 6
-    assert {frozenset(c.vertices()) for c in collected} == at_gamma
+    assert {frozenset(code_vertices(c)) for c in collected} == at_gamma
 
 
 def test_mirrored_leaves_are_reverified(monkeypatch):
@@ -362,7 +363,8 @@ def test_small_total_memo_changes_nothing(n, q, gamma, index, workers, monkeypat
         collected = []
         s = enumerate_crcs(SearchConstraints(n, q, gamma=gamma, eigenvalue_index=index),
                            sink=collect(collected), workers=workers)
-        return (s.codes_found, s.nodes, s.parameter_sets), [tuple(c.indices()) for c in collected]
+        codes = [np.flatnonzero(c.mask).tolist() for c in collected]
+        return (s.codes_found, s.nodes, s.parameter_sets), codes
 
     default = run()
     monkeypatch.setattr(search, "TOTAL_MEMO", 3)
@@ -387,7 +389,21 @@ def test_fix_first_codeword_halves_enumeration():
     collected = []
     enumerate_crcs(SearchConstraints(3, 2, fix_first_codeword=True),
                    sink=collect(collected), workers=1)
-    assert all((0, 0, 0) in c for c in collected)
+    assert all(c.grid[0, 0, 0] for c in collected)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fix_first_codeword_drops_tasks_that_die_in_their_prefix(workers):
+    # with vertex 0 fixed in C, deciding vertex 1 kills some tasks, whose
+    # later prefix vertices are then skipped
+    runs = {(1, 3, 1, None): (6, [[(0,)]], {(1, 2, 1)}),
+            (2, 3, 2, 2): (8, [[(0, 0), (1, 2), (2, 1)], [(0, 0), (1, 1), (2, 2)]], {(2, 4, 2)})}
+    for (n, q, gamma, index), (nodes, codes, params) in runs.items():
+        collected = []
+        s = enumerate_crcs(SearchConstraints(n, q, gamma, index, fix_first_codeword=True),
+                           sink=collect(collected), workers=workers)
+        assert (s.codes_found, s.nodes, s.parameter_sets) == (len(codes), nodes, params)
+        assert [code_vertices(c) for c in collected] == codes
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -427,8 +443,8 @@ def test_targeted_search_perfect_pairs():
     assert summary.parameter_sets == frozenset({(1, 3, 2)})
     # the four antipodal pairs of the cube
     sp = Space(3, 2)
-    pairs = {frozenset({v, tuple(1 - x for x in v)}) for v in sp.vertices()}
-    assert {frozenset(c.vertices()) for c in collected} == pairs
+    pairs = {frozenset({v, tuple(1 - x for x in v)}) for v in vertices(sp)}
+    assert {frozenset(code_vertices(c)) for c in collected} == pairs
 
 
 def test_targeted_search_hyperfaces():
@@ -440,7 +456,7 @@ def test_targeted_search_hyperfaces():
     sp = Space(3, 3)
     faces = {frozenset(hyperface_vertices(sp, Hyperface(j, s)))
              for j in (1, 2, 3) for s in range(3)}
-    assert {frozenset(c.vertices()) for c in collected} == faces
+    assert {frozenset(code_vertices(c)) for c in collected} == faces
 
 
 # ---------------------------------------------- counts against independent oracles

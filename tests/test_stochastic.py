@@ -12,7 +12,7 @@ from crcforge.stochastic import StochasticProfile, build, profile
 from crcforge.structure import clique_cover
 from crcforge.verifier import CrcCertificate, check_crc
 
-from helpers import brute_crc1_params, grid_exists, run_optimized
+from helpers import brute_crc1_params, code_vertices, grid_exists, run_optimized
 
 
 def test_profile_detects_stochastic_sets():
@@ -77,7 +77,7 @@ def test_square_grid_sets_are_two_dimensional_crcs():
         g = build(q, q, gamma)
         code = stochastic.to_code(g)
         sp = code.space
-        params = brute_crc1_params(sp, code.vertices())
+        params = brute_crc1_params(sp, code_vertices(code))
         if g.all():
             assert params is None  # full set is not a proper code
             continue

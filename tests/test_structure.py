@@ -1,6 +1,7 @@
 """Derivative classification and clique decompositions."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,14 +14,13 @@ from crcforge.constructions import (build_a, build_b, build_c, build_d, build_fe
                                     build_index1)
 from crcforge.hamming import Code, Space
 from crcforge.parameters import ConditionOneWitness, solve_condition1
-from crcforge.structure import (KINDS, CliqueCoverFailure, CliqueDecomposition,
-                                DerivativeFunction, classify, classify_all,
-                                clique_cover, derivative, derivative_kinds,
+from crcforge.structure import (KINDS, CliqueCoverFailure, CliqueDecomposition, classify,
+                                classify_all, clique_cover, derivative_kinds,
                                 extract_construction_d)
 from crcforge.verifier import check_crc, clique_profile
 
 from helpers import (Clique, all_cliques, brute_clique_partition, clique_vertices, code_of,
-                     h3q_table_entries, reference_classify, reference_classify_all,
+                     derivative, h3q_table_entries, reference_classify, reference_classify_all,
                      reference_decompose)
 
 
@@ -32,9 +32,10 @@ def test_derivative_matches_definition():
     f = derivative(code, 2, 3, 1)
     for y1 in range(4):
         for y3 in range(4):
-            assert f.values[y1, y3] == g[y1, 3, y3] - g[y1, 1, y3]
+            assert f[y1, y3] == g[y1, 3, y3] - g[y1, 1, y3]
     f1 = derivative(code, 1, 0, 2)
-    assert np.array_equal(f1.values, (g[0] - g[2]).astype(np.int8))
+    assert f1.dtype == np.int8 and not f1.flags.writeable
+    assert np.array_equal(f1, g[0] - g[2])
 
 
 def test_derivative_antisymmetry_and_same_symbol():
@@ -42,8 +43,8 @@ def test_derivative_antisymmetry_and_same_symbol():
     code = build_c(6, 5)
     f = derivative(code, 3, 0, 4)
     fr = derivative(code, 3, 4, 0)
-    assert np.array_equal(f.values, -fr.values)
-    assert not derivative(code, 1, 2, 2).values.any()
+    assert np.array_equal(f, -fr)
+    assert not derivative(code, 1, 2, 2).any()
     with pytest.raises(ValueError):
         derivative(code, 4, 0, 1)
     with pytest.raises(ValueError):
@@ -53,8 +54,7 @@ def test_derivative_antisymmetry_and_same_symbol():
 
 
 def test_classify_zero():
-    f = DerivativeFunction(4, np.zeros((4, 4), dtype=np.int8))
-    assert classify(f).kind == "zero"
+    assert classify(np.zeros((4, 4), dtype=np.int8)).kind == "zero"
 
 
 def string_values(q, axis, xset, yset):
@@ -79,33 +79,30 @@ def cross_values(q, xset, yset):
 
 def test_classify_strings():
     for axis in (1, 2):
-        f = DerivativeFunction(5, string_values(5, axis, {0, 3}, {1, 4}))
-        res = classify(f)
+        res = classify(string_values(5, axis, {0, 3}, {1, 4}))
         assert res.kind == "string"
         assert res.axis == axis
         assert res.x == frozenset({0, 3})
         assert res.y == frozenset({1, 4})
     # unbalanced +1/-1 sets are not strings
-    res = classify(DerivativeFunction(5, string_values(5, 1, {0, 3}, {1})))
+    res = classify(string_values(5, 1, {0, 3}, {1}))
     assert res.kind == "unclassified"
     # all-positive constant rows are not strings either (no -1 set)
-    res = classify(DerivativeFunction(4, np.ones((4, 4), dtype=np.int8)))
+    res = classify(np.ones((4, 4), dtype=np.int8))
     assert res.kind == "unclassified"
 
 
 def test_classify_cross():
-    f = DerivativeFunction(5, cross_values(5, {0, 2}, {1, 3}))
-    res = classify(f)
+    res = classify(cross_values(5, {0, 2}, {1, 3}))
     assert res.kind == "cross"
     assert res.x == frozenset({0, 2})
     assert res.y == frozenset({1, 3})
     # perturbing one cell destroys the shape
     vals = cross_values(5, {0, 2}, {1, 3}).copy()
     vals[0, 0] = 0
-    assert classify(DerivativeFunction(5, vals)).kind == "unclassified"
+    assert classify(vals).kind == "unclassified"
     # overlapping x and y rows: a valid cross with x ∩ y nonempty
-    f2 = DerivativeFunction(4, cross_values(4, {0, 1}, {1, 2}))
-    assert classify(f2).kind == "cross"
+    assert classify(cross_values(4, {0, 1}, {1, 2})).kind == "cross"
 
 
 # small tables, and tables on either side of q = 64
@@ -137,7 +134,7 @@ def shaped_table(q, shape, seed, balanced=True, flip=False):
     if flip:
         r, c = rng.integers(0, q, size=2)
         vals[r, c] = (vals[r, c] + 1 + int(rng.integers(0, 2)) + 1) % 3 - 1
-    return DerivativeFunction(q, vals)
+    return vals
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,10 +164,12 @@ def test_classify_shapes_at_one_and_two_words(q):
 
 
 def test_derivative_function_rejects_values_outside_signs():
-    with pytest.raises(ValueError):
-        DerivativeFunction(3, np.full((3, 3), 2, dtype=np.int8))
-    with pytest.raises(ValueError):
-        DerivativeFunction(3, np.zeros((2, 3), dtype=np.int8))
+    with pytest.raises(ValueError, match=r"^derivative table values must lie in \{-1, 0, 1\}$"):
+        classify(np.full((3, 3), 2, dtype=np.int8))
+    for shape in ((2, 3), (3,), (3, 3, 3)):
+        message = f"derivative table shape {shape} != (3,3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify(np.zeros(shape, dtype=np.int8))
 
 
 def assert_kinds_match_reference(code, want=None):
@@ -322,7 +321,7 @@ def test_full_cliques_listing():
     fcs = [cl for cl in all_cliques(sp) if prof[cl.codirection - 1][cl.fixed] == sp.q]
     assert fcs == [Clique(1, (0, 0)), Clique(2, (1, 0)), Clique(3, (1, 1))]
     for cl in fcs:
-        assert all(v in code for v in clique_vertices(sp, cl))
+        assert all(code.grid[v] for v in clique_vertices(sp, cl))
 
 
 def test_clique_cover_hexagon():

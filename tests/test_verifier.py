@@ -18,9 +18,9 @@ from crcforge.verifier import (CrcCertificate, CrcFailure, check_crc,
                                reduce_code)
 
 from helpers import (SMALL_SPACES, all_cliques, brute_count_in, brute_crc1_params,
-                     brute_layer_sizes, code_of, h3q_table_entries, reference_certify_rho1,
-                     reference_check_crc, reference_neighbor_counts, reference_one_pass_check,
-                     spectral_support)
+                     brute_layer_sizes, code_of, code_vertices, h3q_table_entries,
+                     reference_certify_rho1, reference_check_crc, reference_neighbor_counts,
+                     reference_one_pass_check, spectral_support, vertices)
 
 
 def test_neighbor_counts_matches_brute_force():
@@ -30,7 +30,7 @@ def test_neighbor_counts_matches_brute_force():
         mask = rng.random(sp.size) < 0.4
         members = {sp.vertex(int(i)) for i in np.flatnonzero(mask)}
         counts = neighbor_counts(sp, mask)
-        for i, v in enumerate(sp.vertices()):
+        for i, v in enumerate(vertices(sp)):
             assert counts[i] == brute_count_in(sp, members, v)
 
 
@@ -73,7 +73,7 @@ def test_check_crc_binary_repetition():
 def test_check_crc_parity_seed_even_weight():
     # all triples with x2 = x3 (mod 2): gamma = beta = 2 in H(3,2)
     sp = Space(3, 2)
-    words = [v for v in sp.vertices() if v[1] % 2 == v[2] % 2]
+    words = [v for v in vertices(sp) if v[1] % 2 == v[2] % 2]
     cert = check_crc(code_of(sp, words))
     assert isinstance(cert, CrcCertificate)
     assert (cert.gamma, cert.beta) == (2, 2)
@@ -148,7 +148,7 @@ def test_hyperface_profile_matches_direct_count():
     rng = np.random.default_rng(3)
     c = Code(sp, rng.random(sp.size) < 0.3)
     prof = hyperface_profile(c)
-    members = set(c.vertices())
+    members = set(code_vertices(c))
     for j in range(1, 4):
         for s in range(4):
             direct = sum(1 for v in members if v[j - 1] == s)
@@ -163,7 +163,7 @@ def test_clique_profile_matches_direct_count():
     c = Code(sp, rng.random(sp.size) < 0.5)
     prof = clique_profile(c)
     assert prof.shape == (3, 3, 3) and prof.dtype == np.int64
-    members = set(c.vertices())
+    members = set(code_vertices(c))
     for cl in all_cliques(sp):
         direct = sum(1 for v in clique_vertices(sp, cl) if v in members)
         assert prof[cl.codirection - 1][cl.fixed] == direct
@@ -172,12 +172,12 @@ def test_clique_profile_matches_direct_count():
 def test_clique_profile_constant_for_index1():
     # membership decided by one position: every clique meets C in the same count
     sp = Space(3, 4)
-    words = [v for v in sp.vertices() if v[0] < 2]
+    words = [v for v in vertices(sp) if v[0] < 2]
     prof = clique_profile(code_of(sp, words))
     assert (prof[0] == 2).all()  # codirection 1 cliques hold 2, others 0 or 4
     assert sorted(np.unique(prof[1:]).tolist()) == [0, 4]
 
-    words = [v for v in sp.vertices() if (v[0] + v[1] + v[2]) % 4 < 2]
+    words = [v for v in vertices(sp) if (v[0] + v[1] + v[2]) % 4 < 2]
     prof = clique_profile(code_of(sp, words))
     assert (prof == 2).all()
     # the one clique of H(1,q) is the whole space
@@ -195,12 +195,12 @@ def test_profiles_and_layers_are_read_only():
 def test_essential_positions_and_reduce():
     sp = Space(3, 2)
     # membership depends only on positions 2 and 3
-    words = [v for v in sp.vertices() if v[1] == v[2]]
+    words = [v for v in vertices(sp) if v[1] == v[2]]
     c = code_of(sp, words)
     assert essential_positions(c) == (2, 3)
     red = reduce_code(c)
     assert red.space == Space(2, 2)
-    assert red.vertices() == [(0, 0), (1, 1)]
+    assert code_vertices(red) == [(0, 0), (1, 1)]
 
 
 def test_reduce_rejects_fully_degenerate():
@@ -506,6 +506,30 @@ def test_layered_check_keeps_one_count_array():
     assert peak < 18 << 20, peak
 
 
+# One-vertex flips of build_feasible codes whose check takes the layered path:
+# the five in perfbench's seed-0 sweep, whose pinned digest of flip results
+# rests on them.  Each has a non-codeword with no neighbor in C, and fails
+# with a witness in C_0 or C_1 after two neighbor_counts passes, over C_1
+# and C_2.
+LAYERED_FLIPS = [
+    ((2, 1, 1), 2, CrcFailure((0, 0, 1), 0, 1, 1, 2)),
+    ((2, 3, 3), 6, CrcFailure((0, 1, 0), 1, 0, 2, 3)),
+    ((3, 1, 1), 7, CrcFailure((0, 0, 1), 0, 1, 3, 2)),
+    ((5, 3, 3), 29, CrcFailure((0, 0, 4), 1, 0, 2, 3)),
+    ((8, 3, 3), 386, CrcFailure((0, 0, 2), 1, 0, 2, 3)),
+]
+
+
+def test_layered_flips_of_feasible_codes_are_pinned(monkeypatch):
+    passes = []
+    count = verifier.neighbor_counts
+    monkeypatch.setattr(verifier, "neighbor_counts", lambda *a: passes.append(a) or count(*a))
+    for args, v, want in LAYERED_FLIPS:
+        passes.clear()
+        assert assert_same_check(flipped(build_feasible(*args)[0], v)) == want, args
+        assert len(passes) == 2, args
+
+
 # ------------------------------------------ line totals against whole count arrays
 
 def assert_same_as_one_pass(code):
@@ -556,7 +580,7 @@ def test_line_sums_take_the_narrowest_width(n, q, dtype):
 def test_check_crc_matches_one_pass_at_the_first_wide_total():
     # H(2,128): n*q = 256, one more than uint8 holds
     sp = Space(2, 128)
-    holes = [Code.from_indices(sp, [v]).complement() for v in (0, 5000)]
+    holes = [Code(sp, np.arange(sp.size) != v) for v in (0, 5000)]
     for code in [Code(sp, m) for m in crc_pool(sp)[::16]] + holes:
         assert_same_as_one_pass(code)
         assert_same_as_one_pass(flipped(code, 777))
@@ -572,7 +596,7 @@ def test_check_crc_matches_one_pass_at_both_count_widths(q):
         for c in (code, code.complement(), flipped(code, 0), flipped(code, sp.size - 1)):
             res = assert_same_as_one_pass(c)
             kinds.add((type(res).__name__, getattr(res, "class_index", None)))
-    hole = Code.from_indices(sp, [0]).complement()
+    hole = Code(sp, np.arange(sp.size) != 0)
     res = assert_same_as_one_pass(hole)
     assert isinstance(res, CrcFailure) and res.observed_count == 0   # a codeword of total n*q
     assert {("CrcCertificate", None), ("CrcFailure", 0), ("CrcFailure", 1)} <= kinds
@@ -583,7 +607,7 @@ def test_check_crc_matches_one_pass_on_complete_graphs(q):
     # H(1,q) is K_q: every proper subset is a rho = 1 code with gamma = |C|
     sp = Space(1, q)
     for members in ([0], [q - 1], range(q // 2), range(1, q), range(q - 1)):
-        code = Code.from_indices(sp, members)
+        code = Code(sp, np.isin(np.arange(sp.size), members))
         cert = assert_same_as_one_pass(code)
         assert (cert.gamma, cert.beta) == (code.size, q - code.size)
 
