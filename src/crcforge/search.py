@@ -57,17 +57,17 @@ cache of TOTAL_MEMO sums, which never outlives its task.
 
 Every completed assignment is independently re-verified, by line-sum
 counting, before anything is reported.  Work splits at the top two decision
-levels among w searching processes: the caller solves one share of the
-top-level tasks itself and w - 1 worker processes, started for the one
-search, solve the rest.  The workers only search: each sends back, over a
-pipe, the node count and the packed IN sets of the leaves of every task in
-its share.  enumerate_crcs puts the outputs back in task order, certifies
-every leaf in emission order, LEAF_BATCH at a time (one stacked line-sum
-count and one eigenvalue index per distinct (gamma, beta) per batch), raises
-on the first bad one with check_crc's witness, and only then hands each code
-to the sink with its certificate, built from the leaf's own (gamma, beta):
-no code is certified twice.  The summary (codes, parameter sets, node
-count) does not depend on the worker count.
+levels into tasks for w searching processes: the caller and w - 1 worker
+processes, started for the one search, each claim the next unsolved task
+from a shared counter until none is left, so tasks of uneven cost balance
+themselves.  The process that solves a task certifies its leaves,
+LEAF_BATCH at a time (one stacked line-sum count per batch); a worker sends
+back, over a pipe, each task's node count, packed IN sets and certifier
+arrays.  enumerate_crcs puts them in task order, raises on the first bad
+leaf in emission order with check_crc's witness, and only then hands each
+code to the sink with its certificate, built from the leaf's own (gamma,
+beta): no code is certified twice.  The summary (codes, parameter sets,
+node count) does not depend on the worker count.
 
 Complementing a (gamma, beta, i) code gives a (beta, gamma, i) code, and
 flipping every decision maps the search tree onto itself node for node
@@ -76,9 +76,9 @@ or gamma = beta fixed with the index, and no fix_first_codeword.  Such a
 search solves only the two top-level tasks with vertex 0 out.  The tasks
 with vertex 0 in are their mirrors: their leaves are the complements of the
 solved leaves, in reverse order, since complementing reverses the
-lexicographic order.  enumerate_crcs appends them after the solved leaves
-and certifies them like any other leaf.  The node count still counts the
-whole tree, mirrored half included.
+lexicographic order.  The process that solves a task certifies its mirror's
+leaves too, and enumerate_crcs emits them after the solved leaves.  The
+node count still counts the whole tree, mirrored half included.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ import functools
 import os
 from dataclasses import dataclass
 from itertools import product
-from multiprocessing import Pipe, Process
+from multiprocessing import Pipe, Process, Value
 from typing import Callable, Optional
 
 import numpy as np
@@ -173,7 +173,8 @@ def _unpack(sp: Space, leaves: list[int]) -> np.ndarray:
     nb = (sp.size * w + 7) // 8
     raw = np.frombuffer(b"".join(m.to_bytes(nb, "little") for m in leaves), np.uint8)
     bits = np.unpackbits(raw.reshape(len(leaves), nb), axis=1, bitorder="little")
-    return bits[:, w - 1::w][:, :sp.size].view(bool)
+    # contiguous rows: certify_rho1 runs faster on them than on a strided view
+    return np.ascontiguousarray(bits[:, w - 1::w][:, :sp.size]).view(bool)
 
 
 def _solve_subtree(args) -> tuple[int, list[int]]:
@@ -380,32 +381,58 @@ def _complement_symmetric(c: SearchConstraints) -> bool:
     return c.eigenvalue_index is not None and 2 * c.gamma == c.q * c.eigenvalue_index
 
 
-def _solve_share(args: list, conn) -> None:
-    """Worker process body: solve a share of the top-level tasks and send
-    their outputs, or the exception that stopped them, back to the caller."""
+def _solve_task(args, mirror: int) -> tuple:
+    """_solve_subtree of one task, with its leaves certified: (nodes, leaves,
+    (gamma, beta, ok)).  ``mirror`` is 0, or the whole space when the search
+    is mirrored: then the arrays go on over the mirror task's leaves too."""
+    nodes, leaves = _solve_subtree(args)
+    sp = Space(args[0], args[1])
+    rows = leaves + [mirror ^ m for m in reversed(leaves)] if mirror else leaves
+    certs = [certify_rho1(sp, _unpack(sp, rows[start:start + LEAF_BATCH]))
+             for start in range(0, len(rows), LEAF_BATCH) or (0,)]  # no leaves: one empty batch
+    return nodes, leaves, tuple(np.concatenate(a) for a in zip(*certs))
+
+
+def _claim(args: list, mirror: int, counter) -> list:
+    """Solve the next unsolved task, by the shared counter, until none is
+    left: [(task index, _solve_task output)] of the tasks this process took."""
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(args):
+            return done
+        done.append((i, _solve_task(args[i], mirror)))
+
+
+def _solve_share(args: list, mirror: int, counter, conn) -> None:
+    """Worker process body: solve the tasks it claims and send their outputs,
+    or the exception that stopped them, back to the caller."""
     try:
-        out = [_solve_subtree(a) for a in args]
+        out = _claim(args, mirror, counter)
     except Exception as e:  # re-raised by the caller
         out = e
     conn.send(out)
 
 
-def _solve_tasks(args: list, w: int) -> list:
-    """_solve_subtree of every task, in task order, by w searching processes:
-    the caller solves args[0::w] and w - 1 worker processes args[i::w], each
-    sending its outputs back over a pipe.  Every worker is joined before this
-    returns or raises, so all their CPU time is reaped."""
+def _solve_tasks(args: list, w: int, mirror: int) -> list:
+    """_solve_task of every task, in task order, by w searching processes:
+    the caller and w - 1 workers claim tasks until none is left, and the
+    workers send their outputs back over a pipe.  Every worker is joined
+    before this returns or raises, so all their CPU time is reaped."""
     # Workers start by the platform's default method, as a Pool's did: on
     # Linux a fork, which costs a few ms where a spawn re-imports numpy.
+    counter = Value("i", 0)
     procs = []
     try:
-        for i in range(1, w):
+        for _ in range(1, w):
             recv, send = Pipe(duplex=False)
-            proc = Process(target=_solve_share, args=(args[i::w], send), daemon=True)
+            proc = Process(target=_solve_share, args=(args, mirror, counter, send), daemon=True)
             proc.start()
             send.close()  # the worker holds the only write end: EOF if it dies
             procs.append((proc, recv))
-        shares = [[_solve_subtree(a) for a in args[::w]]]
+        done = _claim(args, mirror, counter)
         for proc, recv in procs:
             try:
                 out = recv.recv()
@@ -415,7 +442,7 @@ def _solve_tasks(args: list, w: int) -> list:
                                    f"before sending its leaves") from None
             if isinstance(out, Exception):
                 raise out
-            shares.append(out)
+            done += out
     except BaseException:
         for proc, _ in procs:
             proc.terminate()
@@ -424,10 +451,7 @@ def _solve_tasks(args: list, w: int) -> list:
         for proc, recv in procs:
             proc.join()
             recv.close()
-    outs = [None] * len(args)
-    for i, share in enumerate(shares):
-        outs[i::w] = share
-    return outs
+    return [out for _, out in sorted(done, key=lambda d: d[0])]
 
 
 def _target_fault(c: SearchConstraints, gamma: int, idx: Optional[int]) -> Optional[str]:
@@ -472,47 +496,42 @@ def enumerate_crcs(constraints: SearchConstraints,
     c = constraints
     sp = c.space
     tasks = _tasks(c)
-    mirror = _complement_symmetric(c)
+    w = _field_width(sp)
+    # Task t's mirror, tasks[-1 - t], is t with every decision flipped; its
+    # leaves are t's xor the whole space, in reverse order.
+    mirror = _ones(w, sp.size) << (w - 1) if _complement_symmetric(c) else 0
     if mirror:
-        # Task t's mirror, tasks[-1 - t], is t with every decision flipped;
-        # its leaves are the complements of t's, in reverse order.
         tasks = tasks[:len(tasks) // 2]
     args = [(c.n, c.q, c.gamma, c.eigenvalue_index, c.fix_first_codeword, p) for p in tasks]
-    outs = _solve_tasks(args, min(resolve_workers(workers), len(args)))
+    outs = _solve_tasks(args, min(resolve_workers(workers), len(args)), mirror)
 
-    nodes = sum(o[0] for o in outs)
+    nodes = sum(o[0] for o in outs) * (2 if mirror else 1)
     leaves = [m for o in outs for m in o[1]]
-    if mirror:
-        nodes *= 2
-        w = _field_width(sp)
-        full = _ones(w, sp.size) << (w - 1)
-        leaves += [full ^ m for m in reversed(leaves)]
-
-    # Certify every leaf, in emission order, before anything is emitted.  The
-    # first bad leaf raises, with its checks in order: certified, then its
-    # gamma, then its index.
-    params, gb = set(), []  # gb: each leaf's (gamma, beta), kept for a sink
-    for start in range(0, len(leaves), LEAF_BATCH):
-        masks = _unpack(sp, leaves[start:start + LEAF_BATCH])
-        gam, bet, ok = certify_rho1(sp, masks)
-        # |beta| < 2^31 on every row, so the key is one-to-one on (gamma, beta)
-        _, first, pair = np.unique((gam.astype(np.int64) << 32) + bet,
-                                   return_index=True, return_inverse=True)
-        found = [(g, b, rho1_eigenvalue_index(c.n, c.q, g, b))
-                 for g, b in zip(gam[first].tolist(), bet[first].tolist())]
-        faults = [_target_fault(c, g, i) for g, _, i in found]
-        bad = ~ok | np.array([f is not None for f in faults])[pair]
-        if bad.any():
-            j = int(bad.argmax())
-            if not ok[j]:
-                raise RuntimeError(f"search emitted a non-CRC set: {check_crc(Code(sp, masks[j]))}")
-            raise RuntimeError(faults[pair[j]])
-        params.update(found)
-        if sink is not None and not count_only:
-            gb += zip(gam.tolist(), bet.tolist())
-    for start in range(0, len(gb), LEAF_BATCH):
-        masks = _unpack(sp, leaves[start:start + LEAF_BATCH])
-        for mask, (g, b) in zip(masks, gb[start:start + LEAF_BATCH]):
-            code = Code(sp, mask)
-            sink(code, CrcCertificate(c.n, c.q, 1, code.size, (b,), (g,)))
-    return SearchSummary(c.n, c.q, len(leaves), frozenset(params), nodes)
+    leaves += [mirror ^ m for m in reversed(leaves)] if mirror else []
+    # Emission order: every task's own certifier rows, then the mirrors' in reverse.
+    own = [[a[:len(o[1])] for a in o[2]] for o in outs]
+    mirrored = [[a[len(o[1]):] for a in o[2]] for o in reversed(outs)]
+    gam, bet, ok = (np.concatenate(a) for a in zip(*own, *mirrored))
+    # The first bad leaf in emission order raises, with its checks in order:
+    # certified, then its gamma, then its index.  |beta| < 2^31 on every
+    # row, so the key is one-to-one on (gamma, beta).
+    _, first, pair = np.unique((gam.astype(np.int64) << 32) + bet,
+                               return_index=True, return_inverse=True)
+    found = [(g, b, rho1_eigenvalue_index(c.n, c.q, g, b))
+             for g, b in zip(gam[first].tolist(), bet[first].tolist())]
+    faults = [_target_fault(c, g, i) for g, _, i in found]
+    bad = ~ok | np.array([f is not None for f in faults], dtype=bool)[pair]
+    if bad.any():
+        j = int(bad.argmax())
+        if not ok[j]:
+            mask = _unpack(sp, [leaves[j]])[0]
+            raise RuntimeError(f"search emitted a non-CRC set: {check_crc(Code(sp, mask))}")
+        raise RuntimeError(faults[pair[j]])
+    if sink is not None and not count_only:
+        for start in range(0, len(leaves), LEAF_BATCH):
+            batch = slice(start, start + LEAF_BATCH)
+            for mask, g, b in zip(_unpack(sp, leaves[batch]), gam[batch].tolist(),
+                                  bet[batch].tolist()):
+                code = Code(sp, mask)
+                sink(code, CrcCertificate(c.n, c.q, 1, code.size, (b,), (g,)))
+    return SearchSummary(c.n, c.q, len(leaves), frozenset(found), nodes)

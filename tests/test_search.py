@@ -173,19 +173,17 @@ def _fail_at(prefix, args):
     return _SOLVE(args)
 
 
-def _exit_at(prefix, args):
-    """_solve_subtree, except that the process solving this prefix dies."""
-    if args[-1] == prefix:
-        os._exit(3)
-    return _SOLVE(args)
+def _exit_at_once(*args):
+    """_solve_share, except that the worker dies before it claims a task."""
+    os._exit(3)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("task", range(4))
 def test_a_failing_task_raises_and_leaves_no_process(task, workers, monkeypatch):
-    # H(3,3) at (2, 2) is not mirrored: its four tasks are dealt in turn to
-    # the caller and the workers, so some cases fail in the caller's share
-    # and some in a worker's (forked workers inherit the patch)
+    # H(3,3) at (2, 2) is not mirrored: the caller and the workers claim its
+    # four tasks, so a task may fail in the caller or in a worker (forked
+    # workers inherit the patch); either way the search raises
     c = SearchConstraints(3, 3, gamma=2, eigenvalue_index=2)
     prefix = search._tasks(c)[task]
     monkeypatch.setattr(search, "_solve_subtree", functools.partial(_fail_at, prefix))
@@ -195,13 +193,43 @@ def test_a_failing_task_raises_and_leaves_no_process(task, workers, monkeypatch)
 
 
 def test_a_worker_that_dies_is_an_error(monkeypatch):
-    # at 2 workers task 1 falls to the worker, which exits without sending
+    # the worker exits without sending, whichever tasks the caller claims
     c = SearchConstraints(3, 3, gamma=2, eigenvalue_index=2)
-    monkeypatch.setattr(search, "_solve_subtree",
-                        functools.partial(_exit_at, search._tasks(c)[1]))
+    monkeypatch.setattr(search, "_solve_share", _exit_at_once)
     with pytest.raises(RuntimeError, match="^a search worker exited with code 3 "):
         enumerate_crcs(c, workers=2)
     assert multiprocessing.active_children() == []
+
+
+def _count_solve(counter, args):
+    """_solve_subtree, counting its calls in a counter the processes share."""
+    with counter.get_lock():
+        counter.value += 1
+    return _SOLVE(args)
+
+
+@pytest.mark.parametrize("c", [SearchConstraints(3, 3, gamma=2, eigenvalue_index=2),
+                               SearchConstraints(3, 2)], ids=["3-3-gamma2-index2", "3-2"])
+def test_claimed_outputs_come_back_in_task_order(c, monkeypatch):
+    # H(3,3) at (2, 2) has four tasks and H(3,2) two mirrored ones: at 5
+    # processes some worker claims nothing and must still be joined, and
+    # every task is solved exactly once, whichever process claims it
+    w = search._field_width(c.space)
+    mirror = search._ones(w, c.space.size) << (w - 1) if search._complement_symmetric(c) else 0
+    tasks = search._tasks(c)[:2] if mirror else search._tasks(c)
+    args = [(c.n, c.q, c.gamma, c.eigenvalue_index, False, p) for p in tasks]
+    runs = {}
+    for workers in (1, 2, 3, 5):
+        calls = multiprocessing.Value("i", 0)
+        monkeypatch.setattr(search, "_solve_subtree", functools.partial(_count_solve, calls))
+        outs = search._solve_tasks(args, workers, mirror)
+        assert calls.value == len(args)
+        assert multiprocessing.active_children() == []
+        runs[workers] = [(nodes, leaves, [a.tolist() for a in cert])
+                         for nodes, leaves, cert in outs]
+    assert [o[:2] for o in runs[1]] == [_SOLVE(a) for a in args]
+    assert all(len(o[2][0]) == len(o[1]) * (2 if mirror else 1) > 0 for o in runs[1])
+    assert runs[1] == runs[2] == runs[3] == runs[5]
 
 
 @pytest.mark.parametrize("n,q,gamma,index", [(3, 6, 5, 3), (3, 9, 4, 3)])
