@@ -236,6 +236,13 @@ def cmd_search(args) -> int:
     if args.emit and args.count_only:
         raise ValueError("--emit and --count-only exclude each other: "
                          "--count-only keeps no codes to write")
+    try:
+        stale = args.emit and os.path.isdir(args.emit) and os.listdir(args.emit)
+    except OSError as e:
+        raise CodeFileError(f"cannot read {args.emit}: {e}") from e
+    if stale:
+        raise ValueError(f"--emit directory {args.emit} is not empty: "
+                         "its files would mix with this search's")
     constraints = search.SearchConstraints(
         args.n, args.q, gamma=args.gamma, eigenvalue_index=args.index,
         fix_first_codeword=args.fix_zero)

@@ -60,14 +60,15 @@ counting, before anything is reported.  Work splits at the top two decision
 levels into tasks for w searching processes: the caller and w - 1 worker
 processes, started for the one search, each claim the next unsolved task
 from a shared counter until none is left, so tasks of uneven cost balance
-themselves.  The process that solves a task certifies its leaves,
-LEAF_BATCH at a time (one stacked line-sum count per batch); a worker sends
-back, over a pipe, each task's node count, packed IN sets and certifier
-arrays.  enumerate_crcs puts them in task order, raises on the first bad
-leaf in emission order with check_crc's witness, and only then hands each
-code to the sink with its certificate, built from the leaf's own (gamma,
-beta): no code is certified twice.  The summary (codes, parameter sets,
-node count) does not depend on the worker count.
+themselves.  The process that solves a task unpacks and certifies its
+leaves, LEAF_BATCH at a time (one stacked line-sum count per batch), so the
+packed state never leaves it: a worker sends back, over a pipe, each task's
+node count, np.packbits rows of its leaves and certifier arrays.
+enumerate_crcs puts them in task order, raises on the first bad leaf in
+emission order with check_crc's witness, and only then hands each code to
+the sink with its certificate, built from the leaf's own (gamma, beta): no
+code is certified twice.  The summary (codes, parameter sets, node count)
+does not depend on the worker count.
 
 Complementing a (gamma, beta, i) code gives a (beta, gamma, i) code, and
 flipping every decision maps the search tree onto itself node for node
@@ -76,9 +77,9 @@ or gamma = beta fixed with the index, and no fix_first_codeword.  Such a
 search solves only the two top-level tasks with vertex 0 out.  The tasks
 with vertex 0 in are their mirrors: their leaves are the complements of the
 solved leaves, in reverse order, since complementing reverses the
-lexicographic order.  The process that solves a task certifies its mirror's
-leaves too, and enumerate_crcs emits them after the solved leaves.  The
-node count still counts the whole tree, mirrored half included.
+lexicographic order.  The process that solves a task also returns its
+mirror's output, an ordinary task output with the same node count, and
+enumerate_crcs emits the mirrors' outputs, in reverse, after the solved ones.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ from .verifier import CrcCertificate, certify_rho1, check_crc, rho1_eigenvalue_i
 # vertex count.
 VERTEX_LIMIT = 64
 
-# Leaves certified per certify_rho1 call, and unpacked per batch for the sink:
-# bounds the (batch, V) arrays at any census size.
+# Leaves unpacked and certified per certify_rho1 call: bounds the (batch, V)
+# arrays at any census size.
 LEAF_BATCH = 1024
 
 # Spread sums a task's LRU memo holds: forcing meets the same few sets again
@@ -381,46 +382,50 @@ def _complement_symmetric(c: SearchConstraints) -> bool:
     return c.eigenvalue_index is not None and 2 * c.gamma == c.q * c.eigenvalue_index
 
 
-def _solve_task(args, mirror: int) -> tuple:
-    """_solve_subtree of one task, with its leaves certified: (nodes, leaves,
-    (gamma, beta, ok)).  ``mirror`` is 0, or the whole space when the search
-    is mirrored: then the arrays go on over the mirror task's leaves too."""
+def _solve_task(mirrored: bool, args) -> list:
+    """_solve_subtree of one task, leaves certified LEAF_BATCH at a time: [(nodes,
+    np.packbits rows of the leaves, (gamma, beta, ok))], then, when ``mirrored``,
+    the mirror task's output: the same nodes, rows the complements in reverse."""
     nodes, leaves = _solve_subtree(args)
     sp = Space(args[0], args[1])
-    rows = leaves + [mirror ^ m for m in reversed(leaves)] if mirror else leaves
-    certs = [certify_rho1(sp, _unpack(sp, rows[start:start + LEAF_BATCH]))
-             for start in range(0, len(rows), LEAF_BATCH) or (0,)]  # no leaves: one empty batch
-    return nodes, leaves, tuple(np.concatenate(a) for a in zip(*certs))
+    own, mirror = [], []
+    for start in range(0, len(leaves), LEAF_BATCH) or (0,):  # no leaves: one empty batch
+        rows = _unpack(sp, leaves[start:start + LEAF_BATCH])
+        batches = [rows, ~rows[::-1]] if mirrored else [rows]
+        for batch, out in zip(batches, (own, mirror)):
+            out.append((np.packbits(batch, axis=1), *certify_rho1(sp, batch)))
+    joined = [[np.concatenate(a) for a in zip(*parts)] for parts in (own, mirror[::-1]) if parts]
+    return [(nodes, packed, tuple(cert)) for packed, *cert in joined]
 
 
-def _claim(args: list, mirror: int, counter) -> list:
+def _claim(solve: Callable, tasks: list, counter) -> list:
     """Solve the next unsolved task, by the shared counter, until none is
-    left: [(task index, _solve_task output)] of the tasks this process took."""
+    left: [(task index, solve(task))] of the tasks this process took."""
     done = []
     while True:
         with counter.get_lock():
             i = counter.value
             counter.value = i + 1
-        if i >= len(args):
+        if i >= len(tasks):
             return done
-        done.append((i, _solve_task(args[i], mirror)))
+        done.append((i, solve(tasks[i])))
 
 
-def _solve_share(args: list, mirror: int, counter, conn) -> None:
+def _solve_share(solve: Callable, tasks: list, counter, conn) -> None:
     """Worker process body: solve the tasks it claims and send their outputs,
     or the exception that stopped them, back to the caller."""
     try:
-        out = _claim(args, mirror, counter)
+        out = _claim(solve, tasks, counter)
     except Exception as e:  # re-raised by the caller
         out = e
     conn.send(out)
 
 
-def _solve_tasks(args: list, w: int, mirror: int) -> list:
-    """_solve_task of every task, in task order, by w searching processes:
-    the caller and w - 1 workers claim tasks until none is left, and the
-    workers send their outputs back over a pipe.  Every worker is joined
-    before this returns or raises, so all their CPU time is reaped."""
+def _solve_tasks(solve: Callable, tasks: list, w: int) -> list:
+    """solve(task) of every task, in task order, by w processes: the caller
+    and w - 1 workers claim tasks until none is left, and the workers send
+    their outputs back over a pipe.  Every worker is joined before this
+    returns or raises, so all their CPU time is reaped."""
     # Workers start by the platform's default method, as a Pool's did: on
     # Linux a fork, which costs a few ms where a spawn re-imports numpy.
     counter = Value("i", 0)
@@ -428,11 +433,11 @@ def _solve_tasks(args: list, w: int, mirror: int) -> list:
     try:
         for _ in range(1, w):
             recv, send = Pipe(duplex=False)
-            proc = Process(target=_solve_share, args=(args, mirror, counter, send), daemon=True)
+            proc = Process(target=_solve_share, args=(solve, tasks, counter, send), daemon=True)
             proc.start()
             send.close()  # the worker holds the only write end: EOF if it dies
             procs.append((proc, recv))
-        done = _claim(args, mirror, counter)
+        done = _claim(solve, tasks, counter)
         for proc, recv in procs:
             try:
                 out = recv.recv()
@@ -496,22 +501,18 @@ def enumerate_crcs(constraints: SearchConstraints,
     c = constraints
     sp = c.space
     tasks = _tasks(c)
-    w = _field_width(sp)
-    # Task t's mirror, tasks[-1 - t], is t with every decision flipped; its
-    # leaves are t's xor the whole space, in reverse order.
-    mirror = _ones(w, sp.size) << (w - 1) if _complement_symmetric(c) else 0
-    if mirror:
+    # Task t's mirror, tasks[-1 - t], is t with every decision flipped.
+    mirrored = _complement_symmetric(c)
+    if mirrored:
         tasks = tasks[:len(tasks) // 2]
     args = [(c.n, c.q, c.gamma, c.eigenvalue_index, c.fix_first_codeword, p) for p in tasks]
-    outs = _solve_tasks(args, min(resolve_workers(workers), len(args)), mirror)
-
-    nodes = sum(o[0] for o in outs) * (2 if mirror else 1)
-    leaves = [m for o in outs for m in o[1]]
-    leaves += [mirror ^ m for m in reversed(leaves)] if mirror else []
-    # Emission order: every task's own certifier rows, then the mirrors' in reverse.
-    own = [[a[:len(o[1])] for a in o[2]] for o in outs]
-    mirrored = [[a[len(o[1]):] for a in o[2]] for o in reversed(outs)]
-    gam, bet, ok = (np.concatenate(a) for a in zip(*own, *mirrored))
+    solved = _solve_tasks(functools.partial(_solve_task, mirrored), args,
+                          min(resolve_workers(workers), len(args)))
+    # Emission order: every solved task's output, then the mirrors' in reverse.
+    outs = [s[0] for s in solved] + [s[1] for s in reversed(solved) if mirrored]
+    nodes = sum(o[0] for o in outs)
+    rows = np.concatenate([o[1] for o in outs])
+    gam, bet, ok = (np.concatenate(a) for a in zip(*(o[2] for o in outs)))
     # The first bad leaf in emission order raises, with its checks in order:
     # certified, then its gamma, then its index.  |beta| < 2^31 on every
     # row, so the key is one-to-one on (gamma, beta).
@@ -524,14 +525,12 @@ def enumerate_crcs(constraints: SearchConstraints,
     if bad.any():
         j = int(bad.argmax())
         if not ok[j]:
-            mask = _unpack(sp, [leaves[j]])[0]
+            mask = np.unpackbits(rows[j], count=sp.size).view(bool)
             raise RuntimeError(f"search emitted a non-CRC set: {check_crc(Code(sp, mask))}")
         raise RuntimeError(faults[pair[j]])
     if sink is not None and not count_only:
-        for start in range(0, len(leaves), LEAF_BATCH):
-            batch = slice(start, start + LEAF_BATCH)
-            for mask, g, b in zip(_unpack(sp, leaves[batch]), gam[batch].tolist(),
-                                  bet[batch].tolist()):
-                code = Code(sp, mask)
-                sink(code, CrcCertificate(c.n, c.q, 1, code.size, (b,), (g,)))
-    return SearchSummary(c.n, c.q, len(leaves), frozenset(found), nodes)
+        masks = np.unpackbits(rows, axis=1, count=sp.size).view(bool)
+        for mask, g, b in zip(masks, gam.tolist(), bet.tolist()):
+            code = Code(sp, mask)
+            sink(code, CrcCertificate(c.n, c.q, 1, code.size, (b,), (g,)))
+    return SearchSummary(c.n, c.q, len(rows), frozenset(found), nodes)

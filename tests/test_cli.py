@@ -478,11 +478,19 @@ def test_unwritable_output_is_a_one_line_error(tmp_path, capsys):
 
 
 def test_unwritable_search_index_is_a_one_line_error(tmp_path, capsys):
-    # the code files are written, then index.json is a directory
+    # the code files are written, then index.json is a directory: made after
+    # the first code file, since a directory that is not empty is refused
+    # before the search
     outdir = tmp_path / "found"
     index = outdir / "index.json"
-    index.mkdir(parents=True)
-    assert run(["search", "--n", "2", "--q", "2", "--emit", str(outdir), "--workers", "1"]) == 2
+
+    def write_then_block(code, path, meta):
+        write_code(code, path, meta)
+        index.mkdir(exist_ok=True)
+
+    with mock.patch("crcforge.cli.write_code", write_then_block):
+        assert run(["search", "--n", "2", "--q", "2", "--emit", str(outdir),
+                    "--workers", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {index}: ") and err.count("\n") == 1
     assert (outdir / "code_0000.json").is_file()
@@ -965,6 +973,35 @@ def test_search_cli_count_only_emits_nothing(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: --emit and --count-only exclude each other: "
                                        "--count-only keeps no codes to write\n")
     assert not outdir.exists()
+
+
+def test_search_cli_refuses_a_nonempty_emit_dir(tmp_path, capsys):
+    # an H(2,4) emission, then H(3,2) into the same directory: the second is
+    # refused before any search, and the old files keep their bytes
+    outdir = tmp_path / "found"
+    assert run(["search", "--n", "2", "--q", "4", "--emit", str(outdir), "--workers", "1"]) == 0
+    before = tree_sha256(outdir)
+    capsys.readouterr()
+    with mock.patch("crcforge.search.enumerate_crcs", side_effect=AssertionError("searched")):
+        assert run(["search", "--n", "3", "--q", "2", "--emit", str(outdir),
+                    "--workers", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: --emit directory {outdir} is not empty: "
+                                           "its files would mix with this search's\n")
+        # --count-only keeps its own message
+        assert run(["search", "--n", "3", "--q", "2", "--emit", str(outdir),
+                    "--count-only"]) == 2
+        assert capsys.readouterr().err.startswith("error: --emit and --count-only exclude ")
+    assert tree_sha256(outdir) == before
+    # an empty directory is fine
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run(["search", "--n", "3", "--q", "2", "--emit", str(empty), "--workers", "1"]) == 0
+    assert len(list(empty.iterdir())) == 23
+    # a directory that cannot be listed is a one-line error too
+    with mock.patch("os.listdir", side_effect=PermissionError(13, "Permission denied")):
+        assert run(["search", "--n", "3", "--q", "2", "--emit", str(empty)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot read {empty}: "
+                                       "[Errno 13] Permission denied\n")
 
 
 def test_search_cli_validation(capsys):

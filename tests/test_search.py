@@ -1,6 +1,7 @@
 """Exhaustive enumeration: brute-force equality, determinism, pruning."""
 
 import functools
+import hashlib
 import math
 import multiprocessing
 import os
@@ -214,22 +215,31 @@ def test_claimed_outputs_come_back_in_task_order(c, monkeypatch):
     # H(3,3) at (2, 2) has four tasks and H(3,2) two mirrored ones: at 5
     # processes some worker claims nothing and must still be joined, and
     # every task is solved exactly once, whichever process claims it
-    w = search._field_width(c.space)
-    mirror = search._ones(w, c.space.size) << (w - 1) if search._complement_symmetric(c) else 0
-    tasks = search._tasks(c)[:2] if mirror else search._tasks(c)
+    mirrored = search._complement_symmetric(c)
+    tasks = search._tasks(c)[:2] if mirrored else search._tasks(c)
     args = [(c.n, c.q, c.gamma, c.eigenvalue_index, False, p) for p in tasks]
+    solve = functools.partial(search._solve_task, mirrored)
     runs = {}
     for workers in (1, 2, 3, 5):
         calls = multiprocessing.Value("i", 0)
         monkeypatch.setattr(search, "_solve_subtree", functools.partial(_count_solve, calls))
-        outs = search._solve_tasks(args, workers, mirror)
+        solved = search._solve_tasks(solve, args, workers)
         assert calls.value == len(args)
         assert multiprocessing.active_children() == []
-        runs[workers] = [(nodes, leaves, [a.tolist() for a in cert])
-                         for nodes, leaves, cert in outs]
-    assert [o[:2] for o in runs[1]] == [_SOLVE(a) for a in args]
-    assert all(len(o[2][0]) == len(o[1]) * (2 if mirror else 1) > 0 for o in runs[1])
+        runs[workers] = [[(nodes, rows.tolist(), [a.tolist() for a in cert])
+                          for nodes, rows, cert in outs] for outs in solved]
     assert runs[1] == runs[2] == runs[3] == runs[5]
+    for a, outs in zip(args, solved):
+        nodes, leaves = _SOLVE(a)
+        assert len(outs) == (2 if mirrored else 1)
+        own = search._unpack(c.space, leaves)
+        # each mirror output has its own task's node count and the
+        # complements of its leaves, in reverse order
+        for (out_nodes, rows, cert), want in zip(outs, (own, ~own[::-1])):
+            assert out_nodes == nodes
+            unpacked = np.unpackbits(rows, axis=1, count=c.space.size).view(bool)
+            assert np.array_equal(unpacked, want) and len(want) > 0
+            assert [len(x) for x in cert] == [len(want)] * 3
 
 
 @pytest.mark.parametrize("n,q,gamma,index", [(3, 6, 5, 3), (3, 9, 4, 3)])
@@ -237,6 +247,37 @@ def test_face_test_ends_index3_exclusions_at_the_root(n, q, gamma, index):
     # spaces past VERTEX_LIMIT, reached through the subtree solver: |C| =
     # q^3 * gamma / (3q) is 60 and 108, which q^2 = 36 and 81 do not divide
     assert search._solve_subtree((n, q, gamma, index, False, ())) == (0, [])
+
+
+def sink_sha256(constraints, workers) -> str:
+    """sha256 of the sink's stream: each code's mask bytes, then its
+    certificate's (size, gamma, beta, index)."""
+    h = hashlib.sha256()
+
+    def sink(code, cert):
+        h.update(code.mask.tobytes())
+        h.update(repr((cert.size, cert.gamma, cert.beta, cert.eigenvalue_index)).encode())
+
+    enumerate_crcs(constraints, sink=sink, workers=workers)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("constraints, digest", [
+    (SearchConstraints(2, 4), "5b2c7a6cdb3593356abc311347bb8ac4454cf24ec27a30b4eea9ab58af39982e"),
+    (SearchConstraints(3, 3), "9bfad857a5d1a7c958656384a21739d3bbbd1f0b22c8a716c8e57ea9ad7535ae"),
+    # gamma = beta: mirrored
+    (SearchConstraints(4, 2, gamma=2, eigenvalue_index=2),
+     "e4a30a7eaa74711a2c99fc2293cceeafb28f9624ba7dc5654e416cbcbf6f8143"),
+    # not mirrored
+    (SearchConstraints(3, 3, gamma=2, eigenvalue_index=2),
+     "8ddc6654cc2e1d88e3e6a4391c43a2c6d2258afbf3d664bd9813ebddfbceb918"),
+    (SearchConstraints(3, 2, fix_first_codeword=True),
+     "b19d0f77c47f80ef6110ee2f8f0babb2787e246dfe692e49c07118277ecf353d"),
+], ids=["2-4", "3-3", "4-2-gamma2-index2", "3-3-gamma2-index2", "3-2-fix-zero"])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_sink_stream_is_pinned(constraints, digest, workers):
+    # the codes and certificates the sink sees, in order, at any worker count
+    assert sink_sha256(constraints, workers) == digest
 
 
 def test_collected_codes_independent_of_worker_count():
@@ -590,6 +631,15 @@ def test_resolve_workers(monkeypatch, capsys):
     monkeypatch.delenv("CRC_FORGE_THREADS")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert resolve_workers() == 1
+
+
+def test_resolve_workers_without_sched_getaffinity(monkeypatch):
+    # off Linux the default falls back to os.cpu_count(), which may be None
+    monkeypatch.delenv("CRC_FORGE_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, expected in ((8, 4), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert resolve_workers() == expected
 
 
 def test_gamma_only_constraint():
