@@ -254,7 +254,7 @@ def cmd_search(args) -> int:
           f"{summary.nodes} nodes")
     for g, b, i in sorted(summary.parameter_sets):
         print(f"  gamma={g} beta={b} index={i}")
-    if args.emit and emitted:
+    if args.emit:  # index.json too when nothing was found
         try:
             os.makedirs(args.emit, exist_ok=True)
         except OSError as e:

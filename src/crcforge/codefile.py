@@ -13,14 +13,18 @@ its zero-padded token whenever a higher limb is nonzero.  One
 Files are written and read as bytes (a text stream's text is encoded as
 UTF-8 first); ``json.dumps`` escapes the meta, so the writer's output is
 ASCII.  The reader finds the meta at the last occurrence of its separator,
-since the writer's meta is one line, decodes the codewords from their digit
-runs and accepts the file only if ``_rows`` re-encodes those symbols to the
-very same bytes, every symbol is below q, no codeword repeats and the meta
-alone decodes as UTF-8 to a JSON object; the file is then exactly the JSON
-that ``json.loads`` would read to the same code and meta.  Any other file is
-decoded as a text-mode open would decode it (UTF-8, universal newlines) and
-takes the general path: ``json.loads``, then whole-array type, length and
-range checks, and a word-by-word scan only to name the first bad codeword.
+since the writer's meta is one line, and decodes the codewords line by line:
+one newline scan finds the line starts, each line's first symbol sits after
+its "    [", and each position j is read across all lines at once, one byte
+gather per digit place, up to the first non-digit, then past ", " to
+position j + 1.  It accepts the file only if ``_rows`` re-encodes those
+symbols to the very same bytes, every symbol is below q, no codeword repeats
+and the meta alone decodes as UTF-8 to a JSON object; the file is then
+exactly the JSON that ``json.loads`` would read to the same code and meta.
+Any other file is decoded as a text-mode open would decode it (UTF-8,
+universal newlines) and takes the general path: ``json.loads``, then
+whole-array type, length and range checks, and a word-by-word scan only to
+name the first bad codeword.
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ def _read_canonical(raw: bytes) -> Optional[tuple[Code, dict]]:
         return None
     if type(meta) is not dict:
         return None
-    syms = _read_rows(raw[head.end():end], n, q)
+    syms = _read_rows(memoryview(raw)[head.end():end], n, q)  # the block, not a copy
     mask = None if syms is None else _mask_of(space, syms)
     return None if mask is None else (Code(space, mask), meta)
 
@@ -176,39 +180,47 @@ def _mask_of(space: Space, syms: np.ndarray) -> Optional[np.ndarray]:
     return mask if np.count_nonzero(mask) == len(syms) else None
 
 
-def _read_rows(raw: bytes, n: int, q: int) -> Optional[np.ndarray]:
+def _read_rows(raw: Union[bytes, memoryview], n: int, q: int) -> Optional[np.ndarray]:
     """The (N, n) symbols of a block of codeword lines, or None unless they
-    are below q and ``_rows`` writes exactly these bytes for them.  Each run
-    of digits is read leniently, from at most its last w digits: a run read
-    wrong (longer than w, or at the very start of the block) re-encodes to
-    other bytes and is rejected there."""
+    are below q and ``_rows`` writes exactly these bytes for them.  Each line
+    is read at fixed offsets from its start: its first symbol follows
+    "    [", each run of at most w digits ends at its first non-digit, and
+    ", " leads to the next.  The symbols come back column-major, one
+    contiguous array per position.  A line in any other layout reads to
+    symbols that re-encode to other bytes and is rejected there."""
     u8 = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(u8 == ord("\n"))
+    pos = np.empty(len(ends) + (len(u8) > 0), np.intp)  # one line unless empty
+    pos[:1] = len("    [")
+    np.add(ends, len("\n    ["), out=pos[1:])  # each line's first symbol
+    del ends
+    syms = np.empty((n, len(pos)), _symbol_dtype(q))
+    # one buffer per role, reused for every symbol and digit place
+    d = np.empty(len(pos), np.uint8)
+    digit = np.empty(len(pos), bool)
+    scaled = np.empty(len(pos), syms.dtype)
     zero = np.uint8(ord("0"))
-    digit = np.zeros(len(u8) + 1, bool)
-    np.less(u8 - zero, 10, out=digit[:-1])  # other bytes wrap to >= 10
-    last = np.flatnonzero(digit[1:] < digit[:-1])  # the last digit of each run
-    del digit
-    if len(last) % n:
-        return None
-    # one buffer per role, reused for every digit place
-    syms = np.zeros(len(last), _symbol_dtype(q))
-    scaled = np.empty_like(syms)
-    alive = np.ones(len(last), bool)
-    d = np.empty(len(last), np.uint8)
-    for k in range(len(str(q - 1))):
-        if k:
-            np.subtract(last, 1, out=last)
-            np.maximum(last, 0, out=last)
-        u8.take(last, out=d)
-        d -= zero
-        alive &= d < 10
-        d[~alive] = 0
-        syms += np.multiply(d, 10 ** k, out=scaled, dtype=syms.dtype)
-    del last, scaled, alive, d
+    w = len(str(q - 1))
+    for value in syms:
+        for k in range(w):
+            u8.take(pos, out=d, mode="clip")
+            d -= zero
+            np.less(d, 10, out=digit)  # other bytes wrap to >= 10
+            if k == 0:
+                np.multiply(d, digit, out=value)
+            else:  # where the run has ended, value and position stay put
+                np.multiply(value, 10, out=scaled)
+                scaled += d
+                np.copyto(value, scaled, where=digit)
+            pos += digit
+        pos += len(", ")
+    del pos, d, digit, scaled
+    syms = syms.T
     if syms.size and syms.max() >= q:
         return None
-    syms = syms.reshape(-1, n)
-    return syms if _rows(syms, q) == raw else None
+    rows = _rows(syms, q)
+    # one memcmp: == on a memoryview compares byte by byte
+    return syms if len(rows) == len(raw) and rows.startswith(raw) else None
 
 
 def _read_json(text: str) -> tuple[Code, dict]:

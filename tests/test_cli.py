@@ -3,6 +3,7 @@
 import fcntl
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 from crcforge import constructions
 from crcforge.cli import build_parser, certificate_dict, run
-from crcforge.codefile import (CodeFileError, _read_rows, _rows, _symbol_dtype, _tokens, dumps_code,
-                               read_code, write_code)
+from crcforge.codefile import (CodeFileError, _read_canonical, _read_rows, _rows, _symbol_dtype,
+                               _tokens, dumps_code, read_code, write_code)
 from crcforge.constructions import (build_a, build_b, build_c, build_d, build_from_spec,
                                     build_index1, spec_for)
 from crcforge.hamming import SPACE_CAP, Code, Space
@@ -231,6 +232,56 @@ def test_rows_build_no_table_of_q():
     assert block == reference_rows(syms.tolist()).encode()
     assert peak < 2**22  # a table of q entries would take at least 2^32 bytes
     assert max(len(_tokens(width, units)) for width in (2, 4) for units in (False, True)) == 2 * 10**4
+
+
+@pytest.mark.parametrize("n, q, density", [
+    (3, 4, 0.0),             # the empty code
+    (2, 16, 1.0),            # the whole space
+    (6, 2, 0.5), (3, 10, 0.5), (2, 100, 0.3), (2, 1000, 0.01),  # w = 1, 1, 2, 3
+    (1, 10**4, 0.1), (1, 10**5, 0.01), (1, 10**6, 0.001),      # w = 4, 5, 6
+    (1, 10**6 + 1, 0.001),   # w = 7
+])
+def test_writer_output_is_read_line_by_line(n, q, density):
+    # every writer output takes the line-offset read, never json.loads: a
+    # random code, with every power-of-ten edge below q in every position
+    sp = Space(n, q)
+    mask = np.random.default_rng([n, q]).random(sp.size) < density
+    if 0 < density < 1:
+        edges = sorted(v for v in {0, *(10**p + d for p in range(7) for d in (-1, 0))} if v < q)
+        mask[np.ravel_multi_index(np.array(list(itertools.product(edges, repeat=n))).T, sp.shape)] = True
+    code = Code(sp, mask)
+    for meta in ({}, TRICKY_META):
+        raw = dumps_code(code, meta).encode()
+        assert _read_canonical(raw) == (code, meta)
+
+
+@pytest.mark.parametrize("q", [11, 1001])
+def test_near_misses_of_the_layout_read_like_reference(q):
+    # files a few bytes from the writer's layout are no canonical files: each
+    # reads through the general path to the reference's code or error
+    code = code_of(Space(2, q), [(0, q - 1), (7, 3), (q - 1, q - 1)])
+    good = dumps_code(code, {"k": 1})
+    last = f"[{q - 1}, {q - 1}]"
+    same = {
+        "no space after a comma": good.replace("[7, 3]", "[7,3]"),
+        "crlf": good.replace("\n", "\r\n"),
+        "a codeword wrapped across two lines": good.replace("[7, 3]", "[7,\n     3]"),
+    }
+    errors = {
+        "a leading zero": good.replace("[7, 3]", "[07, 3]"),
+        "one extra symbol": good.replace("[7, 3]", "[7, 3, 1]"),
+        "a truncated last line": good[:good.index(last) + 4],
+        "a last line without its bracket": good.replace(last, last[:-1]),
+    }
+    for name, text in {**same, **errors}.items():
+        assert text != good, name
+        assert _read_canonical(text.encode()) is None, name
+        got = read_outcome(read_code, text)
+        assert got == read_outcome(reference_read_code, text), name
+        if name in same:
+            assert got == (code, {"k": 1}), name
+        else:
+            assert isinstance(got, str), name
 
 
 def disk_outcome(reader, path):
@@ -949,6 +1000,18 @@ def tree_sha256(directory) -> str:
     for path in sorted(directory.iterdir()):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
+
+
+def test_search_cli_emit_writes_an_index_when_nothing_is_found(tmp_path, capsys):
+    # a search that finds no code still creates the directory and says so
+    # in index.json
+    outdir = tmp_path / "out"
+    assert run(["search", "--n", "3", "--q", "3", "--gamma", "4", "--index", "3",
+                "--emit", str(outdir), "--workers", "1"]) == 0
+    assert capsys.readouterr().out == ("search H(3,3): 0 code(s), 0 nodes\n"
+                                       f"emitted 0 file(s) to {outdir}\n")
+    assert [p.name for p in outdir.iterdir()] == ["index.json"]
+    assert json.loads((outdir / "index.json").read_text()) == {"codes": [], "space": {"n": 3, "q": 3}}
 
 
 def test_search_cli_emit_certifies_each_code_once(tmp_path, capsys):
