@@ -4,9 +4,10 @@ The search decides vertices in/out in lexicographic order.  Its state lives
 in Python ints: vertex v owns the w-bit field at bit w*v, with w wide enough
 that every count fits below the field's top bit.  cin and cout hold each
 vertex's number of decided neighbors in and out of the code, and IN and OUT,
-the decided codewords and non-codewords, are sets of field top bits.  With
-the box of intervals below, the state is passed down the recursion by value,
-so backtracking undoes nothing.  A vertex's possible in-neighbor count is
+the decided codewords and non-codewords, are sets of field top bits.  The
+DFS is one loop over a stack of such states, with the box of intervals
+below: a node closes both its children and stacks the 1 child under the 0
+child, so backtracking undoes nothing.  A vertex's possible in-neighbor count is
 [cmin, cmax] = [cin_v, k - cout_v].  In an equitable partition
 {C, complement} every decided vertex ends with a fixed number of neighbors in
 C: gamma for a non-codeword, k - beta for a codeword.  So the search keeps one
@@ -42,14 +43,19 @@ force their free neighbors.  The forced vertices are added the same way,
 when there are any, and the rules reapplied until nothing is forced.
 
 With gamma and i both fixed, both intervals are closed from the root: gamma
-for a non-codeword, a = k - beta = gamma + k - q*i for a codeword.  No
-interval end can move, so the thresholds are computed once per subtree, and
-each round is one death test per vertex state (a decided vertex whose cin or
-cout is past its pinned count kills the branch) and then the four forcing
-masks.  For i >= 2 the hyperfaces are n*q more fields of the same ints,
-counting their decided codewords in cin and non-codewords in cout; their
-limits, |C|/q and q^(n-1) - |C|/q, ride in the constants of the
-non-codeword test, so the same adds check the balance.
+for a non-codeword, a = k - beta = gamma + k - q*i for a codeword.  Deciding
+a vertex also adds d = |k - q*i| to one of its own counts: to cin for the
+state with the smaller cin target (non-codewords when k >= q*i, codewords
+otherwise) and to cout for the other.  Every decided vertex then shares one
+cin target, max(gamma, a), and one cout target, max(k - gamma, k - a), and
+has a free neighbor exactly when cin + cout < k + d, so the fields are wide
+enough for k + d at the top bit.  A closing round is one death test over
+all decided vertices (a count past its target kills the branch), one
+has-free mask and two forcing masks: cout at its target forces the free
+neighbors in, cin at its target forces them out.  For i >= 2 the hyperfaces
+are n*q more fields of the same ints, counting their decided codewords in
+cin and non-codewords in cout; their limits, |C|/q and q^(n-1) - |C|/q,
+ride in the death test's constants, so the same adds check the balance.
 
 Forcing adds the spread of each forced set, and a task meets the same few
 sets many times over, so each task keeps its own memo of these sums: an LRU
@@ -156,10 +162,17 @@ class SearchSummary:
     nodes: int
 
 
-def _field_width(sp: Space) -> int:
+def _field_width(sp: Space, d: int) -> int:
     """Bits per packed counter field: any vertex's or hyperface's count fits
-    below the field's top bit, so adding a threshold never carries."""
-    return max(sp.valency, sp.q ** (sp.n - 1)).bit_length() + 1
+    below the field's top bit, so adding a threshold never carries.  A pinned
+    search adds its bias d to decided vertices and tests k + d free-neighbor
+    counts against the top bit itself, so k + d must not pass it."""
+    return max(sp.valency, sp.valency + d - 1, sp.q ** (sp.n - 1)).bit_length() + 1
+
+
+def _bias(sp: Space, gamma: Optional[int], index: Optional[int]) -> int:
+    """d = |k - q*i| for a pinned search (gamma and index fixed), else 0."""
+    return 0 if gamma is None or index is None else abs(sp.valency - sp.q * index)
 
 
 def _ones(w: int, fields: int) -> int:
@@ -167,10 +180,9 @@ def _ones(w: int, fields: int) -> int:
     return ((1 << w * fields) - 1) // ((1 << w) - 1)
 
 
-def _unpack(sp: Space, leaves: list[int]) -> np.ndarray:
+def _unpack(sp: Space, leaves: list[int], w: int) -> np.ndarray:
     """The (len(leaves), V) bool indicators of packed vertex sets, in which
-    vertex v is the top bit of field v."""
-    w = _field_width(sp)
+    vertex v is the top bit of w-bit field v."""
     nb = (sp.size * w + 7) // 8
     raw = np.frombuffer(b"".join(m.to_bytes(nb, "little") for m in leaves), np.uint8)
     bits = np.unpackbits(raw.reshape(len(leaves), nb), axis=1, bitorder="little")
@@ -183,7 +195,7 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
 
     Returns (nodes visited, leaves): the packed IN set of every completed
     assignment other than the empty set and the whole space, in emission
-    order, not yet certified.
+    order, not yet certified, in fields of _field_width(sp, d) bits.
     """
     n, q, gamma_t, index_t, fix_zero, prefix = args
     sp = Space(n, q)
@@ -205,10 +217,11 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
                 return 0, []  # balanced faces impossible
             face_t = size_t // q
     shift = None if index_t is None else k - q * index_t
+    d = _bias(sp, gamma_t, index_t)
 
     # Field v < V counts vertex v's decided neighbors; while hyperfaces must
     # balance, field V + j*q + s counts the decided vertices with x_j = s.
-    w = _field_width(sp)
+    w = _field_width(sp, d)
     half = 1 << (w - 1)
     vert = _ones(w, V)
     ones = _ones(w, V + (n * q if face_t is not None else 0))
@@ -216,11 +229,19 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
     faces = ones * half ^ full
     ge = [ones * (half - t) for t in range(k + 2)]  # + ge[t]: top bit set iff count >= t
 
+    # A pinned search adds d to a decided vertex's own field: to cin for a
+    # codeword and cout for a non-codeword when k < q*i, the other way round
+    # otherwise (d = 0 for every other search).
+    in_biased = shift is not None and shift < 0
+
     # spread[b], for the vertex u whose top bit is bit b - 1 (b = w*u + w, its
     # bit_length): adding it counts u at each of its neighbors and hyperfaces.
-    # top[b] is that top bit.
+    # top[b] is that top bit; put_in[b] and put_out[b] are what deciding u in
+    # or out adds to (cin, cout), its own bias included.
     spread = [0] * (w * V + 1)
     top = [0] * (w * V + 1)
+    put_in = [(0, 0)] * (w * V + 1)
+    put_out = [(0, 0)] * (w * V + 1)
     for u in range(V):
         m = 0
         for j, (x, stride) in enumerate(zip(sp.vertex(u), strides)):
@@ -230,8 +251,11 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
                     m |= 1 << w * (base + s * stride)
             if face_t is not None:
                 m |= 1 << w * (V + j * q + x)
-        spread[w * u + w] = m
-        top[w * u + w] = half << w * u
+        b, own = w * u + w, d << w * u
+        spread[b] = m
+        top[b] = half << w * u
+        put_in[b] = (m + own, 0) if in_biased else (m, own)
+        put_out[b] = (0, m + own) if in_biased else (own, m)
 
     @functools.lru_cache(maxsize=TOTAL_MEMO)  # one cache per task
     def total(mask: int) -> int:
@@ -243,68 +267,43 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
             t += spread[b]
         return t
 
-    if pinned:
-        # Both counts are fixed from the root: gamma for a non-codeword and
-        # a = k - beta = gamma + shift for a codeword.  Adding cin_over_g
-        # sets a field's top bit where cin is past gamma, and so on; the
-        # hyperface fields' limits ride in the non-codeword constants.
-        a = gamma_t + shift
-        face = ones - vert  # a 1 in each hyperface field
-        f_in, f_out = (face_t, V // q - face_t) if face_t is not None else (0, 0)
-        cin_over_g = vert * (half - 1 - gamma_t) + face * (half - 1 - f_in)
-        cout_over_g = vert * (half - 1 - (k - gamma_t)) + face * (half - 1 - f_out)
-        cin_over_a, cout_over_a = ge[a + 1], ge[k + 1 - a]
-        forcing = ge[k - gamma_t], ge[k - a], ge[gamma_t], ge[a]  # in_g, in_a, out_g, out_a
-
-    nodes = 0
-    leaves: list[int] = []
-
     def propagate(IN: int, OUT: int, cin: int, cout: int, box):
         """Close a state under every rule; cin and cout count each vertex's
-        neighbors in IN and in OUT.  Returns the closed state, or None when
-        the branch dies."""
-        if pinned:
-            in_g, in_a, out_g, out_a = forcing
-        else:
-            g_lo, g_hi, a_lo, a_hi = box
+        neighbors in IN and in OUT, and box holds the intervals.  Returns the
+        closed state, or None when the branch dies."""
+        g_lo, g_hi, a_lo, a_hi = box
         while True:
-            if pinned:
-                if (((cin + cin_over_g) | (cout + cout_over_g)) & (OUT | faces)
-                        or ((cin + cin_over_a) | (cout + cout_over_a)) & IN):
-                    return None  # a count past its target, or a hyperface past its balance
-            else:
-                # Narrow each interval to the in-code neighbor counts
-                # [cin, k - cout] of the decided vertices in its state.
-                while (cin + ge[g_lo + 1]) & OUT:
-                    g_lo += 1
-                while (cout + ge[k + 1 - g_hi]) & OUT:
-                    g_hi -= 1
-                while (cin + ge[a_lo + 1]) & IN:
-                    a_lo += 1
-                while (cout + ge[k + 1 - a_hi]) & IN:
-                    a_hi -= 1
-                if shift is not None:
-                    # gamma + beta = q*i, i.e. k - beta = gamma + shift
-                    g_lo = max(g_lo, a_lo - shift)
-                    g_hi = min(g_hi, a_hi - shift)
-                    if g_lo > g_hi:
-                        return None
-                    a_lo, a_hi = g_lo + shift, g_hi + shift
-                elif g_lo > g_hi or a_lo > a_hi:
+            # Narrow each interval to the in-code neighbor counts
+            # [cin, k - cout] of the decided vertices in its state.
+            while (cin + ge[g_lo + 1]) & OUT:
+                g_lo += 1
+            while (cout + ge[k + 1 - g_hi]) & OUT:
+                g_hi -= 1
+            while (cin + ge[a_lo + 1]) & IN:
+                a_lo += 1
+            while (cout + ge[k + 1 - a_hi]) & IN:
+                a_hi -= 1
+            if shift is not None:
+                # gamma + beta = q*i, i.e. k - beta = gamma + shift
+                g_lo = max(g_lo, a_lo - shift)
+                g_hi = min(g_hi, a_hi - shift)
+                if g_lo > g_hi:
                     return None
-                elif (g_lo + k - a_hi + q - 1) // q * q > g_hi + k - a_lo:
-                    return None  # no multiple of q reachable for gamma+beta
-                in_g, in_a, out_g, out_a = ge[k - g_lo], ge[k - a_lo], ge[g_hi], ge[a_hi]
+                a_lo, a_hi = g_lo + shift, g_hi + shift
+            elif g_lo > g_hi or a_lo > a_hi:
+                return None
+            elif (g_lo + k - a_hi + q - 1) // q * q > g_hi + k - a_lo:
+                return None  # no multiple of q reachable for gamma+beta
 
             # Every decided vertex's counts now straddle its state's interval.
             # One with a free neighbor forces its free neighbors in when its
             # most possible in-code neighbors, k - cout, is the interval's low
             # end, and out when cin already is its high end.
             has_free = ~(cin + cout + ge[k])
-            force_in = ((cout + in_g) & OUT | (cout + in_a) & IN) & has_free
-            force_out = ((cin + out_g) & OUT | (cin + out_a) & IN) & has_free
+            force_in = ((cout + ge[k - g_lo]) & OUT | (cout + ge[k - a_lo]) & IN) & has_free
+            force_out = ((cin + ge[g_hi]) & OUT | (cin + ge[a_hi]) & IN) & has_free
             if not (force_in or force_out):
-                return IN, OUT, cin, cout, box if pinned else (g_lo, g_hi, a_lo, a_hi)
+                return IN, OUT, cin, cout, (g_lo, g_hi, a_lo, a_hi)
             free = full & ~(IN | OUT)
             new_in = force_in and (total(force_in) + ge[1]) & free
             new_out = force_out and (total(force_out) + ge[1]) & free
@@ -317,49 +316,100 @@ def _solve_subtree(args) -> tuple[int, list[int]]:
                 OUT |= new_out
                 cout += total(new_out)
 
-    def decide(state: tuple, bit: int, val: int):
-        """Put the vertex whose top bit is ``bit`` in (val 1) or out, and close."""
-        IN, OUT, cin, cout, box = state
-        s = spread[bit.bit_length()]
-        if val:
-            return propagate(IN | bit, OUT, cin + s, cout, box)
-        return propagate(IN, OUT | bit, cin, cout + s, box)
+    if pinned:
+        # Both counts are fixed from the root: gamma for a non-codeword and
+        # a = k - beta = gamma + shift for a codeword.  With the bias every
+        # decided vertex shares one cin target, t_in = max(gamma, a), and
+        # one cout target, t_out = k + d - t_in; the hyperface fields'
+        # limits ride in the same constants.
+        t_in = max(gamma_t, gamma_t + shift)
+        t_out = k + d - t_in
+        face = ones - vert  # a 1 in each hyperface field
+        f_in, f_out = (face_t, V // q - face_t) if face_t is not None else (0, 0)
+        dead_in = vert * (half - 1 - t_in) + face * (half - 1 - f_in)
+        dead_out = vert * (half - 1 - t_out) + face * (half - 1 - f_out)
+        at_in, at_out, no_free, ge1 = ge[t_in], ge[t_out], vert * (half - k - d), ge[1]
+        lift = w - 1
 
-    def dfs(state: tuple) -> None:
-        nonlocal nodes
-        IN, OUT = state[0], state[1]
-        free = full & ~(IN | OUT)
-        if not free:
-            if IN and IN != full:  # neither the empty set nor the whole space
-                leaves.append(IN)
-            return
-        # lowest undecided vertex, 0 first: lexicographic emission
-        low = free & -free
-        for val in (0, 1):
-            nodes += 1
-            child = decide(state, low, val)
-            if child:
-                dfs(child)
+        def close_pinned(IN: int, OUT: int, cin: int, cout: int, box):
+            """propagate with both intervals closed: each round is one death
+            test, one has-free mask and two forcing masks."""
+            while True:
+                decided = IN | OUT
+                if ((cin + dead_in) | (cout + dead_out)) & (decided | faces):
+                    return None  # a count past its target, or a hyperface past its balance
+                # a decided vertex with a free neighbor forces them all in
+                # when cout is at its target, and out when cin is
+                live = decided & ~(cin + cout + no_free)
+                force_in = (cout + at_out) & live
+                force_out = (cin + at_in) & live
+                if not (force_in or force_out):
+                    return IN, OUT, cin, cout, box
+                free = full ^ decided
+                new_in = force_in and (total(force_in) + ge1) & free
+                new_out = force_out and (total(force_out) + ge1) & free
+                if new_in & new_out:
+                    return None  # a free vertex forced both ways
+                if new_in:
+                    IN |= new_in
+                    cin += total(new_in)
+                if new_out:
+                    OUT |= new_out
+                    cout += total(new_out)
+                if d:  # the newly decided vertices' own bias
+                    if in_biased:
+                        cin += (new_in >> lift) * d
+                        cout += (new_out >> lift) * d
+                    else:
+                        cin += (new_out >> lift) * d
+                        cout += (new_in >> lift) * d
 
     # box: the ranges [g_lo, g_hi] and [a_lo, a_hi] that the final in-code
     # neighbor count of a decided vertex must land in -- gamma for a
     # non-codeword, k - beta for a codeword.  Pinned searches need none.
     box = None if pinned else (
         (1, k, 0, k - 1) if gamma_t is None else (gamma_t, gamma_t, 0, k - 1))
-    state = decide((0, 0, 0, 0, box), half, 1) if fix_zero else (0, 0, 0, 0, box)
+    close = close_pinned if pinned else propagate
+    state = (0, 0, 0, 0, box)
+    if fix_zero:
+        state = close(half, 0, *put_in[w], box)
+    nodes = 0
     for v, val in prefix:
         if state is None:
             break
         nodes += 1
-        IN, OUT = state[0], state[1]
+        IN, OUT, cin, cout, box = state
         bit = half << w * v
         if (IN | OUT) & bit:
             if bool(IN & bit) != bool(val):
                 state = None
             continue
-        state = decide(state, bit, val)
-    if state:
-        dfs(state)
+        ci, co = (put_in if val else put_out)[w * v + w]
+        state = close(IN | bit if val else IN, OUT if val else OUT | bit, cin + ci, cout + co, box)
+
+    # Depth first, 0 before 1: a node closes both children, and the 1 child
+    # waits on the stack under the 0 child's subtree.
+    leaves: list[int] = []
+    stack = [state] if state else []
+    while stack:
+        IN, OUT, cin, cout, box = stack.pop()
+        decided = IN | OUT
+        if decided == full:
+            if IN and IN != full:  # neither the empty set nor the whole space
+                leaves.append(IN)
+            continue
+        free = full ^ decided
+        low = free & -free  # lowest undecided vertex: lexicographic emission
+        b = low.bit_length()
+        nodes += 2
+        ci, co = put_in[b]
+        one = close(IN | low, OUT, cin + ci, cout + co, box)
+        ci, co = put_out[b]
+        zero = close(IN, OUT | low, cin + ci, cout + co, box)
+        if one:
+            stack.append(one)
+        if zero:
+            stack.append(zero)
     return nodes, leaves
 
 
@@ -388,9 +438,10 @@ def _solve_task(mirrored: bool, args) -> list:
     the mirror task's output: the same nodes, rows the complements in reverse."""
     nodes, leaves = _solve_subtree(args)
     sp = Space(args[0], args[1])
+    w = _field_width(sp, _bias(sp, args[2], args[3]))
     own, mirror = [], []
     for start in range(0, len(leaves), LEAF_BATCH) or (0,):  # no leaves: one empty batch
-        rows = _unpack(sp, leaves[start:start + LEAF_BATCH])
+        rows = _unpack(sp, leaves[start:start + LEAF_BATCH], w)
         batches = [rows, ~rows[::-1]] if mirrored else [rows]
         for batch, out in zip(batches, (own, mirror)):
             out.append((np.packbits(batch, axis=1), *certify_rho1(sp, batch)))

@@ -78,7 +78,9 @@ def test_summary_independent_of_worker_count():
 # 64 vertices, so their rows also use the top field of the search's packed
 # counters.  The field width is set by the valency or the hyperface size,
 # whichever is larger: 7 bits both at the valency 63 of H(1,64) and at the
-# hyperface size 32 of H(6,2) with the index fixed at 2 or more.
+# hyperface size 32 of H(6,2) with the index fixed at 2 or more.  A pinned
+# search also needs k + |k - q*i| to fit: 20 widens H(2,8) at index 1 to 6
+# bits, and 64 fills H(1,64)'s 7 bits at index 1 exactly.
 PINNED_NODES = [
     ((2, 3, None, None, False), (24, 112)),
     ((2, 4, None, None, False), (166, 1080)),
@@ -232,7 +234,8 @@ def test_claimed_outputs_come_back_in_task_order(c, monkeypatch):
     for a, outs in zip(args, solved):
         nodes, leaves = _SOLVE(a)
         assert len(outs) == (2 if mirrored else 1)
-        own = search._unpack(c.space, leaves)
+        w = search._field_width(c.space, search._bias(c.space, c.gamma, c.eigenvalue_index))
+        own = search._unpack(c.space, leaves, w)
         # each mirror output has its own task's node count and the
         # complements of its leaves, in reverse order
         for (out_nodes, rows, cert), want in zip(outs, (own, ~own[::-1])):
@@ -273,7 +276,19 @@ def sink_sha256(constraints, workers) -> str:
      "8ddc6654cc2e1d88e3e6a4391c43a2c6d2258afbf3d664bd9813ebddfbceb918"),
     (SearchConstraints(3, 2, fix_first_codeword=True),
      "b19d0f77c47f80ef6110ee2f8f0babb2787e246dfe692e49c07118277ecf353d"),
-], ids=["2-4", "3-3", "4-2-gamma2-index2", "3-3-gamma2-index2", "3-2-fix-zero"])
+    # pinned with k - q*i = +1: the bias on non-codewords' cin
+    (SearchConstraints(3, 4, gamma=3, eigenvalue_index=2),
+     "e6e3db1fe5a5d65f4e74a26115658b224279239e743364e8ecb034ed7a361ea1"),
+    # k - q*i = -3: the bias on codewords' cin
+    (SearchConstraints(3, 3, gamma=3, eigenvalue_index=3),
+     "6e18656b8d746d246a8a2007a50c925f21ea1347dafc90322ddf39dfe6973b0a"),
+    # k + d = 20 widens the fields; k + d = 64 fills them exactly
+    (SearchConstraints(2, 8, gamma=2, eigenvalue_index=1),
+     "b9d15366823c821e356b7524af2ecd3d61c53d4c1fb1651a57f74e586e44e212"),
+    (SearchConstraints(1, 64, gamma=2, eigenvalue_index=1),
+     "e3da20cea7776ecfd973487f4685d944d01c5bc5371223b95e614dfca3a1af1c"),
+], ids=["2-4", "3-3", "4-2-gamma2-index2", "3-3-gamma2-index2", "3-2-fix-zero",
+        "3-4-gamma3-index2", "3-3-gamma3-index3", "2-8-gamma2-index1", "1-64-gamma2-index1"])
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_sink_stream_is_pinned(constraints, digest, workers):
     # the codes and certificates the sink sees, in order, at any worker count
